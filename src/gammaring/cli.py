@@ -14,14 +14,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+import traceback
 
 from .errors import (BudgetExceededError, FrameValidationError, GRDFError,
                      InternalInconsistencyError, PreconditionError)
 from .grdf import load_grdf
-from .multmaps import (SearchConfig, search_n_derivations, search_n_multiplicative_isos,
-                       verify_additive, verify_n_derivation, verify_n_multiplicative)
+from .multmaps import (MapPair, SearchConfig, search_n_derivations,
+                       search_n_multiplicative_isos, verify_additive, verify_n_derivation,
+                       verify_n_multiplicative)
 from .peirce import check_martindale_family, check_peirce_relations, peirce_decompose
 from .rings import check_barnes_axioms, check_nobusawa, find_idempotents, find_unities
 from .theorem import hunt_counterexamples, run_additivity_pipeline, run_derivation_pipeline
@@ -33,6 +36,12 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_BUG = 4
+
+# per subject: document section, report label, verified identity, search listing key
+_SUBJECTS = {
+    "iso": ("maps", "map", "multiplicative", "pairs"),
+    "derivation": ("derivations", "derivation", "leibniz", "derivations"),
+}
 
 _GAMMA_KEYS = {"alpha", "beta", "gamma", "gamma1", "lambda", "mu", "delta"}
 
@@ -79,9 +88,15 @@ def _status(verdicts, complete: bool = True) -> int:
     return EXIT_PASS
 
 
-def _pair_dict(pair, additive: bool) -> dict:
-    return {"phi": [int(v) for v in pair.phi], "psi": [int(v) for v in pair.psi],
-            "additive": bool(additive)}
+def _subject_kind(command: str) -> str:
+    return "iso" if command.endswith("-iso") else "derivation"
+
+
+def _tables(obj) -> dict:
+    """The tables that identify a map pair or a derivation in a report."""
+    if isinstance(obj, MapPair):
+        return {"phi": [int(v) for v in obj.phi], "psi": [int(v) for v in obj.psi]}
+    return {"d": list(obj.key())}
 
 
 def cmd_axioms(doc, args):
@@ -159,77 +174,56 @@ def cmd_conditions(doc, args):
     return _status(verdicts), report
 
 
-def cmd_verify_iso(doc, args):
+def _cmd_verify(doc, args):
     ring = doc.ring
-    if not doc.maps:
-        raise GRDFError("verify-iso needs a 'maps' section")
+    kind = _subject_kind(args.command)
+    section, label, identity, _ = _SUBJECTS[kind]
+    subjects = getattr(doc, section)
+    if not subjects:
+        raise GRDFError(f"{args.command} needs a '{section}' section")
+    verify = verify_n_multiplicative if kind == "iso" else verify_n_derivation
     verdicts = []
-    for i, pair in enumerate(doc.maps):
-        vr = verify_n_multiplicative(pair, args.n, args.budget, args.seed)
-        verdicts.append(_verdict(ring, f"map[{i}]-{args.n}-multiplicative",
+    for i, obj in enumerate(subjects):
+        vr = verify(obj, args.n, args.budget, args.seed)
+        verdicts.append(_verdict(ring, f"{label}[{i}]-{args.n}-{identity}",
                                  vr.passed, vr.exact, vr.checked, vr.witness))
-        ar = verify_additive(pair)
-        verdicts.append(_verdict(ring, f"map[{i}]-additive", ar.passed, True,
+        ar = verify_additive(obj)
+        verdicts.append(_verdict(ring, f"{label}[{i}]-additive", ar.passed, True,
                                  ar.checked, ar.witness, gating=False))
     return _status(verdicts), {"verdicts": verdicts}
 
 
-def cmd_verify_derivation(doc, args):
+def _cmd_search(doc, args):
     ring = doc.ring
-    if not doc.derivations:
-        raise GRDFError("verify-derivation needs a 'derivations' section")
-    verdicts = []
-    for i, deriv in enumerate(doc.derivations):
-        vr = verify_n_derivation(deriv, args.n, args.budget, args.seed)
-        verdicts.append(_verdict(ring, f"derivation[{i}]-{args.n}-leibniz",
-                                 vr.passed, vr.exact, vr.checked, vr.witness))
-        ar = verify_additive(deriv)
-        verdicts.append(_verdict(ring, f"derivation[{i}]-additive", ar.passed, True,
-                                 ar.checked, ar.witness, gating=False))
-    return _status(verdicts), {"verdicts": verdicts}
-
-
-def cmd_search_iso(doc, args):
-    ring = doc.ring
+    kind = _subject_kind(args.command)
     config = SearchConfig(n=args.n, budget=args.budget, seed=args.seed)
-    res = search_n_multiplicative_isos(ring, ring, config)
-    pairs = [(p, verify_additive(p).passed) for p in res.found]
-    non_additive = [p for p, add in pairs if not add]
+    if kind == "iso":
+        res = search_n_multiplicative_isos(ring, ring, config)
+    else:
+        res = search_n_derivations(ring, config)
+    listing = _SUBJECTS[kind][3]
+    found = [(obj, verify_additive(obj).passed) for obj in res.found]
+    non_additive = [obj for obj, add in found if not add]
     report = {
         "found": len(res.found),
-        "additive": sum(1 for _, add in pairs if add),
+        "additive": sum(1 for _, add in found if add),
         "complete": res.complete,
         "nodes": res.nodes,
-        "pairs": [_pair_dict(p, add) for p, add in pairs],
+        listing: [dict(_tables(obj), additive=add) for obj, add in found],
     }
     if args.require_additive and non_additive:
-        report["witness"] = _pair_dict(non_additive[0], False)
+        witness = _tables(non_additive[0])
+        if kind == "iso":               # pair witnesses also carry their additive flag
+            witness["additive"] = False
         wr = verify_additive(non_additive[0])
-        report["witness"]["additivity_witness"] = _render_witness(ring, wr.witness)
+        witness["additivity_witness"] = _render_witness(ring, wr.witness)
+        report["witness"] = witness
         return EXIT_FAIL, report
     return (EXIT_PASS if res.complete else EXIT_BUDGET), report
 
 
-def cmd_search_derivations(doc, args):
-    ring = doc.ring
-    config = SearchConfig(n=args.n, budget=args.budget, seed=args.seed)
-    res = search_n_derivations(ring, config)
-    tables = [(d, verify_additive(d).passed) for d in res.found]
-    non_additive = [d for d, add in tables if not add]
-    report = {
-        "found": len(res.found),
-        "additive": sum(1 for _, add in tables if add),
-        "complete": res.complete,
-        "nodes": res.nodes,
-        "derivations": [{"d": list(d.key()), "additive": bool(add)} for d, add in tables],
-    }
-    if args.require_additive and non_additive:
-        d = non_additive[0]
-        wr = verify_additive(d)
-        report["witness"] = {"d": list(d.key()),
-                             "additivity_witness": _render_witness(ring, wr.witness)}
-        return EXIT_FAIL, report
-    return (EXIT_PASS if res.complete else EXIT_BUDGET), report
+cmd_verify_iso = cmd_verify_derivation = _cmd_verify
+cmd_search_iso = cmd_search_derivations = _cmd_search
 
 
 def _pipeline_entry(ring, label, rep):
@@ -258,20 +252,18 @@ def cmd_theorem(doc, args):
     frames = doc.build_frames()
     entries = []
     failures = []
-    for i, pair in enumerate(doc.maps):
-        label = f"map[{i}]"
-        try:
-            rep = run_additivity_pipeline(pair, args.n, frames, args.budget, args.k)
-            entries.append(_pipeline_entry(ring, label, rep))
-        except (PreconditionError, ValueError) as ex:
-            failures.append({"subject": label, "error": str(ex)})
-    for i, deriv in enumerate(doc.derivations):
-        label = f"derivation[{i}]"
-        try:
-            rep = run_derivation_pipeline(ring, deriv, args.n, frames, args.budget, args.k)
-            entries.append(_pipeline_entry(ring, label, rep))
-        except (PreconditionError, ValueError) as ex:
-            failures.append({"subject": label, "error": str(ex)})
+    for kind, (section, label, _, _) in _SUBJECTS.items():
+        for i, obj in enumerate(getattr(doc, section)):
+            name = f"{label}[{i}]"
+            try:
+                if kind == "iso":
+                    rep = run_additivity_pipeline(obj, args.n, frames, args.budget, args.k)
+                else:
+                    rep = run_derivation_pipeline(ring, obj, args.n, frames, args.budget,
+                                                  args.k)
+                entries.append(_pipeline_entry(ring, name, rep))
+            except PreconditionError as ex:
+                failures.append({"subject": name, "error": str(ex)})
     report = {"pipelines": entries, "failures": failures}
     return (EXIT_FAIL if failures else EXIT_PASS), report
 
@@ -284,13 +276,7 @@ def cmd_hunt(args):
     survey = hunt_counterexamples(rings, n=args.n, budget=args.budget)
     entries = []
     for e in survey.entries:
-        witnesses = []
-        for kind, obj in e.witnesses:
-            if kind == "iso":
-                witnesses.append({"kind": kind, "phi": [int(v) for v in obj.phi],
-                                  "psi": [int(v) for v in obj.psi]})
-            else:
-                witnesses.append({"kind": kind, "d": list(obj.key())})
+        witnesses = [{"kind": kind, **_tables(obj)} for kind, obj in e.witnesses]
         entries.append({
             "ring": e.name,
             "conditions": e.conditions,
@@ -431,6 +417,13 @@ def main(argv=None) -> int:
         return EXIT_FAIL
     except InternalInconsistencyError as ex:
         print(f"internal inconsistency (bug): {ex}", file=sys.stderr)
+        return EXIT_BUG
+    except Exception as ex:
+        # any other exception is a bug too, never a verdict: one line, with where it arose
+        where = traceback.extract_tb(ex.__traceback__)[-1]
+        print(f"internal error (bug): {type(ex).__name__}: {' '.join(str(ex).split())} "
+              f"[{os.path.basename(where.filename)}:{where.lineno} in {where.name}]",
+              file=sys.stderr)
         return EXIT_BUG
 
     report = {"schema": SCHEMA, "command": args.command,

@@ -17,11 +17,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import InternalInconsistencyError
-from .rings import GammaRing
+from .rings import GammaRing, _chunks, _first, _scan_equal, _witness
 
 DEFAULT_BUDGET = 10**8
 _SAMPLE_CAP = 1 << 20
-_CHUNK_ELEMS = 1 << 22
 
 
 @dataclass
@@ -123,16 +122,72 @@ class SearchResult:
     nodes: int
 
 
-def _tuple_count(m: int, g: int, n: int) -> int:
-    return m**n * g**(n - 1)
-
-
 def _witness_names(n: int) -> list:
     names = []
     for i in range(1, n):
         names += [f"x{i}", f"g{i}"]
     names.append(f"x{n}")
     return names
+
+
+def _grid_step(mu, t, j, x):
+    """Open grid: append a (gamma, x) axis pair; x indexes the new element axis."""
+    return mu[t][..., :, x]
+
+
+def _chain(mu, factors, step):
+    """Products factor[0] g1 factor[1] ... g_{n-1} factor[n-1], folded left to right."""
+    t = factors[0]
+    for j in range(1, len(factors)):
+        t = step(mu, t, j - 1, factors[j])
+    return t
+
+
+def _leibniz(mu, addm, d, factors, step):
+    """Sum over i of the chain with d applied to the i-th factor (d[slice(None)] is d)."""
+    dfactors = [d[x] for x in factors]
+    rhs = None
+    for i in range(len(factors)):
+        t = dfactors[0] if i == 0 else factors[0]
+        for j in range(1, len(factors)):
+            t = step(mu, t, j - 1, dfactors[j] if j == i else factors[j])
+        rhs = t if rhs is None else addm[rhs, t]
+    return rhs
+
+
+def _verify_chains(m: int, g: int, n: int, budget: int, seed: int, lhs, rhs) -> VerifyReport:
+    """Scan every length-n tuple when the count fits the budget, else a seeded sample.
+
+    lhs(factors, step) and rhs(factors, step) evaluate the identity's sides on
+    the chains over the given element factors: index arrays, or slice(None)
+    for a full open-grid axis.  Exhaustive witnesses are the lexicographically
+    least failing tuple.
+    """
+    count = m**n * g**(n - 1)
+    names = _witness_names(n)
+    if count <= budget:
+        def grid(lo, hi):
+            return [np.arange(lo, hi)] + [slice(None)] * (n - 1)
+
+        w = _scan_equal(lambda lo, hi: lhs(grid(lo, hi), _grid_step),
+                        lambda lo, hi: rhs(grid(lo, hi), _grid_step),
+                        m, (g, m) * (n - 1), names)
+        return VerifyReport(w is None, True, count, w)
+
+    rng = np.random.default_rng(seed)
+    samples = int(min(budget, _SAMPLE_CAP))
+    xs = rng.integers(0, m, size=(n, samples))
+    gs = rng.integers(0, g, size=(n - 1, samples))
+
+    def aligned(mu, t, j, x):
+        return mu[t, gs[j], x]
+
+    bad = _first(lhs(list(xs), aligned) != rhs(list(xs), aligned))
+    if bad is None:
+        return VerifyReport(True, False, samples)
+    j = bad[0]
+    tup = [xs[0, j]] + [v for i in range(1, n) for v in (gs[i - 1, j], xs[i, j])]
+    return VerifyReport(False, False, samples, _witness(names, tup))
 
 
 def verify_n_multiplicative(pair: MapPair, n: int,
@@ -142,56 +197,17 @@ def verify_n_multiplicative(pair: MapPair, n: int,
         raise ValueError("product arity must be >= 2")
     pair.source.require_barnes()
     pair.target.require_barnes()
-    src, tgt = pair.source, pair.target
-    m, g = src.m_order, src.gamma_order
-    mu_s = src.mu
+    phi = pair.phi
     # target table pulled back to source coordinates through psi/phi
-    mu_tt = tgt.mu[:, pair.psi, :][:, :, pair.phi]
-    count = _tuple_count(m, g, n)
-    names = _witness_names(n)
-
-    if count <= budget:
-        per_x1 = count // m
-        step = max(1, _CHUNK_ELEMS // max(per_x1, 1))
-        for lo in range(0, m, step):
-            hi = min(lo + step, m)
-            s = np.arange(lo, hi)
-            t = pair.phi[lo:hi].astype(np.int64)
-            for _ in range(n - 1):
-                s = mu_s[s]
-                t = mu_tt[t]
-            neq = pair.phi[s] != t
-            if neq.any():
-                flat = int(np.argmax(neq.reshape(-1)))
-                idx = np.unravel_index(flat, neq.shape)
-                idx = (idx[0] + lo,) + idx[1:]
-                return VerifyReport(False, True, count,
-                                    {k: int(v) for k, v in zip(names, idx)})
-        return VerifyReport(True, True, count)
-
-    rng = np.random.default_rng(seed)
-    samples = int(min(budget, _SAMPLE_CAP))
-    xs = rng.integers(0, m, size=(n, samples))
-    gs = rng.integers(0, g, size=(n - 1, samples))
-    s = xs[0]
-    t = pair.phi[xs[0]].astype(np.int64)
-    for i in range(n - 1):
-        s = mu_s[s, gs[i], xs[i + 1]]
-        t = mu_tt[t, gs[i], xs[i + 1]]
-    neq = pair.phi[s] != t
-    if neq.any():
-        j = int(np.argmax(neq))
-        w = {}
-        for i in range(n - 1):
-            w[f"x{i+1}"] = int(xs[i, j])
-            w[f"g{i+1}"] = int(gs[i, j])
-        w[f"x{n}"] = int(xs[n - 1, j])
-        return VerifyReport(False, False, samples, w)
-    return VerifyReport(True, False, samples)
+    mu_tt = pair.target.mu[:, pair.psi, :][:, :, phi]
+    return _verify_chains(
+        pair.source.m_order, pair.source.gamma_order, n, budget, seed,
+        lambda xs, step: phi[_chain(pair.source.mu, xs, step)],
+        lambda xs, step: _chain(mu_tt, [phi[xs[0]]] + xs[1:], step))
 
 
-def verify_additive(obj) -> VerifyReport:
-    """Exhaustive phi(x+y) = phi(x) + phi(y) for a map pair or derivation table."""
+def _additivity_sides(obj):
+    """(table(x+y), table(x) + table(y)) over all (x, y), and the codomain group."""
     if isinstance(obj, MapPair):
         table, dom, cod = obj.phi, obj.source.m_group, obj.target.m_group
     elif isinstance(obj, DerivationTable):
@@ -199,27 +215,15 @@ def verify_additive(obj) -> VerifyReport:
     else:
         raise TypeError(f"cannot check additivity of {type(obj).__name__}")
     t = table.astype(np.int64)
-    neq = t[dom.add_table] != cod.add_table[t[:, None], t[None, :]]
-    if neq.any():
-        x, y = np.unravel_index(int(np.argmax(neq.reshape(-1))), neq.shape)
-        return VerifyReport(False, True, neq.size, {"x": int(x), "y": int(y)})
-    return VerifyReport(True, True, neq.size)
+    return t[dom.add_table], cod.add_table[t[:, None], t[None, :]], cod
 
 
-def _derivation_sides(ring: GammaRing, d: np.ndarray, n: int, lo: int, hi: int):
-    """LHS product indices and RHS sums for the x1-slice [lo, hi) of the full grid."""
-    mu, addm = ring.mu, ring.m_group.add_table
-    s = np.arange(lo, hi)
-    for _ in range(n - 1):
-        s = mu[s]
-    lhs = d[s]
-    rhs = None
-    for i in range(1, n + 1):
-        t = d[lo:hi].astype(np.int64) if i == 1 else np.arange(lo, hi)
-        for j in range(2, n + 1):
-            t = mu[t] if j != i else mu[t][..., :, d]
-        rhs = t if rhs is None else addm[rhs, t]
-    return lhs, rhs
+def verify_additive(obj) -> VerifyReport:
+    """Exhaustive phi(x+y) = phi(x) + phi(y) for a map pair or derivation table."""
+    sums, parts, _ = _additivity_sides(obj)
+    neq = sums != parts
+    w = _witness(("x", "y"), _first(neq))
+    return VerifyReport(w is None, True, neq.size, w)
 
 
 def verify_n_derivation(deriv: DerivationTable, n: int,
@@ -227,52 +231,11 @@ def verify_n_derivation(deriv: DerivationTable, n: int,
     """Check the Leibniz expansion of d over every length-n product."""
     if n < 2:
         raise ValueError("product arity must be >= 2")
-    ring = deriv.ring
-    m, g = ring.m_order, ring.gamma_order
-    count = _tuple_count(m, g, n)
-    names = _witness_names(n)
-
-    if count <= budget:
-        per_x1 = count // m
-        step = max(1, _CHUNK_ELEMS // max(per_x1, 1))
-        for lo in range(0, m, step):
-            hi = min(lo + step, m)
-            lhs, rhs = _derivation_sides(ring, deriv.d, n, lo, hi)
-            neq = lhs != rhs
-            if neq.any():
-                flat = int(np.argmax(neq.reshape(-1)))
-                idx = np.unravel_index(flat, neq.shape)
-                idx = (idx[0] + lo,) + idx[1:]
-                return VerifyReport(False, True, count,
-                                    {k: int(v) for k, v in zip(names, idx)})
-        return VerifyReport(True, True, count)
-
-    rng = np.random.default_rng(seed)
-    samples = int(min(budget, _SAMPLE_CAP))
-    xs = rng.integers(0, m, size=(n, samples))
-    gs = rng.integers(0, g, size=(n - 1, samples))
-    mu, addm = ring.mu, ring.m_group.add_table
-    s = xs[0]
-    for i in range(n - 1):
-        s = mu[s, gs[i], xs[i + 1]]
-    lhs = deriv.d[s]
-    rhs = None
-    for i in range(1, n + 1):
-        t = deriv.d[xs[0]].astype(np.int64) if i == 1 else xs[0]
-        for j in range(2, n + 1):
-            xj = deriv.d[xs[j - 1]] if j == i else xs[j - 1]
-            t = mu[t, gs[j - 2], xj]
-        rhs = t if rhs is None else addm[rhs, t]
-    neq = lhs != rhs
-    if neq.any():
-        j = int(np.argmax(neq))
-        w = {}
-        for i in range(n - 1):
-            w[f"x{i+1}"] = int(xs[i, j])
-            w[f"g{i+1}"] = int(gs[i, j])
-        w[f"x{n}"] = int(xs[n - 1, j])
-        return VerifyReport(False, False, samples, w)
-    return VerifyReport(True, False, samples)
+    ring, d = deriv.ring, deriv.d
+    return _verify_chains(
+        ring.m_order, ring.gamma_order, n, budget, seed,
+        lambda xs, step: d[_chain(ring.mu, xs, step)],
+        lambda xs, step: _leibniz(ring.mu, ring.m_group.add_table, d, xs, step))
 
 
 class _PairSearch:
@@ -510,24 +473,11 @@ class _DerivSearch:
 
     def _instances(self, a):
         """Forced pairs (product index, Leibniz sum) over assigned slots."""
-        dvals = self.d[a]
-        n = self.n
-        per_x1 = a.size ** (n - 1) * self.g ** (n - 1)
-        step = max(1, _CHUNK_ELEMS // max(per_x1, 1))
         outs, vals = [], []
-        for lo in range(0, a.size, step):
-            hi = min(lo + step, a.size)
-            s = a[lo:hi]
-            for _ in range(n - 1):
-                s = self.mu[s][..., :, a]
-            rhs = None
-            for i in range(1, n + 1):
-                t = dvals[lo:hi] if i == 1 else a[lo:hi]
-                for j in range(2, n + 1):
-                    t = self.mu[t][..., :, a if j != i else dvals]
-                rhs = t if rhs is None else self.addm[rhs, t]
-            outs.append(s.ravel())
-            vals.append(rhs.ravel())
+        for lo, hi in _chunks(a.size, (a.size * self.g) ** (self.n - 1)):
+            factors = [a[lo:hi]] + [a] * (self.n - 1)
+            outs.append(_chain(self.mu, factors, _grid_step).ravel())
+            vals.append(_leibniz(self.mu, self.addm, self.d, factors, _grid_step).ravel())
         return np.concatenate(outs), np.concatenate(vals)
 
     def _propagate(self) -> bool:
@@ -604,6 +554,30 @@ def _inverse_table(t: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _defect(obj) -> DefectMap:
+    """Additivity defect of a verified map pair or derivation; constant in gamma.
+
+    Pairs pull the target difference back through phi^-1, derivations keep it.
+    """
+    iso = isinstance(obj, MapPair)
+    ring, table, kind = (obj.source, obj.phi, "iso") if iso else (obj.ring, obj.d, "derivation")
+    ring.require_barnes()           # the zero-kills-products argument needs it
+    if int(table[0]) != 0:
+        # forced for any verified map: phi(0) = phi(0 g ... g x0) = ... = 0, and
+        # the all-zero instance of the Leibniz identity forces d(0) = 0
+        raise InternalInconsistencyError("verified pair does not fix zero" if iso
+                                         else "verified derivation does not kill zero")
+    sums, parts, cod = _additivity_sides(obj)
+    f2 = cod.sub_index_array(sums, parts)
+    if iso:
+        f2 = _inverse_table(table.astype(np.int64))[f2]
+    if (f2[:, 0] != 0).any() or (f2[0, :] != 0).any():
+        raise InternalInconsistencyError(f"{kind} defect does not vanish on zero arguments")
+    m, g = ring.m_order, ring.gamma_order
+    f = np.broadcast_to(f2[:, None, :], (m, g, m)).copy()
+    return DefectMap(ring, f, f"{kind}-defect")
+
+
 def defect_of_iso(pair: MapPair, n: int = 2, budget: int = DEFAULT_BUDGET) -> DefectMap:
     """f(x, gamma, y) = phi^-1(phi(x+y) - phi(x) - phi(y)); constant in gamma."""
     vr = verify_n_multiplicative(pair, n, budget)   # also enforces Barnes rings
@@ -612,45 +586,20 @@ def defect_of_iso(pair: MapPair, n: int = 2, budget: int = DEFAULT_BUDGET) -> De
                          "raise the budget")
     if not vr.passed:
         raise ValueError(f"pair is not {n}-multiplicative: witness {vr.witness}")
-    if int(pair.phi[0]) != 0:
-        # forced for any verified pair: phi(0) = phi(0 g ... g x0) = ... = 0
-        raise InternalInconsistencyError("verified pair does not fix zero")
-    src, tgt = pair.source, pair.target
-    phi = pair.phi.astype(np.int64)
-    inv = _inverse_table(phi)
-    tg = tgt.m_group
-    sums = phi[src.m_group.add_table]
-    parts = tg.add_table[phi[:, None], phi[None, :]]
-    f2 = inv[tg.sub_index_array(sums, parts)]
-    if (f2[:, 0] != 0).any() or (f2[0, :] != 0).any():
-        raise InternalInconsistencyError("iso defect does not vanish on zero arguments")
-    m, g = src.m_order, src.gamma_order
-    f = np.broadcast_to(f2[:, None, :], (m, g, m)).copy()
-    return DefectMap(src, f, "iso-defect")
+    return _defect(pair)
 
 
 def defect_of_derivation(deriv: DerivationTable, n: int = 2,
                          budget: int = DEFAULT_BUDGET) -> DefectMap:
     """f(x, gamma, y) = d(x+y) - d(x) - d(y); constant in gamma."""
-    deriv.ring.require_barnes()     # the zero-kills-products argument needs it
+    deriv.ring.require_barnes()
     vr = verify_n_derivation(deriv, n, budget)
     if not vr.exact:
         raise ValueError("defect construction needs an exact derivation verdict; "
                          "raise the budget")
     if not vr.passed:
         raise ValueError(f"map is not an {n}-derivation: witness {vr.witness}")
-    ring = deriv.ring
-    mg = ring.m_group
-    d = deriv.d.astype(np.int64)
-    if int(d[0]) != 0:
-        # the all-zero instance of the identity forces d(0) = 0 in every ring
-        raise InternalInconsistencyError("verified derivation does not kill zero")
-    f2 = mg.sub_index_array(d[mg.add_table], mg.add_table[d[:, None], d[None, :]])
-    if (f2[:, 0] != 0).any() or (f2[0, :] != 0).any():
-        raise InternalInconsistencyError("derivation defect does not vanish on zero arguments")
-    m, g = ring.m_order, ring.gamma_order
-    f = np.broadcast_to(f2[:, None, :], (m, g, m)).copy()
-    return DefectMap(ring, f, "derivation-defect")
+    return _defect(deriv)
 
 
 def inverse_pair(pair: MapPair, n: int = 2, budget: int = DEFAULT_BUDGET) -> MapPair:

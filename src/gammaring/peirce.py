@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import FrameValidationError, InternalInconsistencyError
-from .rings import GammaRing, find_unities
+from .rings import GammaRing, _first, _witness, find_unities
 
 
 @dataclass
@@ -125,30 +125,19 @@ def validate_frame(frame: IdempotentFrame) -> list[FrameViolation]:
         out.append(FrameViolation("right-specialization", {"a": int(bad[0])}))
 
     addm = mg.add_table
-    lhs = lf[:, addm]                                   # [b, x, y]
-    rhs = addm[lf[:, :, None], lf[:, None, :]]
-    neq = lhs != rhs
-    if neq.any():
-        b, x, y = np.unravel_index(int(np.argmax(neq.reshape(-1))), neq.shape)
-        out.append(FrameViolation("left-additivity",
-                                  {"beta": int(b), "x": int(x), "y": int(y)}))
-
-    lhs = rf[addm, :]                                   # [x, y, b]
-    rhs = addm[rf[:, None, :], rf[None, :, :]]
-    neq = lhs != rhs
-    if neq.any():
-        x, y, b = np.unravel_index(int(np.argmax(neq.reshape(-1))), neq.shape)
-        out.append(FrameViolation("right-additivity",
-                                  {"x": int(x), "y": int(y), "beta": int(b)}))
-
-    # (a beta complement) gamma b == a beta (complement gamma b)
-    lhs = mu[rf]                                        # [a, beta, gamma, b]
-    rhs = mu[:, :, lf]
-    neq = lhs != rhs
-    if neq.any():
-        a, b_, c, d = np.unravel_index(int(np.argmax(neq.reshape(-1))), neq.shape)
-        out.append(FrameViolation("frame-associativity",
-                                  {"a": int(a), "beta": int(b_), "gamma": int(c), "b": int(d)}))
+    checks = (
+        ("left-additivity", ("beta", "x", "y"),                    # [b, x, y]
+         lf[:, addm] != addm[lf[:, :, None], lf[:, None, :]]),
+        ("right-additivity", ("x", "y", "beta"),                   # [x, y, b]
+         rf[addm, :] != addm[rf[:, None, :], rf[None, :, :]]),
+        # (a beta complement) gamma b == a beta (complement gamma b)
+        ("frame-associativity", ("a", "beta", "gamma", "b"),       # [a, beta, gamma, b]
+         mu[rf] != mu[:, :, lf]),
+    )
+    for invariant, names, neq in checks:
+        witness = _witness(names, _first(neq))
+        if witness is not None:
+            out.append(FrameViolation(invariant, witness))
     return out
 
 
@@ -241,17 +230,18 @@ def check_peirce_relations(components: PeirceComponents) -> PeirceRelationsRepor
             b = np.asarray(components.components[kl])
             prods = mu[np.ix_(a, gam_idx, b)]
             il = (ij[0], kl[1])
-            inside = components.projections[il][prods] == prods
-            if not inside.all():
-                x, gg, y = np.unravel_index(int(np.argmax(~inside.reshape(-1))), inside.shape)
+            bad = _first(components.projections[il][prods] != prods)
+            if bad is not None:
+                x, gg, y = bad
                 violations.append({
                     "relation": "block-product-containment",
                     "blocks": (ij, kl), "x": int(a[x]), "gamma": int(gg),
                     "y": int(b[y]), "product": int(prods[x, gg, y])})
             if ij[1] != kl[0]:
                 mid = mu[np.ix_(a, [g1], b)][:, 0, :]
-                if (mid != 0).any():
-                    x, y = np.unravel_index(int(np.argmax(mid.reshape(-1) != 0)), mid.shape)
+                bad = _first(mid != 0)
+                if bad is not None:
+                    x, y = bad
                     violations.append({
                         "relation": "gamma1-orthogonality",
                         "blocks": (ij, kl), "x": int(a[x]), "y": int(b[y]),
@@ -264,7 +254,7 @@ def check_condition_ii(ring: GammaRing) -> ConditionReport:
     mu = ring.mu
     dead = (mu == 0).all(axis=(1, 2))
     dead[0] = False
-    witness = {"x": int(np.argmax(dead))} if dead.any() else None
+    witness = _witness(("x",), _first(dead))
     return ConditionReport("ii", witness is None, witness, mu.size)
 
 
@@ -282,7 +272,7 @@ def check_condition_iii(ring: GammaRing, frames) -> ConditionReport:
         checked += left.size * ring.gamma_order * ring.m_order
     dead = ~reach
     dead[0] = False
-    witness = {"x": int(np.argmax(dead))} if dead.any() else None
+    witness = _witness(("x",), _first(dead))
     return ConditionReport("iii", witness is None, witness, checked)
 
 

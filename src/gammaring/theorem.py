@@ -18,12 +18,13 @@ import numpy as np
 
 from .errors import BudgetExceededError, InternalInconsistencyError, PreconditionError
 from .multmaps import (DEFAULT_BUDGET, _SAMPLE_CAP, DefectMap, DerivationTable, MapPair,
-                       SearchConfig, VerifyReport, defect_of_derivation, defect_of_iso,
+                       SearchConfig, VerifyReport, _chain, _defect, _grid_step,
                        search_n_derivations, search_n_multiplicative_isos,
                        verify_additive, verify_n_derivation, verify_n_multiplicative)
 from .peirce import (IdempotentFrame, MartindaleReport, PeirceComponents,
                      canonical_frames, check_martindale_family, peirce_decompose)
-from .rings import GammaRing, build_matrix_ring, make_group, trivial_ring
+from .rings import (GammaRing, _chunks, _first, _witness, build_matrix_ring, make_group,
+                    trivial_ring)
 
 
 @dataclass
@@ -89,9 +90,11 @@ def check_hypotheses(defect: DefectMap, k: int,
     The absorption identities quantify over k extra element slots and k+1
     gamma slots; associativity collapses every such chain onto a composite
     (length-k product, final gamma) action, so the exhaustive scan covers all
-    raw tuples by checking each composite once.  Witnesses are reported as
-    raw tuples, least in the order (u1, g1, ..., uk, gk, x, gamma, y) for the
-    left identity and (g1, u1, ..., gk, uk, x, gamma, y) for the right one.
+    raw tuples by checking each composite once.  The budget gates that scan's
+    own work; `checked` still counts the raw tuples it covers.  Witnesses are
+    reported as raw tuples, least in the order (u1, g1, ..., uk, gk, x, gamma,
+    y) for the left identity and (g1, u1, ..., gk, uk, x, gamma, y) for the
+    right one.
     """
     if k < 1:
         raise ValueError("chain length k must be >= 1")
@@ -99,35 +102,32 @@ def check_hypotheses(defect: DefectMap, k: int,
     f = defect.f
     m, g = ring.m_order, ring.gamma_order
 
-    bad = np.argwhere(f[:, :, 0] != 0)
-    if bad.size:
-        zr = VerifyReport(False, True, 2 * m * g,
-                          {"side": "right-zero", "x": int(bad[0][0]), "gamma": int(bad[0][1])})
-    else:
-        bad = np.argwhere(f[0, :, :] != 0)
-        if bad.size:
-            zr = VerifyReport(False, True, 2 * m * g,
-                              {"side": "left-zero", "gamma": int(bad[0][0]), "x": int(bad[0][1])})
-        else:
-            zr = VerifyReport(True, True, 2 * m * g)
+    zr = VerifyReport(True, True, 2 * m * g)
+    for side, names, mask in (("right-zero", ("x", "gamma"), f[:, :, 0] != 0),
+                              ("left-zero", ("gamma", "x"), f[0, :, :] != 0)):
+        w = _witness(names, _first(mask))
+        if w is not None:
+            zr = VerifyReport(False, True, 2 * m * g, {"side": side, **w})
+            break
 
-    raw_count = m**(k + 2) * g**(k + 1)
-    if raw_count <= budget:
-        left = _absorption_exact(defect, k, side="left")
-        right = _absorption_exact(defect, k, side="right")
+    # the exact scan checks |P_k| g composite actions over (x, gamma, y); a
+    # failing check also builds the m^k g^k table of raw chains for its witness
+    pk = _length_k_products(ring, k)
+    if max(pk.size * g * m * g * m, m**k * g**k) <= budget:
+        left = _absorption_exact(defect, k, pk, side="left")
+        right = _absorption_exact(defect, k, pk, side="right")
     else:
         left = _absorption_sampled(defect, k, budget, seed, side="left")
         right = _absorption_sampled(defect, k, budget, seed + 1, side="right")
     return HypothesisReport(k, zr, left, right)
 
 
-def _absorption_exact(defect: DefectMap, k: int, side: str) -> VerifyReport:
+def _absorption_exact(defect: DefectMap, k: int, pk: np.ndarray, side: str) -> VerifyReport:
     ring = defect.ring
     f = defect.f
     mu = ring.mu
     m, g = ring.m_order, ring.gamma_order
     raw_count = m**(k + 2) * g**(k + 1)
-    pk = _length_k_products(ring, k)
 
     if side == "left":
         act = mu[pk]                                   # [p, gk, w] = p gk w
@@ -137,18 +137,15 @@ def _absorption_exact(defect: DefectMap, k: int, side: str) -> VerifyReport:
     flat = act.reshape(a * b, m)
     fail = np.zeros((a, b), dtype=bool)
     first_xy = {}
-    step = max(1, (1 << 22) // (m * g * m))
-    for lo in range(0, a * b, step):
-        hi = min(lo + step, a * b)
+    for lo, hi in _chunks(a * b, m * g * m):
         lhs = flat[lo:hi][:, f]                                        # [c, x, gamma, y]
         rhs = f[flat[lo:hi][:, :, None, None],
                 np.arange(g)[None, None, :, None],
                 flat[lo:hi][:, None, None, :]]
-        neq = (lhs != rhs).reshape(hi - lo, -1)
-        badc = neq.any(axis=1)
+        neq = lhs != rhs
+        badc = neq.reshape(hi - lo, -1).any(axis=1)
         for c in np.flatnonzero(badc):
-            xyz = np.unravel_index(int(np.argmax(neq[c])), (m, g, m))
-            first_xy[lo + int(c)] = tuple(int(v) for v in xyz)
+            first_xy[lo + int(c)] = _first(neq[c])
         fail.reshape(-1)[lo:hi] = badc
     if not fail.any():
         return VerifyReport(True, True, raw_count)
@@ -159,49 +156,23 @@ def _absorption_exact(defect: DefectMap, k: int, side: str) -> VerifyReport:
 
 def _absorption_witness(ring, k, side, pk, fail, first_xy) -> dict:
     """Least raw chain tuple whose composite action fails."""
-    m, g = ring.m_order, ring.gamma_order
-    mu = ring.mu
+    m = ring.m_order
     pk_pos = -np.ones(m, dtype=np.int64)
     pk_pos[pk] = np.arange(pk.size)
-
+    # prod[u1, g, u2, ..., uk]: every raw chain of k elements, in lex order
+    prod = _chain(ring.mu, [np.arange(m)] + [slice(None)] * (k - 1), _grid_step)
     if side == "left":
         # chains (u1, g1, ..., uk, gk): composite product u1 g1 ... uk, action gamma gk
-        prod = np.arange(m)
-        for _ in range(k - 1):
-            prod = mu[prod]                   # appends (g, m) axes per step
-        prod_flat = prod.reshape(-1)          # lex over (u1, g1, u2, ..., uk)
-        fail_rows = fail[pk_pos[prod_flat]]   # [chain, gk]
-        idx = int(np.argmax(fail_rows.reshape(-1)))
-        chain, gk = divmod(idx, g)
-        dims = (m,) + (g, m) * (k - 1)
-        parts = np.unravel_index(chain, dims) if k > 1 else (chain,)
-        names = []
-        for i in range(1, k):
-            names += [f"u{i}", f"g{i}"]
-        names += [f"u{k}", f"g{k}"]
-        vals = [int(v) for v in parts] + [int(gk)]
-        comp = (int(pk_pos[prod_flat[chain]]), int(gk))
+        idx = _first(fail[pk_pos[prod]])
+        comp = (int(pk_pos[prod[idx[:-1]]]), idx[-1])
+        names = [f"{v}{i}" for i in range(1, k + 1) for v in ("u", "g")]
     else:
         # chains (g1, u1, g2, u2, ..., gk, uk): composite (g1, q = u1 g2 u2 ... gk uk)
-        prod = np.arange(m)
-        for _ in range(k - 1):
-            prod = mu[prod]
-        q_flat = prod.reshape(-1)             # lex over (u1, g2, u2, ..., uk)
-        per_g1 = fail[:, pk_pos[q_flat]]      # [g1, chain]
-        idx = int(np.argmax(per_g1.reshape(-1)))
-        g1, chain = divmod(idx, q_flat.size)
-        dims = (m,) + (g, m) * (k - 1)
-        parts = np.unravel_index(chain, dims) if k > 1 else (chain,)
-        names = ["g1", "u1"]
-        vals = [int(g1), int(parts[0])]
-        for i in range(1, k):
-            names += [f"g{i+1}", f"u{i+1}"]
-            vals += [int(parts[2 * i - 1]), int(parts[2 * i])]
-        comp = (int(g1), int(pk_pos[q_flat[chain]]))
-
-    x, gamma, y = first_xy[comp[0] * fail.shape[1] + comp[1]]
-    w = dict(zip(names, vals))
-    w.update({"x": x, "gamma": gamma, "y": y})
+        idx = _first(fail[:, pk_pos[prod]])
+        comp = (idx[0], int(pk_pos[prod[idx[1:]]]))
+        names = [f"{v}{i}" for i in range(1, k + 1) for v in ("g", "u")]
+    w = dict(zip(names, idx))
+    w.update(zip(("x", "gamma", "y"), first_xy[comp[0] * fail.shape[1] + comp[1]]))
     return w
 
 
@@ -230,9 +201,9 @@ def _absorption_sampled(defect: DefectMap, k: int, budget: int, seed: int, side:
             q = mu[us[i - 1], gs[i], q]
         lhs = mu[f[xs, gammas, ys], gs[0], q]
         rhs = f[mu[xs, gs[0], q], gammas, mu[ys, gs[0], q]]
-    neq = lhs != rhs
-    if neq.any():
-        j = int(np.argmax(neq))
+    bad = _first(lhs != rhs)
+    if bad is not None:
+        j = bad[0]
         w = {f"u{i+1}": int(us[i, j]) for i in range(k)}
         w.update({f"g{i+1}": int(gs[i, j]) for i in range(k)})
         w.update({"x": int(xs[j]), "gamma": int(gammas[j]), "y": int(ys[j])})
@@ -261,18 +232,18 @@ def check_claims(defect: DefectMap, frame: IdempotentFrame,
 
     lhs = mu[:, :, f.reshape(-1)].reshape(m, g, m, g, m)       # [u, b, x, gamma, y]
     rhs = f[mu[:, :, :, None, None], gam[None, None, None, :, None], mu[:, :, None, None, :]]
-    neq = lhs != rhs
     witness = None
-    if neq.any():
-        u, b, x, gm_, y = np.unravel_index(int(np.argmax(neq.reshape(-1))), neq.shape)
+    bad = _first(lhs != rhs)
+    if bad is not None:
+        u, b, x, gm_, y = bad
         witness = {"side": "left", "u": int(u), "beta": int(b),
                    "x": int(x), "gamma": int(gm_), "y": int(y)}
     else:
         lhs = mu[f]                                            # [x, gamma, y, b, u]
         rhs = f[mu[:, None, None, :, :], gam[None, :, None, None, None], mu[None, None, :, :, :]]
-        neq = lhs != rhs
-        if neq.any():
-            x, gm_, y, b, u = np.unravel_index(int(np.argmax(neq.reshape(-1))), neq.shape)
+        bad = _first(lhs != rhs)
+        if bad is not None:
+            x, gm_, y, b, u = bad
             witness = {"side": "right", "x": int(x), "gamma": int(gm_),
                        "y": int(y), "beta": int(b), "u": int(u)}
     claims["claim1"] = VerifyReport(witness is None, True, 2 * m**3 * g**2, witness)
@@ -286,9 +257,9 @@ def check_claims(defect: DefectMap, frame: IdempotentFrame,
             checked += 2 * diag.size * g * off.size
             for a, b_, names in ((diag, off, ("x_ii", "gamma", "x_jk")),
                                  (off, diag, ("x_jk", "gamma", "x_ii"))):
-                block = f[np.ix_(a, gam, b_)]
-                if block.any() and witness is None:
-                    p, q, r = np.unravel_index(int(np.argmax(block.reshape(-1) != 0)), block.shape)
+                bad = _first(f[np.ix_(a, gam, b_)] != 0)
+                if bad is not None and witness is None:
+                    p, q, r = bad
                     witness = {names[0]: int(a[p]), "gamma": int(q), names[2]: int(b_[r]),
                                "blocks": ((i, i), jk)}
     claims["claim2"] = VerifyReport(witness is None, True, checked, witness)
@@ -297,16 +268,18 @@ def check_claims(defect: DefectMap, frame: IdempotentFrame,
         blk = np.asarray(comps[ij])
         block = f[np.ix_(blk, gam, blk)]
         witness = None
-        if block.any():
-            p, q, r = np.unravel_index(int(np.argmax(block.reshape(-1) != 0)), block.shape)
+        bad = _first(block != 0)
+        if bad is not None:
+            p, q, r = bad
             witness = {"x": int(blk[p]), "gamma": int(q), "u": int(blk[r])}
         claims[name] = VerifyReport(witness is None, True, block.size, witness)
 
     corner = np.unique(mu[frame.e])          # e.lambda.x values
     block = f[np.ix_(corner, gam, corner)]
     witness = None
-    if block.any():
-        p, q, r = np.unravel_index(int(np.argmax(block.reshape(-1) != 0)), block.shape)
+    bad = _first(block != 0)
+    if bad is not None:
+        p, q, r = bad
         witness = {"x": int(corner[p]), "gamma": int(q), "y": int(corner[r])}
     claims["claim5"] = VerifyReport(witness is None, True, block.size, witness)
 
@@ -337,65 +310,65 @@ def conclude_main_theorem(ring: GammaRing, frames, defect: DefectMap, k: int,
     return TheoremVerdict(True, family, hyp)
 
 
-def run_additivity_pipeline(pair: MapPair, n: int, frames,
-                            budget: int = DEFAULT_BUDGET, k: Optional[int] = None) -> PipelineReport:
-    """Defect route vs direct additivity scan for an n-multiplicative pair."""
+# each subject's refusals and inconsistency reports, in the order of its gates
+_PIPELINE_TEXT = {
+    "iso": ("source ring fails the structural conditions",
+            "multiplicativity verdict is partial; raise the budget",
+            "pair is not {n}-multiplicative: witness {witness}",
+            "iso defect violates the theorem hypotheses; defect construction is buggy",
+            "defect vanished but the direct additivity scan disagrees"),
+    "derivation": ("ring fails the structural conditions",
+                   "derivation verdict is partial; raise the budget",
+                   "map is not an {n}-derivation: witness {witness}",
+                   "derivation defect violates the theorem hypotheses",
+                   "defect vanished but the derivation additivity scan disagrees"),
+}
+
+
+def _run_pipeline(kind: str, ring: GammaRing, subject, n: int, frames,
+                  budget: int, k: Optional[int]) -> PipelineReport:
+    """Gates in order: family, verify, defect, hypotheses, zero defect, additivity.
+
+    The subject is verified once; its defect comes from the same builder the
+    public defect_of_* functions use after their own verification.
+    """
+    no_family, partial, refused, bad_hypotheses, disagree = _PIPELINE_TEXT[kind]
     if k is None:
         k = n - 1
-    family = check_martindale_family(pair.source, frames)
+    family = check_martindale_family(ring, frames)
     if not family.overall:
-        raise PreconditionError("source ring fails the structural conditions")
-    verified = verify_n_multiplicative(pair, n, budget)
+        raise PreconditionError(no_family)
+    verify = verify_n_multiplicative if kind == "iso" else verify_n_derivation
+    verified = verify(subject, n, budget)
     if not verified.exact:
-        raise BudgetExceededError("multiplicativity verdict is partial; raise the budget")
+        raise BudgetExceededError(partial)
     if not verified.passed:
-        raise ValueError(f"pair is not {n}-multiplicative: witness {verified.witness}")
-    defect = defect_of_iso(pair, n, budget)
+        raise PreconditionError(refused.format(n=n, witness=verified.witness))
+    defect = _defect(subject)
     hyp = check_hypotheses(defect, k, budget)
     if not hyp.all_exact:
         raise BudgetExceededError("hypothesis verdicts are partial; raise the budget")
     if not hyp.all_passed:
-        raise InternalInconsistencyError(
-            "iso defect violates the theorem hypotheses; defect construction is buggy")
+        raise InternalInconsistencyError(bad_hypotheses)
     if not defect.is_zero:
         raise InternalInconsistencyError(
             "hypotheses hold on a qualifying ring but the defect is nonzero")
-    additive = verify_additive(pair)
-    agreement = additive.passed and defect.is_zero
-    if not agreement:
-        raise InternalInconsistencyError(
-            "defect vanished but the direct additivity scan disagrees")
-    return PipelineReport("iso", n, k, family, verified, hyp, True, additive, True)
+    additive = verify_additive(subject)
+    if not additive.passed:
+        raise InternalInconsistencyError(disagree)
+    return PipelineReport(kind, n, k, family, verified, hyp, True, additive, True)
+
+
+def run_additivity_pipeline(pair: MapPair, n: int, frames,
+                            budget: int = DEFAULT_BUDGET, k: Optional[int] = None) -> PipelineReport:
+    """Defect route vs direct additivity scan for an n-multiplicative pair."""
+    return _run_pipeline("iso", pair.source, pair, n, frames, budget, k)
 
 
 def run_derivation_pipeline(ring: GammaRing, deriv: DerivationTable, n: int, frames,
                             budget: int = DEFAULT_BUDGET, k: Optional[int] = None) -> PipelineReport:
     """Defect route vs direct additivity scan for an n-multiplicative derivation."""
-    if k is None:
-        k = n - 1
-    family = check_martindale_family(ring, frames)
-    if not family.overall:
-        raise PreconditionError("ring fails the structural conditions")
-    verified = verify_n_derivation(deriv, n, budget)
-    if not verified.exact:
-        raise BudgetExceededError("derivation verdict is partial; raise the budget")
-    if not verified.passed:
-        raise ValueError(f"map is not an {n}-derivation: witness {verified.witness}")
-    defect = defect_of_derivation(deriv, n, budget)
-    hyp = check_hypotheses(defect, k, budget)
-    if not hyp.all_exact:
-        raise BudgetExceededError("hypothesis verdicts are partial; raise the budget")
-    if not hyp.all_passed:
-        raise InternalInconsistencyError(
-            "derivation defect violates the theorem hypotheses")
-    if not defect.is_zero:
-        raise InternalInconsistencyError(
-            "hypotheses hold on a qualifying ring but the defect is nonzero")
-    additive = verify_additive(deriv)
-    if not additive.passed:
-        raise InternalInconsistencyError(
-            "defect vanished but the derivation additivity scan disagrees")
-    return PipelineReport("derivation", n, k, family, verified, hyp, True, additive, True)
+    return _run_pipeline("derivation", ring, deriv, n, frames, budget, k)
 
 
 @dataclass

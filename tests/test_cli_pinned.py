@@ -1,0 +1,179 @@
+"""Pinned CLI reports: the stdout of a fixed command set, hashed per output format.
+
+Each case runs `gammaring.cli.main` in process from a directory holding the
+documents written by `write_documents`, so the input paths inside the reports
+are the same relative names on every run.  The expected (exit code, sha256)
+pairs were recorded before the verification kernel, the theorem pipelines and
+the CLI handlers were merged across the two subjects, and pin those reports
+byte for byte.
+
+`theorem --n 3` at the default budget is left out on purpose: its hypothesis
+gate counts the exact scan's work, so it exits 0 where it used to exit 3.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import numpy as np
+import pytest
+
+from gammaring import (DerivationTable, MapPair, build_matrix_ring, build_table_ring,
+                       canonical_frame, canonical_frames, check_condition_iv,
+                       direct_product, document_dict, emit_grdf, make_group,
+                       trivial_ring)
+from gammaring.cli import main
+
+
+def _transpose_table(ring):
+    """Index table of x -> x^T on a square matrix ring."""
+    size = ring.descriptor["rows"]
+    res = ring.m_group.residues.reshape(ring.m_order, size, size)
+    return np.array([ring.m_group.index_of(tuple(res[x].T.reshape(-1)))
+                     for x in range(ring.m_order)])
+
+
+def _broken_ring():
+    """Zero product on Z2 x Z2 except one entry: fails distributivity and associativity."""
+    m, g = make_group([2, 2]), make_group([2])
+    mu = np.zeros((4, 2, 4), dtype=np.int32)
+    mu[1, 1, 1] = 2
+    mu[2, 1, 3] = 1
+    return m, g, mu
+
+
+def write_documents(directory):
+    """Write the case documents into `directory`."""
+    m222 = build_matrix_ring(2, 2, 2)
+    e11 = m222.m_group.index_of((1, 0, 0, 0))
+    one = m222.m_group.index_of((1, 0, 0, 1))
+    frame = canonical_frame(m222, e11, m222.gamma_group.index_of((1, 0, 0, 1)), one)
+    ident = MapPair(m222, m222, np.arange(16), np.arange(16))
+    zero = DerivationTable(m222, np.zeros(16, dtype=np.int32))
+    trans = _transpose_table(m222)
+    transpose = MapPair(m222, m222, trans, trans)
+    not_derivation = DerivationTable(m222, trans)
+
+    product = direct_product(m222, build_matrix_ring(2, 1, 1))
+    failing = next(fr for fr in canonical_frames(product) if not check_condition_iv(fr).holds)
+    prod_ident = MapPair(product, product, np.arange(32), np.arange(32))
+    prod_zero = DerivationTable(product, np.zeros(32, dtype=np.int32))
+
+    docs = {
+        "m222-good.json": document_dict(m222, frames=[frame], maps=[ident],
+                                        derivations=[zero]),
+        "m222-bad.json": document_dict(m222, frames=[frame], maps=[ident, transpose],
+                                       derivations=[zero, not_derivation]),
+        "trivz4.json": document_dict(trivial_ring(make_group([4]), make_group([2]))),
+        "m212.json": document_dict(build_matrix_ring(2, 1, 2)),
+        "product.json": document_dict(product, frames=[failing], maps=[prod_ident],
+                                      derivations=[prod_zero]),
+        "broken.json": document_dict(build_table_ring(*_broken_ring())),
+    }
+    for name, doc in docs.items():
+        (directory / name).write_text(emit_grdf(doc))
+
+
+CASES = {
+    "axioms-m222": ["axioms", "--input", "m222-good.json"],
+    "axioms-broken": ["axioms", "--input", "broken.json"],
+    "conditions-product": ["conditions", "--input", "product.json"],
+    "verify-iso-exhaustive": ["verify-iso", "--input", "m222-bad.json"],
+    "verify-iso-exhaustive-n3": ["verify-iso", "--input", "m222-bad.json", "--n", "3"],
+    "verify-iso-sampled": ["verify-iso", "--input", "m222-bad.json", "--budget", "1000",
+                           "--seed", "5"],
+    "verify-derivation-exhaustive": ["verify-derivation", "--input", "m222-bad.json"],
+    "verify-derivation-exhaustive-n3": ["verify-derivation", "--input", "m222-bad.json",
+                                        "--n", "3"],
+    "verify-derivation-sampled": ["verify-derivation", "--input", "m222-bad.json",
+                                  "--budget", "1000", "--seed", "5"],
+    "search-iso": ["search-iso", "--input", "trivz4.json"],
+    "search-iso-m222": ["search-iso", "--input", "m222-good.json"],
+    "search-iso-require-additive": ["search-iso", "--input", "trivz4.json",
+                                    "--require-additive"],
+    "search-iso-budget": ["search-iso", "--input", "trivz4.json", "--budget", "5"],
+    "search-derivations": ["search-derivations", "--input", "trivz4.json"],
+    "search-derivations-m222-n3": ["search-derivations", "--input", "m222-good.json",
+                                   "--n", "3"],
+    "search-derivations-require-additive": ["search-derivations", "--input", "trivz4.json",
+                                            "--require-additive"],
+    "search-derivations-budget": ["search-derivations", "--input", "trivz4.json",
+                                  "--budget", "5"],
+    "theorem-success": ["theorem", "--input", "m222-good.json"],
+    "theorem-failure": ["theorem", "--input", "m222-bad.json"],
+    "theorem-family-failure": ["theorem", "--input", "product.json"],
+    "theorem-budget": ["theorem", "--input", "m222-good.json", "--n", "3",
+                       "--budget", "100000"],
+    "hunt": ["hunt", "--input", "trivz4.json", "--input", "m212.json",
+             "--input", "m222-good.json"],
+}
+
+# "<case>/<format>": (exit code, sha256 of stdout)
+EXPECTED = {
+    "axioms-broken/json": (1, '08bb7d086961d452f046bd6eda3e16acf6946749b0b293d453a9eb7889a2bc27'),
+    "axioms-broken/text": (1, '4cf1ed59924afd46b17097453981ef898126bf8e1dca73ebdc2a27df2ff9dbdd'),
+    "axioms-m222/json": (0, 'efe178f414942c46559c46645130f85030754e8b29562292a42c00d09cba49ff'),
+    "axioms-m222/text": (0, 'f961a6c1931af63f5bafb54a8f3eaccc7b3cc8579075f5ae527b159f1036321c'),
+    "conditions-product/json": (1, 'c9c12921acaf12bd20cc5f57a671b85cf0f0df8c4b14c13703bc752d7e25f86a'),
+    "conditions-product/text": (1, 'b45a37c584ababa2e052462778fc6fb9ef029c2d71aedc230f7e0d3f5c4fce60'),
+    "hunt/json": (0, 'dafe353a12987f6f25b5be5752b183325546064e656500cef2e6f0c8361330cd'),
+    "hunt/text": (0, 'c4e3b8562d60f7418a9d18011a8341729cc419d1a7a77df1d17ea733cb839e60'),
+    "search-derivations/json": (0, '8ef8031b28229499b22f4e3373aaead9981dba5b23b1220a7ca3e9febdd20b7d'),
+    "search-derivations/text": (0, '5a206a9f7e894d5e6fb7533a72d0cbb055b5f4057f527b33b3543154b05fcdd9'),
+    "search-derivations-budget/json": (3, 'fb53b0a1725f8d1d0b557c5fd997e8a6bce4fafd7f58f8747fb68be7dcb83ec9'),
+    "search-derivations-budget/text": (3, '17eeeef21014ad389b957308a588aa10b07d3daeedf92c35609bf77d7f67620e'),
+    "search-derivations-m222-n3/json": (0, '8ff1f3dd3cec067fc6e592f480336535710bf87b442c83d98ac62ecc91824e81'),
+    "search-derivations-m222-n3/text": (0, 'e5a608d45319b0ff49b26df13a4066682a53c2006759359c21ba71e6752715ac'),
+    "search-derivations-require-additive/json": (1, '13f46de031170cf38bd76e8dbf1d14317111bb4f4e27e97c0604996ee624a165'),
+    "search-derivations-require-additive/text": (1, '7cb68c52013997f3aeb0752678fb5e592727fd4a842a328032ec2adcccd14700'),
+    "search-iso/json": (0, '31333f02b8c9a61275f21b82899a63c7a5adcc32bcd06074f0b0ab7122fe68cc'),
+    "search-iso/text": (0, '7ccabfc5c900ce773dc13df23543e2a13c7dc2c36caf6d2c7e8dcb3c564e8968'),
+    "search-iso-budget/json": (3, '0253a4eab4554b8e00d58ff202ded18ceb52e3ad7f52ab6e4539de6ae5672c66'),
+    "search-iso-budget/text": (3, '825ec26745e7f7cc4000bdbcf944bc1916db5e5df57b659c04f64510b34da3d7'),
+    "search-iso-m222/json": (0, 'ea470dcd04b21b584ee707fdb2db41f821053f65f448b8009348fbf0579bd49b'),
+    "search-iso-m222/text": (0, 'c3c5d95cf8889f4c60b6ea2edf0f25257237ae2a28c35d3ff14711f5cdd2d755'),
+    "search-iso-require-additive/json": (1, 'dd00fde7ab23cdf529fd746e3dc15adba3088bbd850a7be7d85505e8ef336a82'),
+    "search-iso-require-additive/text": (1, 'a5a50c7fc6ddf58a93c9716b7a7d96b19807a660f42d8431ee2cd8bf54c33331'),
+    "theorem-budget/json": (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    "theorem-budget/text": (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    "theorem-failure/json": (1, '64ea95465abf5b038114cabb24431459f5ab554f40870b8512fc8f458e9fe37a'),
+    "theorem-failure/text": (1, '431458e387bea2312a8b2f1a4869ee3689eb4f850a144360e966408775fda080'),
+    "theorem-family-failure/json": (1, '114b4880d8f3964d95c290adb2f529f9b3366e4fa699769248f7dcc311a99d49'),
+    "theorem-family-failure/text": (1, 'de775c6a08a5a40cb236ef14e6e61c77b229c5ab158b671cfb4d096f583d525a'),
+    "theorem-success/json": (0, 'a7ee868c6e8c0cfff6b01affb58299cf8b3258f9f5647f6766ad60d95a5a36b3'),
+    "theorem-success/text": (0, '64fb25620500a1bcee8d7d3c6344d4c9e71db22c044e9f6234e32ec1870f49bc'),
+    "verify-derivation-exhaustive/json": (1, 'b2834b4797c2bdac4eed6f828e8792e9eeb55b8f8e79ee35b876bfe464c74331'),
+    "verify-derivation-exhaustive/text": (1, '11a0ffca0ca4a64e21f7cac9825d4690f0dcec5cda91ee7583ea84984a508fda'),
+    "verify-derivation-exhaustive-n3/json": (1, 'f9a3160eced2497a332a747b17bd26903f032ed8f405ab635d7ee5f39fe47721'),
+    "verify-derivation-exhaustive-n3/text": (1, '38bc16838bbc2493d1bcd6074759fa0e688b8996b8ca57c03211181315e5dada'),
+    "verify-derivation-sampled/json": (1, 'e33fc36ca1a26b4fdca5ceda9d3f13b93a9b8fd763aa66b8d00e7e24abba13e8'),
+    "verify-derivation-sampled/text": (1, '3822bc5d2080b6f1ec495d73d88fa406a46ff1cc63beb25e47b3b940db7bbb6b'),
+    "verify-iso-exhaustive/json": (1, '5599a069c41bc8d74a13b88cd46558119b482695f9353354c5203e390db044b2'),
+    "verify-iso-exhaustive/text": (1, '6878e61ca06ec1a8ac12bcad351cb024a378c04cb173e6ba85027246bc1efe6c'),
+    "verify-iso-exhaustive-n3/json": (1, '5890d8fcc4c9c93043ed0f709b383ee0fcbc944e055ac70f7f2b9d2c0963c902'),
+    "verify-iso-exhaustive-n3/text": (1, '8c2167c1afa1bf553c09bca9bfa425d6a675076e4dbf10fa167d3e6661b1699b'),
+    "verify-iso-sampled/json": (1, '21654bbb0fbeb26c2832be0c84d2f00a8270d6f24d3de4c66c5dfcdb12429204'),
+    "verify-iso-sampled/text": (1, 'be5449fc91a92b0b4563bcb1a79b694ff2913f6646b2ea5331539d34a5970cd5'),
+}
+
+
+@pytest.fixture(scope="module")
+def docs_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("pinned")
+    write_documents(directory)
+    return directory
+
+
+def run_case(name, fmt):
+    """Exit code and stdout hash of one case, run from the documents directory."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(CASES[name] + ["--format", fmt])
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_pinned_stdout(name, fmt, docs_dir, monkeypatch):
+    monkeypatch.chdir(docs_dir)
+    assert run_case(name, fmt) == EXPECTED[f"{name}/{fmt}"]

@@ -6,7 +6,7 @@ import pytest
 from gammaring import (DerivationTable, MapPair, canonical_frame, document_dict,
                        emit_grdf, parse_grdf)
 from gammaring.cli import main
-from gammaring.errors import GRDFError
+from gammaring.errors import GRDFError, InternalInconsistencyError
 
 from conftest import gidx, midx
 
@@ -200,13 +200,34 @@ def test_cli_verify_derivation(tmp_path, trivial_z4, capsys):
     assert "derivation[0]-2-leibniz" in report
 
 
-def test_cli_internal_inconsistency_exit(matrix_doc_path, monkeypatch, capsys):
+@pytest.mark.parametrize("command, patch, error, message", [
+    ("axioms", "handler", InternalInconsistencyError, "internal inconsistency"),
+    ("axioms", "handler", RuntimeError, "internal error"),
+    ("theorem", "pipeline", ValueError, "internal error"),
+], ids=["inconsistency", "handler-runtime-error", "pipeline-value-error"])
+def test_cli_internal_inconsistency_exit(command, patch, error, message, matrix_doc_path,
+                                         monkeypatch, capsys):
     import gammaring.cli as cli_mod
-    from gammaring.errors import InternalInconsistencyError
+    import gammaring.theorem
 
-    def boom(doc, args):
-        raise InternalInconsistencyError("forced for the exit-code test")
+    def boom(*args, **kwargs):
+        raise error("forced for the exit-code test")
 
-    monkeypatch.setitem(cli_mod._HANDLERS, "axioms", boom)
-    assert main(["axioms", "--input", matrix_doc_path]) == 4
-    assert "internal inconsistency" in capsys.readouterr().err
+    if patch == "handler":
+        monkeypatch.setitem(cli_mod._HANDLERS, command, boom)
+    else:
+        # a bug inside the pipeline must not be reported as a failed subject
+        monkeypatch.setattr(gammaring.theorem, "check_hypotheses", boom)
+    assert main([command, "--input", matrix_doc_path]) == 4
+    captured = capsys.readouterr()
+    assert message in captured.err and len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
+def test_cli_theorem_n3_exact_at_default_budget(matrix_doc_path, capsys):
+    # the hypothesis gate counts the 2^20 composite checks of the exact scan,
+    # not the 2^28 raw chain tuples that scan covers
+    assert main(["theorem", "--input", matrix_doc_path, "--n", "3", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pipelines"][0]["confirmed"] is True
+    assert report["pipelines"][0]["hypotheses"]["exact"] is True

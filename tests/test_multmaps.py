@@ -332,3 +332,74 @@ def brute_force_pairs_between(source, target, n):
             if ok:
                 out.append((phi, tuple(psi)))
     return sorted(out)
+
+
+def _tuple_names(n):
+    return [name for i in range(1, n) for name in (f"x{i}", f"g{i}")] + [f"x{n}"]
+
+
+def _holds_multiplicative(ring, phi, psi, xs, gs):
+    s, t = xs[0], phi[xs[0]]
+    for i in range(len(gs)):
+        s = ring.mu[s, gs[i], xs[i + 1]]
+        t = ring.mu[t, psi[gs[i]], phi[xs[i + 1]]]
+    return phi[s] == t
+
+
+def _holds_leibniz(ring, d, xs, gs):
+    s = xs[0]
+    for i in range(len(gs)):
+        s = ring.mu[s, gs[i], xs[i + 1]]
+    rhs = 0
+    for i in range(len(xs)):
+        t = d[xs[0]] if i == 0 else xs[0]
+        for j in range(1, len(xs)):
+            t = ring.mu[t, gs[j - 1], d[xs[j]] if j == i else xs[j]]
+        rhs = ring.m_group.add_index(rhs, int(t))
+    return d[s] == rhs
+
+
+def _least_failure(ring, n, holds):
+    """First tuple (x1, g1, ..., xn) in lexicographic order where the identity fails."""
+    m, g = ring.m_order, ring.gamma_order
+    for tup in product(*([range(m), range(g)] * (n - 1) + [range(m)])):
+        if not holds(tup[0::2], tup[1::2]):
+            return dict(zip(_tuple_names(n), tup))
+    return None
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("ring_name", ["matrix212", "f4ring"])
+def test_exhaustive_witnesses_are_lexicographically_least(ring_name, n, request):
+    ring = request.getfixturevalue(ring_name)
+    phi = np.array([0, 2, 3, 1])
+    psi = np.arange(ring.gamma_order)
+    want = _least_failure(ring, n, lambda xs, gs: _holds_multiplicative(ring, phi, psi, xs, gs))
+    rep = verify_n_multiplicative(MapPair(ring, ring, phi, psi), n)
+    assert want is not None and rep.exact and not rep.passed
+    assert rep.witness == want
+
+    d = np.array([0, 3, 1, 1])
+    want = _least_failure(ring, n, lambda xs, gs: _holds_leibniz(ring, d, xs, gs))
+    rep = verify_n_derivation(DerivationTable(ring, d), n)
+    assert want is not None and rep.exact and not rep.passed
+    assert rep.witness == want
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sampled_witnesses_are_real_violations(matrix222, n):
+    res = matrix222.m_group.residues.reshape(16, 2, 2)
+    trans = np.array([matrix222.m_group.index_of(tuple(res[x].T.reshape(-1)))
+                      for x in range(16)])
+    names = _tuple_names(n)
+
+    rep = verify_n_multiplicative(MapPair(matrix222, matrix222, trans, trans), n,
+                                  budget=300, seed=11)
+    assert not rep.exact and not rep.passed and rep.checked == 300
+    xs, gs = [rep.witness[k] for k in names[0::2]], [rep.witness[k] for k in names[1::2]]
+    assert not _holds_multiplicative(matrix222, trans, trans, xs, gs)
+
+    rep = verify_n_derivation(DerivationTable(matrix222, trans), n, budget=300, seed=11)
+    assert not rep.exact and not rep.passed and rep.checked == 300
+    xs, gs = [rep.witness[k] for k in names[0::2]], [rep.witness[k] for k in names[1::2]]
+    assert not _holds_leibniz(matrix222, trans, xs, gs)
