@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GRDFError
+from .errors import GRDFError, PreconditionError
 from .groups import make_group
 from .multmaps import DerivationTable, MapPair
 from .peirce import IdempotentFrame, canonical_frame
@@ -31,9 +31,15 @@ class GRDFDocument:
     def build_frames(self) -> list:
         """Materialize frame specs; canonical specs are verified on the spot."""
         out = []
-        for spec in self.frame_specs:
+        for i, spec in enumerate(self.frame_specs):
             if spec["mode"] == "canonical":
-                out.append(canonical_frame(self.ring, spec["e"], spec["gamma1"], spec["unity"]))
+                try:
+                    out.append(canonical_frame(self.ring, spec["e"], spec["gamma1"],
+                                               spec["unity"]))
+                except PreconditionError:
+                    raise                       # the ring itself fails its gate
+                except ValueError as ex:        # no gamma-unity or idempotent there
+                    raise GRDFError(f"frames[{i}]: {ex}") from None
             else:
                 # deferred validation: the condition checkers report violations
                 out.append(IdempotentFrame(self.ring, spec["e"], spec["gamma1"],

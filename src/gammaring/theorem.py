@@ -90,11 +90,12 @@ def check_hypotheses(defect: DefectMap, k: int,
     The absorption identities quantify over k extra element slots and k+1
     gamma slots; associativity collapses every such chain onto a composite
     (length-k product, final gamma) action, so the exhaustive scan covers all
-    raw tuples by checking each composite once.  The budget gates that scan's
-    own work; `checked` still counts the raw tuples it covers.  Witnesses are
-    reported as raw tuples, least in the order (u1, g1, ..., uk, gk, x, gamma,
-    y) for the left identity and (g1, u1, ..., gk, uk, x, gamma, y) for the
-    right one.
+    raw tuples by checking each composite once.  A defect that does not depend
+    on gamma, as every iso and derivation defect, is scanned once per (x, y)
+    on its gamma = 0 slice.  The budget gates that scan's own work; `checked`
+    still counts the raw tuples it covers.  Witnesses are reported as raw
+    tuples, least in the order (u1, g1, ..., uk, gk, x, gamma, y) for the left
+    identity and (g1, u1, ..., gk, uk, x, gamma, y) for the right one.
     """
     if k < 1:
         raise ValueError("chain length k must be >= 1")
@@ -110,23 +111,36 @@ def check_hypotheses(defect: DefectMap, k: int,
             zr = VerifyReport(False, True, 2 * m * g, {"side": side, **w})
             break
 
-    # the exact scan checks |P_k| g composite actions over (x, gamma, y); a
-    # failing check also builds the m^k g^k table of raw chains for its witness
+    # the exact scan checks |P_k| g composite actions over (x, gamma, y), with
+    # gamma collapsed to one slot when f ignores it; a failing check also
+    # builds the m^k g^k table of raw chains for its witness
     pk = _length_k_products(ring, k)
-    if max(pk.size * g * m * g * m, m**k * g**k) <= budget:
-        left = _absorption_exact(defect, k, pk, side="left")
-        right = _absorption_exact(defect, k, pk, side="right")
+    fs = _gamma_free(f)
+    if max(pk.size * g * m * fs.shape[1] * m, m**k * g**k) <= budget:
+        left = _absorption_exact(ring, fs, k, pk, side="left")
+        right = _absorption_exact(ring, fs, k, pk, side="right")
     else:
         left = _absorption_sampled(defect, k, budget, seed, side="left")
         right = _absorption_sampled(defect, k, budget, seed + 1, side="right")
     return HypothesisReport(k, zr, left, right)
 
 
-def _absorption_exact(defect: DefectMap, k: int, pk: np.ndarray, side: str) -> VerifyReport:
-    ring = defect.ring
-    f = defect.f
+def _gamma_free(f: np.ndarray) -> np.ndarray:
+    """The (m, 1, m) gamma = 0 slice of f when f does not depend on gamma, else f.
+
+    An identity in f(x, gamma, y) then holds or fails alike for every gamma,
+    so a scan over the slice decides it, and its least witness, which has
+    gamma = 0, is the least witness of the full scan.
+    """
+    head = f[:, :1, :]
+    return head if (f == head).all() else f
+
+
+def _absorption_exact(ring: GammaRing, f: np.ndarray, k: int, pk: np.ndarray,
+                      side: str) -> VerifyReport:
     mu = ring.mu
     m, g = ring.m_order, ring.gamma_order
+    gs = f.shape[1]                  # gamma slots scanned: g, or 1 for a gamma-free f
     raw_count = m**(k + 2) * g**(k + 1)
 
     if side == "left":
@@ -137,10 +151,10 @@ def _absorption_exact(defect: DefectMap, k: int, pk: np.ndarray, side: str) -> V
     flat = act.reshape(a * b, m)
     fail = np.zeros((a, b), dtype=bool)
     first_xy = {}
-    for lo, hi in _chunks(a * b, m * g * m):
+    for lo, hi in _chunks(a * b, m * gs * m):
         lhs = flat[lo:hi][:, f]                                        # [c, x, gamma, y]
         rhs = f[flat[lo:hi][:, :, None, None],
-                np.arange(g)[None, None, :, None],
+                np.arange(gs)[None, None, :, None],
                 flat[lo:hi][:, None, None, :]]
         neq = lhs != rhs
         badc = neq.reshape(hi - lo, -1).any(axis=1)
@@ -230,8 +244,10 @@ def check_claims(defect: DefectMap, frame: IdempotentFrame,
     gam = np.arange(g)
     claims = {}
 
-    lhs = mu[:, :, f.reshape(-1)].reshape(m, g, m, g, m)       # [u, b, x, gamma, y]
-    rhs = f[mu[:, :, :, None, None], gam[None, None, None, :, None], mu[:, :, None, None, :]]
+    fs = _gamma_free(f)
+    fgam = np.arange(fs.shape[1])
+    lhs = mu[:, :, fs.reshape(-1)].reshape(m, g, m, fgam.size, m)  # [u, b, x, gamma, y]
+    rhs = fs[mu[:, :, :, None, None], fgam[None, None, None, :, None], mu[:, :, None, None, :]]
     witness = None
     bad = _first(lhs != rhs)
     if bad is not None:
@@ -239,8 +255,9 @@ def check_claims(defect: DefectMap, frame: IdempotentFrame,
         witness = {"side": "left", "u": int(u), "beta": int(b),
                    "x": int(x), "gamma": int(gm_), "y": int(y)}
     else:
-        lhs = mu[f]                                            # [x, gamma, y, b, u]
-        rhs = f[mu[:, None, None, :, :], gam[None, :, None, None, None], mu[None, None, :, :, :]]
+        lhs = mu[fs]                                           # [x, gamma, y, b, u]
+        rhs = fs[mu[:, None, None, :, :], fgam[None, :, None, None, None],
+                 mu[None, None, :, :, :]]
         bad = _first(lhs != rhs)
         if bad is not None:
             x, gm_, y, b, u = bad

@@ -231,3 +231,17 @@ def test_cli_theorem_n3_exact_at_default_budget(matrix_doc_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["pipelines"][0]["confirmed"] is True
     assert report["pipelines"][0]["hypotheses"]["exact"] is True
+
+
+def test_cli_bad_canonical_frame_is_usage_error(tmp_path, matrix222, capsys):
+    # (3, 9) is no gamma-unity of matrix(2,2,2): bad input, not a bug
+    doc = document_dict(matrix222)
+    doc["frames"] = [{"mode": "canonical", "e": 8, "gamma1": 9, "unity": 3}]
+    path = tmp_path / "badframe.json"
+    path.write_text(emit_grdf(doc))
+    assert main(["conditions", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: frames[0]: (3, 9) is not a gamma-unity\n"
+    assert captured.out == ""
+    with pytest.raises(GRDFError):
+        parse_grdf(path.read_text()).build_frames()

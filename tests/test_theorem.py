@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from gammaring import (DefectMap, SearchConfig, canonical_frame, check_claims,
-                       check_hypotheses, conclude_main_theorem, defect_of_iso,
+from gammaring import (DefectMap, SearchConfig, build_matrix_ring, canonical_frame,
+                       check_claims, check_hypotheses, conclude_main_theorem, defect_of_iso,
                        hunt_counterexamples, matrix_ring_family,
                        run_additivity_pipeline, run_derivation_pipeline,
                        search_n_derivations, search_n_multiplicative_isos,
@@ -196,3 +198,88 @@ def test_hunt_matrix_sweep():
 def test_hunt_empty_family():
     survey = hunt_counterexamples([], n=2)
     assert survey.entries == [] and survey.complete
+
+
+def test_gamma_free_gate_counts_collapsed_scan(matrix222):
+    # a gamma-free defect at k=1 costs 16 * 16 * 16 * 1 * 16 = 65,536 composite
+    # checks, not the 1,048,576 of a scan over every gamma
+    rep = check_hypotheses(zero_defect(matrix222), 1, budget=100_000)
+    assert rep.all_passed and rep.all_exact
+    assert rep.left_absorption.checked == 16**3 * 16**2
+
+
+def _chain_defect(ring):
+    """f(x, gamma, y) = x.gamma0.y for a fixed gamma0: constant in gamma, zero on both
+    zero slots, and not absorbing."""
+    m, g = ring.m_order, ring.gamma_order
+    return DefectMap(ring, np.broadcast_to(ring.mu[:, g - 1:, :], (m, g, m)), "user")
+
+
+def _least_absorption_failure(ring, f, k, side):
+    """Plain loop over raw tuples in witness order; the first failing one, or None."""
+    mu = ring.mu
+    m, g = ring.m_order, ring.gamma_order
+    slots = ("u", "g") if side == "left" else ("g", "u")
+    names = [f"{v}{i}" for i in range(1, k + 1) for v in slots] + ["x", "gamma", "y"]
+    sizes = {"u": m, "g": g, "x": m, "y": m}
+    for t in itertools.product(*(range(sizes[n[0]]) for n in names)):
+        w = dict(zip(names, t))
+        x, gm, y = w["x"], w["gamma"], w["y"]
+        if side == "left":
+            p = w["u1"]                                    # u1 g1 u2 ... uk
+            for i in range(2, k + 1):
+                p = mu[p, w[f"g{i - 1}"], w[f"u{i}"]]
+            a = w[f"g{k}"]
+            ok = mu[p, a, f[x, gm, y]] == f[mu[p, a, x], gm, mu[p, a, y]]
+        else:
+            q = w[f"u{k}"]                                 # u1 g2 u2 ... gk uk
+            for i in range(k - 1, 0, -1):
+                q = mu[w[f"u{i}"], w[f"g{i + 1}"], q]
+            a = w["g1"]
+            ok = mu[f[x, gm, y], a, q] == f[mu[x, a, q], gm, mu[y, a, q]]
+        if not ok:
+            return w
+    return None
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (2, 1)])
+@pytest.mark.parametrize("kind", ["gamma-free", "gamma-dependent"])
+def test_absorption_witness_is_lexicographically_least(shape, kind):
+    # on matrix(2,1,2) every left action is by a scalar, so only the right
+    # identity can fail there; its transpose matrix(2,2,1) covers the left one
+    ring = build_matrix_ring(2, *shape)
+    defect = _chain_defect(ring) if kind == "gamma-free" else \
+        DefectMap(ring, ring.mu.copy(), "user")
+    for k in (1, 2):
+        rep = check_hypotheses(defect, k)
+        assert rep.zero_slots.passed and rep.all_exact
+        assert not (rep.left_absorption.passed and rep.right_absorption.passed)
+        for side, r in (("left", rep.left_absorption), ("right", rep.right_absorption)):
+            assert r.witness == _least_absorption_failure(ring, defect.f, k, side)
+            assert r.checked == ring.m_order**(k + 2) * ring.gamma_order**(k + 1)
+
+
+def test_gamma_dependent_witness_unchanged(matrix222):
+    # f = x.gamma.y depends on gamma and keeps the full scan; witnesses pinned
+    rep = check_hypotheses(DefectMap(matrix222, matrix222.mu.copy(), "user"), 1)
+    assert rep.left_absorption.witness == {"u1": 1, "g1": 1, "x": 1, "gamma": 2, "y": 4}
+    assert rep.right_absorption.witness == {"g1": 1, "u1": 1, "x": 2, "gamma": 4, "y": 1}
+
+
+def _least_claim1_failure(ring, f):
+    mu = ring.mu
+    m, g = ring.m_order, ring.gamma_order
+    for u, b, x, gm, y in itertools.product(range(m), range(g), range(m), range(g), range(m)):
+        if mu[u, b, f[x, gm, y]] != f[mu[u, b, x], gm, mu[u, b, y]]:
+            return {"side": "left", "u": u, "beta": b, "x": x, "gamma": gm, "y": y}
+    for x, gm, y, b, u in itertools.product(range(m), range(g), range(m), range(g), range(m)):
+        if mu[f[x, gm, y], b, u] != f[mu[x, b, u], gm, mu[y, b, u]]:
+            return {"side": "right", "x": x, "gamma": gm, "y": y, "beta": b, "u": u}
+    return None
+
+
+def test_claim1_witness_is_lexicographically_least(matrix222, frame):
+    for defect in (_chain_defect(matrix222), DefectMap(matrix222, matrix222.mu.copy(), "user")):
+        c1 = check_claims(defect, frame).claims["claim1"]
+        assert not c1.passed and c1.checked == 2 * 16**3 * 16**2
+        assert c1.witness == _least_claim1_failure(matrix222, defect.f)
