@@ -23,10 +23,11 @@ for pair in result.found:
 
 print("\n=== sweep: all-zero-product rings of order <= 8 ===")
 survey = hunt_counterexamples(trivial_ring_family(8), n=2, budget=40_000)
-print(f"survey complete = {survey.complete} (big rings exhaust the node budget)")
+print(f"survey complete = {survey.complete} (free elements are counted, not listed)")
 for entry in survey.entries:
     print(f"  {entry.name:22s} qualifying={entry.qualifying}  "
           f"isos {entry.iso_additive}/{entry.iso_found} additive  "
+          f"derivations {entry.deriv_additive}/{entry.deriv_found} additive  "
           f"witnesses recorded: {len(entry.witnesses)}")
 
 print("\n=== sweep: matrix rings with at most 4 cells ===")

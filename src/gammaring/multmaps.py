@@ -238,7 +238,71 @@ def verify_n_derivation(deriv: DerivationTable, n: int,
         lambda xs, step: _leibniz(ring.mu, ring.m_group.add_table, d, xs, step))
 
 
-class _PairSearch:
+class _Search:
+    """Depth-first search over image tables, shared by both engines.
+
+    Subclasses provide _branch (record a leaf and return None, return None at
+    a dead end, else (kind, index, candidate values)), _assign, _undo and
+    _propagate.  The DFS keeps an explicit stack of open branch points, each
+    with its value iterator and the trail length to retract to before its next
+    value, so it visits nodes in the order of the plain recursion while the
+    depth, one level per assignment, never meets the interpreter's recursion
+    limit.
+    """
+
+    def __init__(self, budget, report_limit):
+        self.budget = budget
+        self.report_limit = report_limit
+        self.trail = []
+        self.nodes = 0
+        self.solutions = []
+        self.complete = True
+        self.stopped = False
+
+    def _record(self, solution):
+        self.solutions.append(solution)
+        if self.report_limit is not None and len(self.solutions) >= self.report_limit:
+            self.stopped = True
+            self.complete = False
+
+    def _open(self, stack):
+        branch = self._branch()
+        if branch is not None:
+            kind, idx, values = branch
+            stack.append((kind, idx, iter(values), len(self.trail)))
+
+    def _dfs(self):
+        stack = []
+        self._open(stack)
+        while stack and not self.stopped:
+            kind, idx, values, mark = stack[-1]
+            self._undo(mark)
+            v = next(values, None)
+            if v is None:
+                stack.pop()
+                continue
+            self.nodes += 1
+            if self.nodes > self.budget:
+                self.stopped = True
+                self.complete = False
+                return
+            self._assign(kind, idx, v)
+            if self._propagate():
+                self._open(stack)
+
+    def run(self, fixed=()):
+        """Search with zero's image fixed to zero and each (kind, index, value)
+        of `fixed` assigned up front; the trail is retracted on return."""
+        self._assign(0, 0, 0)
+        for kind, idx, v in fixed:
+            self._assign(kind, idx, v)
+        if self._propagate():
+            self._dfs()
+        self._undo(0)
+        return self
+
+
+class _PairSearch(_Search):
     """DFS over (phi, psi) image assignments with product-instance propagation.
 
     Prefix realizations: every length-(n-1) product whose factors are all
@@ -251,25 +315,23 @@ class _PairSearch:
     candidate forward-checked against the already-fired instances, so only
     locally consistent values are ever tried; ties keep phi images in
     element-index order with psi interleaved once instances discriminate.
+
+    phi(0) = 0 holds in every solution, so run() fixes it: phi(0) =
+    phi(0 g ... g x) with phi(x) = 0 collapses to a product with a zero factor
+    in the target.
     """
 
     def __init__(self, source, target, n, budget, report_limit):
+        super().__init__(budget, report_limit)
         self.mu_s = source.mu
         self.mu_t = target.mu
         self.n = n
         self.m, self.g = source.m_order, source.gamma_order
         self.mt, self.gt = target.m_order, target.gamma_order
-        self.budget = budget
-        self.report_limit = report_limit
         self.phi = np.full(self.m, -1, dtype=np.int64)
         self.psi = np.full(self.g, -1, dtype=np.int64)
         self.phi_used = np.zeros(self.mt, dtype=bool)
         self.psi_used = np.zeros(self.gt, dtype=bool)
-        self.trail = []
-        self.nodes = 0
-        self.solutions = []
-        self.complete = True
-        self.stopped = False
 
     def _undo(self, mark):
         while len(self.trail) > mark:
@@ -355,9 +417,7 @@ class _PairSearch:
         ok &= free[None, :]
         return ok
 
-    def _dfs(self):
-        if self.stopped:
-            return
+    def _branch(self):
         am = np.flatnonzero(self.phi >= 0)
         ag = np.flatnonzero(self.psi >= 0)
         fam = self.phi[am]
@@ -368,11 +428,8 @@ class _PairSearch:
         un_m = np.flatnonzero(self.phi < 0)
         un_g = np.flatnonzero(self.psi < 0)
         if un_m.size == 0 and un_g.size == 0:
-            self.solutions.append((self.phi.copy(), self.psi.copy()))
-            if self.report_limit is not None and len(self.solutions) >= self.report_limit:
-                self.stopped = True
-                self.complete = False
-            return
+            self._record((self.phi.copy(), self.psi.copy()))
+            return None
 
         if un_g.size and ag.size == 0 and pw.size == 0 and am.size >= 2:
             # arity > 2 bootstrap: no prefixes can form until one gamma image
@@ -393,47 +450,27 @@ class _PairSearch:
             for u, x in enumerate(un_m):
                 c = int(phi_ok[u].sum())
                 if c == 0:
-                    return
+                    return None
                 if best is None or c < best:
                     best, kind, idx, values = c, 0, int(x), phi_ok[u]
             for u, gq in enumerate(un_g):
                 c = int(psi_ok[u].sum())
                 if c == 0:
-                    return
+                    return None
                 if best is None or c < best:
                     best, kind, idx, values = c, 1, int(gq), psi_ok[u]
             values = np.flatnonzero(values)
 
-        for v in values.tolist():
-            self.nodes += 1
-            if self.nodes > self.budget:
-                self.stopped = True
-                self.complete = False
-                return
-            mark = len(self.trail)
-            if kind == 0:
-                self.phi[idx] = v
-                self.phi_used[v] = True
-            else:
-                self.psi[idx] = v
-                self.psi_used[v] = True
-            self.trail.append((kind, idx))
-            if self._propagate():
-                self._dfs()
-            self._undo(mark)
-            if self.stopped:
-                return
+        return kind, idx, values.tolist()
 
-    def run(self):
-        # phi(0) = 0 holds in every solution: phi(0) = phi(0 g ... g x) with
-        # phi(x) = 0 collapses to a product with a zero factor in the target.
-        self.phi[0] = 0
-        self.phi_used[0] = True
-        self.trail.append((0, 0))
-        if self._propagate():
-            self._dfs()
-        self._undo(0)
-        return self
+    def _assign(self, kind, idx, v):
+        if kind == 0:
+            self.phi[idx] = v
+            self.phi_used[v] = True
+        else:
+            self.psi[idx] = v
+            self.psi_used[v] = True
+        self.trail.append((kind, idx))
 
 
 def search_n_multiplicative_isos(source: GammaRing, target: GammaRing,
@@ -453,40 +490,43 @@ def search_n_multiplicative_isos(source: GammaRing, target: GammaRing,
     return SearchResult(pairs, eng.complete, eng.nodes)
 
 
-class _DerivSearch:
-    """DFS over derivation value tables with Leibniz-instance propagation."""
+class _DerivSearch(_Search):
+    """DFS over derivation value tables with Leibniz-instance propagation.
+
+    The all-zero instance of the identity forces d(0) = 0 in every ring, so
+    run() fixes it.
+    """
 
     def __init__(self, ring, n, budget, report_limit):
+        super().__init__(budget, report_limit)
         self.ring = ring
         self.mu = ring.mu
         self.addm = ring.m_group.add_table
         self.n = n
         self.m, self.g = ring.m_order, ring.gamma_order
-        self.budget = budget
-        self.report_limit = report_limit
         self.d = np.full(self.m, -1, dtype=np.int64)
-        self.trail = []
-        self.nodes = 0
-        self.solutions = []
-        self.complete = True
-        self.stopped = False
 
-    def _instances(self, a):
-        """Forced pairs (product index, Leibniz sum) over assigned slots."""
-        outs, vals = [], []
+    def _instance_keys(self, a):
+        """Distinct forced pairs over assigned slots, as product index * m + Leibniz sum.
+
+        Each chunk is reduced to its distinct keys before the next is built,
+        so a step holds one chunk's instances at a time and never a joined
+        copy of all of them.
+        """
+        keys = []
         for lo, hi in _chunks(a.size, (a.size * self.g) ** (self.n - 1)):
             factors = [a[lo:hi]] + [a] * (self.n - 1)
-            outs.append(_chain(self.mu, factors, _grid_step).ravel())
-            vals.append(_leibniz(self.mu, self.addm, self.d, factors, _grid_step).ravel())
-        return np.concatenate(outs), np.concatenate(vals)
+            out = _chain(self.mu, factors, _grid_step).ravel()
+            val = _leibniz(self.mu, self.addm, self.d, factors, _grid_step).ravel()
+            keys.append(np.unique(out.astype(np.int64) * self.m + val))
+        return np.unique(np.concatenate(keys))
 
     def _propagate(self) -> bool:
         while True:
             a = np.flatnonzero(self.d >= 0)
             if a.size == 0:
                 return True
-            ow, ov = self._instances(a)
-            keys = np.unique(ow.astype(np.int64) * self.m + ov)
+            keys = self._instance_keys(a)
             ow = keys // self.m
             ov = keys % self.m
             if np.unique(ow).size != ow.size:     # same product, two forced values
@@ -501,42 +541,20 @@ class _DerivSearch:
                 self.d[x] = v
                 self.trail.append(x)
 
-    def _dfs(self):
-        if self.stopped:
-            return
+    def _branch(self):
         un = np.flatnonzero(self.d < 0)
         if un.size == 0:
-            self.solutions.append(self.d.copy())
-            if self.report_limit is not None and len(self.solutions) >= self.report_limit:
-                self.stopped = True
-                self.complete = False
-            return
-        idx = int(un[0])
-        for v in range(self.m):
-            self.nodes += 1
-            if self.nodes > self.budget:
-                self.stopped = True
-                self.complete = False
-                return
-            mark = len(self.trail)
-            self.d[idx] = v
-            self.trail.append(idx)
-            if self._propagate():
-                self._dfs()
-            while len(self.trail) > mark:
-                self.d[self.trail.pop()] = -1
-            if self.stopped:
-                return
+            self._record(self.d.copy())
+            return None
+        return 0, int(un[0]), range(self.m)
 
-    def run(self):
-        # the all-zero instance of the identity forces d(0) = 0 in every ring
-        self.d[0] = 0
-        self.trail.append(0)
-        if self._propagate():
-            self._dfs()
-        while self.trail:
+    def _assign(self, kind, idx, v):
+        self.d[idx] = v
+        self.trail.append(idx)
+
+    def _undo(self, mark):
+        while len(self.trail) > mark:
             self.d[self.trail.pop()] = -1
-        return self
 
 
 def search_n_derivations(ring: GammaRing, config: SearchConfig) -> SearchResult:

@@ -12,13 +12,17 @@ raises InternalInconsistencyError rather than reporting a failure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import islice
+from math import factorial
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .errors import BudgetExceededError, InternalInconsistencyError, PreconditionError
+from .groups import homomorphism_count, homomorphisms, is_group_homomorphism
 from .multmaps import (DEFAULT_BUDGET, _SAMPLE_CAP, DefectMap, DerivationTable, MapPair,
-                       SearchConfig, VerifyReport, _chain, _defect, _grid_step,
+                       SearchConfig, SearchResult, VerifyReport, _chain, _defect,
+                       _DerivSearch, _grid_step, _PairSearch,
                        search_n_derivations, search_n_multiplicative_isos,
                        verify_additive, verify_n_derivation, verify_n_multiplicative)
 from .peirce import (IdempotentFrame, MartindaleReport, PeirceComponents,
@@ -410,6 +414,186 @@ class SurveyReport:
     complete: bool
 
 
+def _free_part(ring: GammaRing, n: int) -> tuple:
+    """(A_M, F, A_Gamma) of length-n chains as sorted index arrays, exact for any n.
+
+    A_M: the elements that make every chain 0 from any factor slot.  F: A_M
+    minus the values of length-n products.  A_Gamma: the gammas that make
+    every chain 0 from any gamma slot.
+
+    pre[j] holds the values of length-j chains, and dead[j] marks the values
+    that every continuation by j more (gamma, y) steps sends to 0.  A factor
+    (or gamma) annihilates when, in every slot, the chain value just after it
+    is dead for the steps that remain.
+    """
+    mu = ring.mu
+    pre = [None] + [_length_k_products(ring, j) for j in range(1, n + 1)]
+    dead = [np.arange(ring.m_order) == 0]
+    for _ in range(n - 1):
+        dead.append(dead[-1][mu].all(axis=(1, 2)))
+    ann = dead[n - 1].copy()
+    for i in range(2, n + 1):
+        ann &= dead[n - i][mu[pre[i - 1]]].all(axis=(0, 1))
+    gam = np.ones(ring.gamma_order, dtype=bool)
+    for j in range(1, n):
+        gam &= dead[n - 1 - j][mu[pre[j]]].all(axis=(0, 2))
+    free = ann.copy()
+    free[pre[n]] = False
+    return np.flatnonzero(ann), np.flatnonzero(free), np.flatnonzero(gam)
+
+
+def _lex_walk(core: np.ndarray, pooled: np.ndarray, pool: list, distinct: bool):
+    """Yield (table, rows) for every table extending a row of `core`, in lex order.
+
+    Positions where `pooled` is False follow the core rows; pooled positions
+    take values from `pool`, each at most once when `distinct`.  rows are the
+    indices of the core rows the table extends.  The walk keeps an explicit
+    stack, one level per position.
+    """
+    length = core.shape[1]
+    table = np.zeros(length, dtype=np.int64)
+    used = set()
+    held = [False] * length
+
+    def options(i, rows):
+        if pooled[i]:
+            return iter([(v, rows) for v in pool if not (distinct and v in used)])
+        col = core[rows, i]
+        return iter([(int(v), rows[col == v]) for v in np.unique(col)])
+
+    stack = [options(0, np.arange(core.shape[0]))]
+    while stack:
+        i = len(stack) - 1
+        if held[i]:
+            used.discard(int(table[i]))
+            held[i] = False
+        v, rows = next(stack[-1], (None, None))
+        if v is None:
+            stack.pop()
+            continue
+        table[i] = v
+        if pooled[i] and distinct:
+            used.add(v)
+            held[i] = True
+        if i + 1 == length:
+            yield table.copy(), rows
+        else:
+            stack.append(options(i + 1, rows))
+
+
+def _rows(solutions, width: int) -> np.ndarray:
+    """Solution tables as a lexicographically sorted (count, width) array."""
+    return np.array(sorted(tuple(s.tolist()) for s in solutions),
+                    dtype=np.int64).reshape(-1, width)
+
+
+class _Count:
+    """One subject's hunt numbers; found and additive are exact over the
+    found maps, and nonadditive walks the non-additive ones in sorted order."""
+
+    def __init__(self, found: int, additive: int, complete: bool, nonadditive: Iterator):
+        self.found = found
+        self.additive = additive
+        self.complete = complete
+        self.nonadditive = nonadditive
+
+    def first_nonadditive(self, cap: int) -> list:
+        return list(islice(self.nonadditive, min(cap, self.found - self.additive)))
+
+
+def _listed(result: SearchResult) -> _Count:
+    """Count a plain enumeration by checking every map it found."""
+    flags = [verify_additive(x).passed for x in result.found]
+    return _Count(len(result.found), sum(flags), result.complete,
+                  (x for x, ok in zip(result.found, flags) if not ok))
+
+
+def _pair_quotient(ring: GammaRing, config: SearchConfig, free: np.ndarray,
+                   gammas: np.ndarray) -> Optional[_Count]:
+    """Pairs as core x Sym(F) x Sym(A_Gamma), or None when that is not exact.
+
+    phi(P) = P and, the inverse pair being multiplicative too, phi(A_M) =
+    A_M, so phi(F) = F; likewise psi(A_Gamma) = A_Gamma.  Every instance with
+    a factor in F or a gamma in A_Gamma reads 0 = 0, so the core search fixes
+    phi and psi to the identity there and the free part contributes
+    |F|! |A_Gamma|!.  Additivity depends on phi alone, so the additive count
+    runs over the automorphisms of M and searches psi under each.  The budget
+    gates the core search's nodes plus the homomorphisms visited and the
+    nodes of the psi searches; None when it runs out or the free factor is 1.
+    """
+    group, m, g = ring.m_group, ring.m_order, ring.gamma_order
+    per_phi = factorial(free.size)
+    per_psi = factorial(gammas.size)
+    ends = homomorphism_count(group, group)
+    if per_phi * per_psi == 1 or ends > config.budget:
+        return None
+    fix_psi = [(1, int(a), int(a)) for a in gammas]
+    eng = _PairSearch(ring, ring, config.n, config.budget - ends, None).run(
+        [(0, int(x), int(x)) for x in free] + fix_psi)
+    if not eng.complete:
+        return None
+    spent, additive = eng.nodes, 0
+    for h in homomorphisms(group, group):
+        spent += 1
+        if spent > config.budget:
+            return None
+        if np.unique(h).size < m:
+            continue
+        under = _PairSearch(ring, ring, config.n, config.budget - spent, None).run(
+            [(0, x, int(h[x])) for x in range(1, m)] + fix_psi)
+        if not under.complete:
+            return None
+        spent += under.nodes
+        additive += len(under.solutions) * per_psi
+
+    core = _rows([np.concatenate(s) for s in eng.solutions], m + g)
+    in_f = np.isin(np.arange(m), free)
+    in_a = np.isin(np.arange(g), gammas)
+
+    def nonadditive():
+        for phi, rows in _lex_walk(core[:, :m], in_f, free.tolist(), True):
+            if not is_group_homomorphism(phi, group, group):
+                for psi, _ in _lex_walk(core[rows, m:], in_a, gammas.tolist(), True):
+                    yield MapPair(ring, ring, phi, psi)
+
+    return _Count(len(core) * per_phi * per_psi, additive, True, nonadditive())
+
+
+def _derivation_quotient(ring: GammaRing, config: SearchConfig, annihilator: np.ndarray,
+                         free: np.ndarray) -> Optional[_Count]:
+    """Derivations as core x A_M^F, or None when that is not exact.
+
+    d(f) for f in F occurs only in Leibniz terms with every other factor
+    free, which all vanish exactly when d(f) is in A_M; the core search fixes
+    d(f) = 0.  The additive count verifies each endomorphism of M exactly.
+    The budget gates the core search's nodes plus the endomorphisms visited;
+    None when it runs out or the free factor is 1.
+    """
+    group, m, n = ring.m_group, ring.m_order, config.n
+    per = annihilator.size ** free.size
+    ends = homomorphism_count(group, group)
+    if per == 1 or ends > config.budget:
+        return None
+    eng = _DerivSearch(ring, n, config.budget - ends, None).run(
+        [(0, int(x), 0) for x in free])
+    if not eng.complete:
+        return None
+    spent, additive = eng.nodes, 0
+    full = m**n * ring.gamma_order**(n - 1)         # an exact verdict's evaluation count
+    for h in homomorphisms(group, group):
+        spent += 1
+        if spent > config.budget:
+            return None
+        additive += verify_n_derivation(DerivationTable(ring, h), n, full).passed
+
+    core = _rows(eng.solutions, m)
+    in_f = np.isin(np.arange(m), free)
+    nonadditive = (DerivationTable(ring, d)
+                   for d, _ in _lex_walk(core, in_f, annihilator.tolist(), False)
+                   if not is_group_homomorphism(d, group, group))
+    return _Count(len(core) * per, additive, True, nonadditive)
+
+
 def hunt_counterexamples(rings, n: int = 2, budget: int = DEFAULT_BUDGET,
                          witness_cap: int = 8) -> SurveyReport:
     """Sweep a ring family for hypothesis-necessity witnesses.
@@ -418,6 +602,16 @@ def hunt_counterexamples(rings, n: int = 2, budget: int = DEFAULT_BUDGET,
     multiplicative map would contradict the theorem, so that combination
     raises an internal inconsistency.  On non-qualifying rings, non-additive
     finds are recorded as evidence the failed hypothesis cannot be dropped.
+
+    Counts are core x free factor: elements that no length-n chain can see
+    (F) and gammas that kill every chain (A_Gamma) multiply the solutions, so
+    the searches run with them fixed (see _pair_quotient and
+    _derivation_quotient), and such counts are always exact.  A subject
+    whose free factor is 1, or whose quotient runs over the budget, keeps
+    the plain search and checks every map it found, so an incomplete entry
+    is that of the plain enumeration.  Witnesses are the first witness_cap
+    non-additive maps, pairs in (phi, psi) order, then derivations in table
+    order.
     """
     entries = []
     complete = True
@@ -433,34 +627,27 @@ def hunt_counterexamples(rings, n: int = 2, budget: int = DEFAULT_BUDGET,
         qualifying = fam.overall
 
         config = SearchConfig(n=n, budget=budget)
-        isos = search_n_multiplicative_isos(ring, ring, config)
-        derivs = search_n_derivations(ring, config)
+        ring.require_barnes()
+        annihilator, free, gammas = _free_part(ring, n)
+        isos = (_pair_quotient(ring, config, free, gammas)
+                or _listed(search_n_multiplicative_isos(ring, ring, config)))
+        derivs = (_derivation_quotient(ring, config, annihilator, free)
+                  or _listed(search_n_derivations(ring, config)))
         complete = complete and isos.complete and derivs.complete
 
-        witnesses = []
-        iso_additive = 0
-        for p in isos.found:
-            if verify_additive(p).passed:
-                iso_additive += 1
-            elif len(witnesses) < witness_cap:
-                witnesses.append(("iso", p))
-        deriv_additive = 0
-        for d in derivs.found:
-            if verify_additive(d).passed:
-                deriv_additive += 1
-            elif len(witnesses) < witness_cap:
-                witnesses.append(("derivation", d))
-
-        nonadd = (len(isos.found) - iso_additive) + (len(derivs.found) - deriv_additive)
+        nonadd = (isos.found - isos.additive) + (derivs.found - derivs.additive)
         if qualifying and nonadd:
             raise InternalInconsistencyError(
                 f"ring {name!r} satisfies all conditions yet carries "
                 f"{nonadd} non-additive multiplicative maps")
+        witnesses = [("iso", p) for p in isos.first_nonadditive(witness_cap)]
+        witnesses += [("derivation", d)
+                      for d in derivs.first_nonadditive(witness_cap - len(witnesses))]
 
         entries.append(RingSurvey(
             name, conditions, qualifying, len(frames),
-            len(isos.found), iso_additive, isos.complete,
-            len(derivs.found), deriv_additive, derivs.complete,
+            isos.found, isos.additive, isos.complete,
+            derivs.found, derivs.additive, derivs.complete,
             witnesses))
     return SurveyReport(n, entries, complete)
 

@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammaring import is_group_homomorphism, make_group
+from gammaring.groups import homomorphism_count, homomorphisms
 
 
 def test_trivial_group():
@@ -116,3 +117,28 @@ def test_bijective_homomorphism_count_z2xz2():
     assert len(brute) == 6
     for p in permutations(range(4)):
         assert is_group_homomorphism(np.asarray(p), g, g) == additive(p)
+
+
+SMALL_GROUPS = [[], [2], [3], [4], [2, 2]]
+
+
+@pytest.mark.parametrize("dom", SMALL_GROUPS, ids=str)
+@pytest.mark.parametrize("cod", SMALL_GROUPS, ids=str)
+def test_homomorphisms_match_brute_force(dom, cod):
+    a, b = make_group(dom), make_group(cod)
+    brute = [t for t in product(range(b.order), repeat=a.order)
+             if all(t[a.add_index(x, y)] == b.add_index(t[x], t[y])
+                    for x in range(a.order) for y in range(a.order))]
+    got = [tuple(int(v) for v in h) for h in homomorphisms(a, b)]
+    assert sorted(got) == brute and len(set(got)) == len(got)
+    assert homomorphism_count(a, b) == len(brute)
+
+
+@pytest.mark.parametrize("factors, auts, ends", [([8], 4, 8), ([4, 2], 8, 32),
+                                                 ([2, 2, 2], 168, 512)])
+def test_homomorphism_orders_of_order_8_groups(factors, auts, ends):
+    g = make_group(factors)
+    tables = list(homomorphisms(g, g))
+    assert len(tables) == ends
+    assert all(is_group_homomorphism(t, g, g) for t in tables)
+    assert sum(np.unique(t).size == g.order for t in tables) == auts

@@ -1,10 +1,15 @@
+import json
+import os
+import subprocess
+import sys
 from itertools import permutations, product
 
 import numpy as np
 import pytest
 
 from gammaring import (DerivationTable, MapPair, SearchConfig, compose_pairs,
-                       defect_of_derivation, defect_of_iso, inverse_pair, make_group,
+                       defect_of_derivation, defect_of_iso, document_dict, emit_grdf,
+                       inverse_pair, make_group,
                        search_n_derivations, search_n_multiplicative_isos, trivial_ring,
                        verify_additive, verify_n_derivation, verify_n_multiplicative)
 
@@ -403,3 +408,38 @@ def test_sampled_witnesses_are_real_violations(matrix222, n):
     assert not rep.exact and not rep.passed and rep.checked == 300
     xs, gs = [rep.witness[k] for k in names[0::2]], [rep.witness[k] for k in names[1::2]]
     assert not _holds_leibniz(matrix222, trans, xs, gs)
+
+
+_RUN_SCRIPT = """
+import contextlib, io, json, sys
+from gammaring.cli import main
+sys.setrecursionlimit(int(sys.argv[1]))
+runs = []
+for argv in sys.argv[2:]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append([main(argv.split()), out.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def test_search_depth_is_not_bounded_by_recursion_limit(tmp_path):
+    # on trivial(Z168) the first branch of either search assigns one element
+    # per node, so 200 nodes reach its first leaves at a depth above 160
+    path = tmp_path / "z168.json"
+    path.write_text(emit_grdf(document_dict(trivial_ring(make_group([168]), make_group([2])))))
+    commands = [f"{cmd} --input {path} --budget 200 --format json"
+                for cmd in ("search-iso", "search-derivations")]
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    runs = {}
+    for limit in (150, sys.getrecursionlimit()):
+        proc = subprocess.run([sys.executable, "-c", _RUN_SCRIPT, str(limit), *commands],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs[limit] = json.loads(proc.stdout)
+    low, default = runs.values()
+    assert low == default
+    for code, out in low:
+        report = json.loads(out)
+        assert code == 3 and report["nodes"] == 201 and report["found"] and not report["complete"]

@@ -1,14 +1,17 @@
 import itertools
+from math import factorial
 
 import numpy as np
 import pytest
 
-from gammaring import (DefectMap, SearchConfig, build_matrix_ring, canonical_frame,
-                       check_claims, check_hypotheses, conclude_main_theorem, defect_of_iso,
-                       hunt_counterexamples, matrix_ring_family,
+from gammaring import (DefectMap, SearchConfig, build_matrix_ring, build_table_ring,
+                       canonical_frame, check_claims, check_hypotheses,
+                       conclude_main_theorem, defect_of_iso, direct_product,
+                       hunt_counterexamples, make_group, matrix_ring_family,
                        run_additivity_pipeline, run_derivation_pipeline,
-                       search_n_derivations, search_n_multiplicative_isos,
-                       trivial_ring_family)
+                       search_n_derivations, search_n_multiplicative_isos, trivial_ring,
+                       trivial_ring_family, verify_additive)
+from gammaring.theorem import _free_part
 from gammaring.errors import BudgetExceededError, PreconditionError
 
 from conftest import gidx, midx
@@ -172,12 +175,35 @@ def test_derivation_pipeline(matrix222, frame):
             assert rep.defect_zero and rep.additive.passed and rep.agreement
 
 
+def _aut_end_orders(factors):
+    """|Aut| and |End| of Z_d1 x ... x Z_dk, by listing generator images in plain Python."""
+    elements = list(itertools.product(*(range(d) for d in factors)))
+    images = [[v for v in elements if all(d * c % e == 0 for c, e in zip(v, factors))]
+              for d in factors]
+    auts = ends = 0
+    for choice in itertools.product(*images):
+        table = {tuple(sum(x * v[j] for x, v in zip(elt, choice)) % e
+                       for j, e in enumerate(factors)) for elt in elements}
+        ends += 1
+        auts += len(table) == len(elements)
+    return auts, ends
+
+
 def test_hunt_trivial_sweep():
     family = trivial_ring_family(8)
     assert [name for name, _ in family][:4] == \
         ["trivial(Z2)", "trivial(Z3)", "trivial(Z4)", "trivial(Z2xZ2)"]
     survey = hunt_counterexamples(family, n=2, budget=40_000)
-    assert not survey.complete                # big trivial rings exhaust the budget
+    # every product is zero: a pair is any phi fixing 0 with any psi, and a
+    # derivation is any map with d(0) = 0; the additive ones are Aut M and End M
+    assert survey.complete
+    for (_, ring), e in zip(family, survey.entries):
+        m, g = ring.m_order, ring.gamma_order
+        auts, ends = _aut_end_orders(ring.m_group.factors)
+        assert (e.iso_found, e.iso_additive) == (factorial(m - 1) * factorial(g),
+                                                 auts * factorial(g)), e.name
+        assert (e.deriv_found, e.deriv_additive) == (m ** (m - 1), ends), e.name
+        assert e.iso_complete and e.deriv_complete
     assert all(not e.qualifying for e in survey.entries)
     assert any(e.witnesses for e in survey.entries)
     z4 = next(e for e in survey.entries if e.name == "trivial(Z4)")
@@ -283,3 +309,115 @@ def test_claim1_witness_is_lexicographically_least(matrix222, frame):
         c1 = check_claims(defect, frame).claims["claim1"]
         assert not c1.passed and c1.checked == 2 * 16**3 * 16**2
         assert c1.witness == _least_claim1_failure(matrix222, defect.f)
+
+
+def _opposite(ring):
+    return build_table_ring(ring.m_group, ring.gamma_group, ring.mu.transpose(2, 1, 0))
+
+
+def _with_trivial(rows, cols, m_factors):
+    """matrix(2, rows, cols) x trivial(Z_.., Z2): a core with a free part beside it."""
+    label = "x".join(f"Z{d}" for d in m_factors)
+    return (f"matrix(2,{rows},{cols})xtrivial({label})",
+            direct_product(build_matrix_ring(2, rows, cols),
+                           trivial_ring(make_group(m_factors), make_group([2]))))
+
+
+def _one_sided():
+    """x.1.y = x1 L(y) on Z2^3, with L(y) = (y1, y2 + y3, 0) and x.0.y = 0.
+
+    e3 kills every product from the left but not from the right (e1.1.e3 =
+    e2), while e2 + e3 kills from both sides and is no product value, so F =
+    {e2 + e3}: a check of the left slot alone would free e3 as well.
+    """
+    m = make_group([2, 2, 2])
+    res = m.residues
+    mu = np.zeros((8, 2, 8), dtype=np.int32)
+    for x in range(8):
+        for y in range(8):
+            ly = (res[y, 0], (res[y, 1] + res[y, 2]) % 2, 0)
+            mu[x, 1, y] = m.index_of(tuple(int(res[x, 0] * v) for v in ly))
+    return "one-sided(Z2^3)", build_table_ring(m, make_group([2]), mu)
+
+
+QUOTIENT_RINGS = trivial_ring_family(5) + [_with_trivial(1, 1, [2]), _with_trivial(1, 2, [2]),
+                                           _with_trivial(1, 1, [3]), _one_sided()]
+
+
+def _enumerated_entry(ring, n, budget=10**8, cap=8):
+    """A hunt entry built from plain enumerations: counts, flags, first non-additive maps."""
+    config = SearchConfig(n=n, budget=budget)
+    isos = search_n_multiplicative_isos(ring, ring, config)
+    derivs = search_n_derivations(ring, config)
+    iso_add = [verify_additive(p).passed for p in isos.found]
+    der_add = [verify_additive(d).passed for d in derivs.found]
+    witnesses = ([("iso", p.key()) for p, ok in zip(isos.found, iso_add) if not ok]
+                 + [("derivation", d.key()) for d, ok in zip(derivs.found, der_add) if not ok])
+    return (len(isos.found), sum(iso_add), isos.complete,
+            len(derivs.found), sum(der_add), derivs.complete, witnesses[:cap])
+
+
+def _hunt_entry(ring, n, budget=10**8):
+    e = hunt_counterexamples([("ring", ring)], n=n, budget=budget).entries[0]
+    return (e.iso_found, e.iso_additive, e.iso_complete,
+            e.deriv_found, e.deriv_additive, e.deriv_complete,
+            [(kind, obj.key()) for kind, obj in e.witnesses])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name, ring", QUOTIENT_RINGS, ids=[nm for nm, _ in QUOTIENT_RINGS])
+def test_hunt_quotient_matches_enumeration(name, ring, n):
+    _, free, gammas = _free_part(ring, n)
+    assert free.size or gammas.size > 1                         # the quotient path runs
+    entry = _hunt_entry(ring, n)
+    assert entry == _enumerated_entry(ring, n)
+    # a pair or derivation of a ring is one of its opposite ring, which swaps
+    # the left and right annihilator slots
+    assert _hunt_entry(_opposite(ring), n) == entry
+
+
+def test_free_part_of_one_sided_ring():
+    _, ring = _one_sided()
+    for r in (ring, _opposite(ring)):
+        annihilator, free, _ = _free_part(r, 2)
+        assert free.tolist() == [3] and annihilator.tolist() == [0, 3]
+
+
+def test_free_part_of_product_ring():
+    _, ring = _with_trivial(1, 2, [2])          # M = matrix(2,1,2) x Z2, Gamma = Z2^2 x Z2
+    annihilator, free, gammas = _free_part(ring, 2)
+    # the trivial factor's nonzero element is free; gammas (0, c) kill every chain
+    assert free.tolist() == [1]
+    assert annihilator.tolist() == [0, 1]
+    assert gammas.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("ring, budget", [
+    # the additive counts visit 512 endomorphisms of Z2^3
+    (trivial_ring(make_group([2, 2, 2]), make_group([2])), 100),
+    # |End M| = 512 alone exceeds the budget
+    (_with_trivial(1, 2, [2])[1], 50),
+    # the core pair search needs 1,194 nodes, 88 are left beside the 512 endomorphisms
+    (_with_trivial(1, 2, [2])[1], 600),
+    # the core completes, the automorphisms' psi searches run out
+    (_with_trivial(1, 2, [2])[1], 1710),
+    # a qualifying ring whose free factor is Sym(A_Gamma) but whose core also
+    # holds every psi that swaps gammas acting alike: far more than 300 nodes
+    (direct_product(build_matrix_ring(2, 2, 2), trivial_ring(make_group([]), make_group([2]))),
+     300),
+], ids=["trivial(Z2xZ2xZ2)", "matrix(2,1,2)xtrivial(Z2)-50", "matrix(2,1,2)xtrivial(Z2)-600",
+        "matrix(2,1,2)xtrivial(Z2)-1710", "matrix(2,2,2)xgamma(Z2)"])
+def test_hunt_over_budget_is_the_plain_enumeration(ring, budget):
+    entry = _hunt_entry(ring, 2, budget)
+    assert not (entry[2] and entry[5])
+    assert entry == _enumerated_entry(ring, 2, budget)
+
+
+def test_hunt_quotient_budget_counts_its_work():
+    # 1,194 core nodes + 512 endomorphisms + 168 nodes of psi searches under the
+    # 168 automorphisms of Z2^3
+    _, ring = _with_trivial(1, 2, [2])
+    exact = hunt_counterexamples([("p", ring)], n=2, budget=1874).entries[0]
+    assert (exact.iso_found, exact.iso_additive, exact.iso_complete) == (96, 96, True)
+    short = hunt_counterexamples([("p", ring)], n=2, budget=1873).entries[0]
+    assert not short.iso_complete and short.iso_found < 96
