@@ -26,7 +26,7 @@ from .multmaps import (MapPair, SearchConfig, search_n_derivations,
                        search_n_multiplicative_isos, verify_additive, verify_n_derivation,
                        verify_n_multiplicative)
 from .peirce import check_martindale_family, check_peirce_relations, peirce_decompose
-from .rings import check_barnes_axioms, check_nobusawa, find_idempotents, find_unities
+from .rings import check_nobusawa, find_idempotents, find_unities
 from .theorem import hunt_counterexamples, run_additivity_pipeline, run_derivation_pipeline
 
 SCHEMA = "gammaring.report/1"
@@ -101,15 +101,11 @@ def _tables(obj) -> dict:
 
 def cmd_axioms(doc, args):
     ring = doc.ring
-    verdicts = [_verdict(ring, r.axiom, r.holds, True, r.checked, r.witness)
-                for r in check_barnes_axioms(ring)]
-    if ring.nu is not None:
-        for r in check_nobusawa(ring):
-            # the two faithfulness readings are reported, not gated: the
-            # quantifier is ambiguous and both verdicts are informative
-            gating = not r.axiom.startswith("nobusawa-iii")
-            verdicts.append(_verdict(ring, r.axiom, r.holds, True, r.checked,
-                                     r.witness, gating))
+    reports = ring.barnes_reports() + (check_nobusawa(ring) if ring.nu is not None else [])
+    # the two faithfulness readings are reported, not gated: the quantifier
+    # is ambiguous and both verdicts are informative
+    verdicts = [_verdict(ring, r.axiom, r.holds, True, r.checked, r.witness,
+                         not r.axiom.startswith("nobusawa-iii")) for r in reports]
     return _status(verdicts), {"verdicts": verdicts}
 
 
@@ -196,27 +192,27 @@ def _cmd_verify(doc, args):
 def _cmd_search(doc, args):
     ring = doc.ring
     kind = _subject_kind(args.command)
-    config = SearchConfig(n=args.n, budget=args.budget, seed=args.seed)
+    config = SearchConfig(n=args.n, budget=args.budget)
     if kind == "iso":
         res = search_n_multiplicative_isos(ring, ring, config)
     else:
         res = search_n_derivations(ring, config)
     listing = _SUBJECTS[kind][3]
-    found = [(obj, verify_additive(obj).passed) for obj in res.found]
-    non_additive = [obj for obj, add in found if not add]
+    found = [(obj, verify_additive(obj)) for obj in res.found]
+    non_additive = [(obj, ar) for obj, ar in found if not ar.passed]
     report = {
         "found": len(res.found),
-        "additive": sum(1 for _, add in found if add),
+        "additive": len(found) - len(non_additive),
         "complete": res.complete,
         "nodes": res.nodes,
-        listing: [dict(_tables(obj), additive=add) for obj, add in found],
+        listing: [dict(_tables(obj), additive=ar.passed) for obj, ar in found],
     }
     if args.require_additive and non_additive:
-        witness = _tables(non_additive[0])
+        obj, ar = non_additive[0]
+        witness = _tables(obj)
         if kind == "iso":               # pair witnesses also carry their additive flag
             witness["additive"] = False
-        wr = verify_additive(non_additive[0])
-        witness["additivity_witness"] = _render_witness(ring, wr.witness)
+        witness["additivity_witness"] = _render_witness(ring, ar.witness)
         report["witness"] = witness
         return EXIT_FAIL, report
     return (EXIT_PASS if res.complete else EXIT_BUDGET), report
@@ -250,8 +246,7 @@ def cmd_theorem(doc, args):
     if not doc.maps and not doc.derivations:
         raise GRDFError("theorem needs a 'maps' or 'derivations' section")
     frames = doc.build_frames()
-    entries = []
-    failures = []
+    entries, failures, partial = [], [], []
     for kind, (section, label, _, _) in _SUBJECTS.items():
         for i, obj in enumerate(getattr(doc, section)):
             name = f"{label}[{i}]"
@@ -264,8 +259,12 @@ def cmd_theorem(doc, args):
                 entries.append(_pipeline_entry(ring, name, rep))
             except PreconditionError as ex:
                 failures.append({"subject": name, "error": str(ex)})
+            except BudgetExceededError as ex:    # only this subject is partial
+                partial.append({"subject": name, "error": str(ex)})
     report = {"pipelines": entries, "failures": failures}
-    return (EXIT_FAIL if failures else EXIT_PASS), report
+    if partial:
+        report["partial"] = partial
+    return (EXIT_FAIL if failures else EXIT_BUDGET if partial else EXIT_PASS), report
 
 
 def cmd_hunt(args):

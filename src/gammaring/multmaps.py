@@ -105,7 +105,6 @@ class DefectMap:
 class SearchConfig:
     n: int = 2
     budget: int = DEFAULT_BUDGET
-    seed: int = 0
     report_limit: Optional[int] = None
 
     def __post_init__(self):

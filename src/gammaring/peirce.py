@@ -10,6 +10,7 @@ validating the operator identities explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -48,6 +49,11 @@ class IdempotentFrame:
         self.right_f = np.ascontiguousarray(np.asarray(self.right_f, dtype=np.int32))
         self.left_f.setflags(write=False)
         self.right_f.setflags(write=False)
+
+    @cached_property
+    def violations(self) -> list:
+        """validate_frame's verdict, kept: a frame's fields are never reassigned."""
+        return validate_frame(self)
 
 
 @dataclass
@@ -153,7 +159,7 @@ def canonical_frame(ring: GammaRing, e: int, gamma1: int, unity: int) -> Idempot
     left_f = mg.sub_index_array(mu[unity], mu[e])            # [b, a]
     right_f = mg.sub_index_array(mu[:, :, unity], mu[:, :, e])  # [a, b]
     frame = IdempotentFrame(ring, e, gamma1, left_f, right_f, "canonical-from-unity", unity)
-    bad = validate_frame(frame)
+    bad = frame.violations
     if bad:
         # ring associativity + distributivity make these identities theorems
         raise InternalInconsistencyError(
@@ -165,7 +171,7 @@ def custom_frame(ring: GammaRing, e: int, gamma1: int, left_f, right_f) -> Idemp
     """Validate user-supplied complement tables; reject with all violations."""
     ring.require_barnes()
     frame = IdempotentFrame(ring, e, gamma1, left_f, right_f, "user-supplied")
-    bad = validate_frame(frame)
+    bad = frame.violations
     if bad:
         raise FrameValidationError(bad)
     return frame
@@ -174,7 +180,7 @@ def custom_frame(ring: GammaRing, e: int, gamma1: int, left_f, right_f) -> Idemp
 _BLOCKS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
-def peirce_decompose(frame: IdempotentFrame, validate: bool = True) -> PeirceComponents:
+def peirce_decompose(frame: IdempotentFrame) -> PeirceComponents:
     """Materialize the four projections and their images.
 
     The projection identities (sum to identity, idempotent, orthogonal) are
@@ -182,10 +188,9 @@ def peirce_decompose(frame: IdempotentFrame, validate: bool = True) -> PeirceCom
     itself is validated their violation is raised as an internal
     inconsistency rather than reported.
     """
-    if validate:
-        bad = validate_frame(frame)
-        if bad:
-            raise FrameValidationError(bad)
+    bad = frame.violations
+    if bad:
+        raise FrameValidationError(bad)
     ring = frame.ring
     mg = ring.m_group
     mu = ring.mu
@@ -306,7 +311,7 @@ def check_martindale_family(ring: GammaRing, frames) -> MartindaleReport:
     if not frames:
         return MartindaleReport(False, [], cond_ii, None, [],
                                 reason="empty idempotent family")
-    frame_violations = [validate_frame(fr) for fr in frames]
+    frame_violations = [fr.violations for fr in frames]
     cond_iii = check_condition_iii(ring, frames)
     cond_iv = [check_condition_iv(fr) for fr in frames]
     overall = (cond_ii.holds and cond_iii.holds and all(r.holds for r in cond_iv)

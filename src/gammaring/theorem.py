@@ -30,6 +30,8 @@ from .peirce import (IdempotentFrame, MartindaleReport, PeirceComponents,
 from .rings import (GammaRing, _chunks, _first, _witness, build_matrix_ring, make_group,
                     trivial_ring)
 
+WITNESS_CAP = 8          # non-additive maps listed per hunt entry
+
 
 @dataclass
 class HypothesisReport:
@@ -87,8 +89,7 @@ def _length_k_products(ring: GammaRing, k: int) -> np.ndarray:
     return p
 
 
-def check_hypotheses(defect: DefectMap, k: int,
-                     budget: int = DEFAULT_BUDGET, seed: int = 0) -> HypothesisReport:
+def check_hypotheses(defect: DefectMap, k: int, budget: int = DEFAULT_BUDGET) -> HypothesisReport:
     """Verify the three vanishing-theorem hypotheses for f at chain length k.
 
     The absorption identities quantify over k extra element slots and k+1
@@ -124,8 +125,8 @@ def check_hypotheses(defect: DefectMap, k: int,
         left = _absorption_exact(ring, fs, k, pk, side="left")
         right = _absorption_exact(ring, fs, k, pk, side="right")
     else:
-        left = _absorption_sampled(defect, k, budget, seed, side="left")
-        right = _absorption_sampled(defect, k, budget, seed + 1, side="right")
+        left = _absorption_sampled(defect, k, budget, seed=0, side="left")
+        right = _absorption_sampled(defect, k, budget, seed=1, side="right")
     return HypothesisReport(k, zr, left, right)
 
 
@@ -594,8 +595,7 @@ def _derivation_quotient(ring: GammaRing, config: SearchConfig, annihilator: np.
     return _Count(len(core) * per, additive, True, nonadditive)
 
 
-def hunt_counterexamples(rings, n: int = 2, budget: int = DEFAULT_BUDGET,
-                         witness_cap: int = 8) -> SurveyReport:
+def hunt_counterexamples(rings, n: int = 2, budget: int = DEFAULT_BUDGET) -> SurveyReport:
     """Sweep a ring family for hypothesis-necessity witnesses.
 
     Qualifying rings (all structural conditions hold) admitting a non-additive
@@ -609,7 +609,7 @@ def hunt_counterexamples(rings, n: int = 2, budget: int = DEFAULT_BUDGET,
     _derivation_quotient), and such counts are always exact.  A subject
     whose free factor is 1, or whose quotient runs over the budget, keeps
     the plain search and checks every map it found, so an incomplete entry
-    is that of the plain enumeration.  Witnesses are the first witness_cap
+    is that of the plain enumeration.  Witnesses are the first WITNESS_CAP
     non-additive maps, pairs in (phi, psi) order, then derivations in table
     order.
     """
@@ -640,9 +640,9 @@ def hunt_counterexamples(rings, n: int = 2, budget: int = DEFAULT_BUDGET,
             raise InternalInconsistencyError(
                 f"ring {name!r} satisfies all conditions yet carries "
                 f"{nonadd} non-additive multiplicative maps")
-        witnesses = [("iso", p) for p in isos.first_nonadditive(witness_cap)]
+        witnesses = [("iso", p) for p in isos.first_nonadditive(WITNESS_CAP)]
         witnesses += [("derivation", d)
-                      for d in derivs.first_nonadditive(witness_cap - len(witnesses))]
+                      for d in derivs.first_nonadditive(WITNESS_CAP - len(witnesses))]
 
         entries.append(RingSurvey(
             name, conditions, qualifying, len(frames),

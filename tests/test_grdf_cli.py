@@ -9,6 +9,7 @@ from gammaring.cli import main
 from gammaring.errors import GRDFError, InternalInconsistencyError
 
 from conftest import gidx, midx
+from test_cli_pinned import write_documents
 
 
 @pytest.fixture(scope="module")
@@ -245,3 +246,17 @@ def test_cli_bad_canonical_frame_is_usage_error(tmp_path, matrix222, capsys):
     assert captured.out == ""
     with pytest.raises(GRDFError):
         parse_grdf(path.read_text()).build_frames()
+
+
+def test_cli_theorem_keeps_other_subjects_when_one_is_partial(tmp_path, monkeypatch, capsys):
+    # at budget 10^4 the hypothesis scan of the passing subjects is sampled,
+    # while the failing ones are refused by their exact verification
+    write_documents(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["theorem", "--input", "m222-bad.json", "--budget", "10000",
+                 "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["pipelines"] == []
+    assert [f["subject"] for f in report["failures"]] == ["map[1]", "derivation[1]"]
+    assert [p["subject"] for p in report["partial"]] == ["map[0]", "derivation[0]"]
+    assert all("partial" in p["error"] for p in report["partial"])
