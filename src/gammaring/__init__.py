@@ -3,7 +3,8 @@
 Construction and exhaustive verification of finite gamma rings, Peirce
 decompositions relative to nontrivial idempotents, and the additivity
 machinery for n-multiplicative isomorphisms and derivations: verification,
-complete backtracking search, defect maps, and theorem-replay pipelines.
+complete pair search, an exact kernel solve for derivations, defect maps, and
+theorem-replay pipelines.
 """
 
 from .errors import (BudgetExceededError, FrameValidationError, GammaRingError,

@@ -2,22 +2,25 @@
 
 Verification is exhaustive whenever the tuple count fits the evaluation
 budget, and a seeded pseudorandom sample flagged "partial" otherwise; the
-theorem pipelines refuse partial verdicts.  The searches are backtracking
-enumerations over image tables with vectorized constraint propagation: every
+theorem pipelines refuse partial verdicts.  The pair search is a backtracking
+enumeration over image tables with vectorized constraint propagation: every
 fully-assigned product instance immediately forces (or refutes) the image of
 its output, so the leaves of the search tree are exactly the satisfying
-assignments.
+assignments.  Derivations need no search: under the Barnes axioms they are
+the kernel of one linear map on M^M, solved exactly over Z/N with a Howell
+basis and listed by a walk of that basis in sorted table order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm, prod
 from typing import Optional
 
 import numpy as np
 
 from .errors import InternalInconsistencyError
-from .rings import GammaRing, _chunks, _first, _scan_equal, _witness
+from .rings import _CHUNK_ELEMS, GammaRing, _first, _scan_equal, _witness
 
 DEFAULT_BUDGET = 10**8
 _SAMPLE_CAP = 1 << 20
@@ -134,6 +137,11 @@ def _grid_step(mu, t, j, x):
     return mu[t][..., :, x]
 
 
+def _tuple_step(gs):
+    """Aligned step: the j-th step of tuple i uses gamma gs[j][i]."""
+    return lambda mu, t, j, x: mu[t, gs[j], x]
+
+
 def _chain(mu, factors, step):
     """Products factor[0] g1 factor[1] ... g_{n-1} factor[n-1], folded left to right."""
     t = factors[0]
@@ -177,11 +185,8 @@ def _verify_chains(m: int, g: int, n: int, budget: int, seed: int, lhs, rhs) -> 
     samples = int(min(budget, _SAMPLE_CAP))
     xs = rng.integers(0, m, size=(n, samples))
     gs = rng.integers(0, g, size=(n - 1, samples))
-
-    def aligned(mu, t, j, x):
-        return mu[t, gs[j], x]
-
-    bad = _first(lhs(list(xs), aligned) != rhs(list(xs), aligned))
+    step = _tuple_step(gs)
+    bad = _first(lhs(list(xs), step) != rhs(list(xs), step))
     if bad is None:
         return VerifyReport(True, False, samples)
     j = bad[0]
@@ -237,19 +242,31 @@ def verify_n_derivation(deriv: DerivationTable, n: int,
         lambda xs, step: _leibniz(ring.mu, ring.m_group.add_table, d, xs, step))
 
 
-class _Search:
-    """Depth-first search over image tables, shared by both engines.
+class _PairSearch:
+    """DFS over (phi, psi) image assignments with product-instance propagation.
 
-    Subclasses provide _branch (record a leaf and return None, return None at
-    a dead end, else (kind, index, candidate values)), _assign, _undo and
-    _propagate.  The DFS keeps an explicit stack of open branch points, each
-    with its value iterator and the trail length to retract to before its next
-    value, so it visits nodes in the order of the plain recursion while the
-    depth, one level per assignment, never meets the interpreter's recursion
-    limit.
+    Prefix realizations: every length-(n-1) product whose factors are all
+    assigned yields a pair (source value, target value); appending one more
+    assigned (gamma, x) step determines phi of the full product.  Propagating
+    these forced values to a fixed point after each branch point both prunes
+    and, at a full assignment, constitutes a complete verification.
+
+    Branch variables: minimum-remaining-values over both kinds, with every
+    candidate forward-checked against the already-fired instances, so only
+    locally consistent values are ever tried; ties keep phi images in
+    element-index order with psi interleaved once instances discriminate.
+
+    phi(0) = 0 holds in every solution, so run() fixes it: phi(0) =
+    phi(0 g ... g x) with phi(x) = 0 collapses to a product with a zero factor
+    in the target.
+
+    The DFS keeps an explicit stack of open branch points, each with its value
+    iterator and the trail length to retract to before its next value, so it
+    visits nodes in the order of the plain recursion while the depth, one
+    level per assignment, never meets the interpreter's recursion limit.
     """
 
-    def __init__(self, budget, report_limit):
+    def __init__(self, source, target, n, budget, report_limit):
         self.budget = budget
         self.report_limit = report_limit
         self.trail = []
@@ -257,12 +274,15 @@ class _Search:
         self.solutions = []
         self.complete = True
         self.stopped = False
-
-    def _record(self, solution):
-        self.solutions.append(solution)
-        if self.report_limit is not None and len(self.solutions) >= self.report_limit:
-            self.stopped = True
-            self.complete = False
+        self.mu_s = source.mu
+        self.mu_t = target.mu
+        self.n = n
+        self.m, self.g = source.m_order, source.gamma_order
+        self.mt, self.gt = target.m_order, target.gamma_order
+        self.phi = np.full(self.m, -1, dtype=np.int64)
+        self.psi = np.full(self.g, -1, dtype=np.int64)
+        self.phi_used = np.zeros(self.mt, dtype=bool)
+        self.psi_used = np.zeros(self.gt, dtype=bool)
 
     def _open(self, stack):
         branch = self._branch()
@@ -290,47 +310,23 @@ class _Search:
                 self._open(stack)
 
     def run(self, fixed=()):
-        """Search with zero's image fixed to zero and each (kind, index, value)
-        of `fixed` assigned up front; the trail is retracted on return."""
+        """Search with phi(0) = 0 and each (kind, index, value) of `fixed`
+        assigned up front; the trail is retracted on return.
+
+        The fixed values must be injective: an element or gamma given twice,
+        or two of them given one image, raises ValueError.
+        """
         self._assign(0, 0, 0)
         for kind, idx, v in fixed:
+            table, used = (self.phi, self.phi_used) if kind == 0 else (self.psi, self.psi_used)
+            if table[idx] >= 0 or used[v]:
+                self._undo(0)
+                raise ValueError(f"pre-assignment {(kind, idx, v)} repeats an index or image")
             self._assign(kind, idx, v)
         if self._propagate():
             self._dfs()
         self._undo(0)
         return self
-
-
-class _PairSearch(_Search):
-    """DFS over (phi, psi) image assignments with product-instance propagation.
-
-    Prefix realizations: every length-(n-1) product whose factors are all
-    assigned yields a pair (source value, target value); appending one more
-    assigned (gamma, x) step determines phi of the full product.  Propagating
-    these forced values to a fixed point after each branch point both prunes
-    and, at a full assignment, constitutes a complete verification.
-
-    Branch variables: minimum-remaining-values over both kinds, with every
-    candidate forward-checked against the already-fired instances, so only
-    locally consistent values are ever tried; ties keep phi images in
-    element-index order with psi interleaved once instances discriminate.
-
-    phi(0) = 0 holds in every solution, so run() fixes it: phi(0) =
-    phi(0 g ... g x) with phi(x) = 0 collapses to a product with a zero factor
-    in the target.
-    """
-
-    def __init__(self, source, target, n, budget, report_limit):
-        super().__init__(budget, report_limit)
-        self.mu_s = source.mu
-        self.mu_t = target.mu
-        self.n = n
-        self.m, self.g = source.m_order, source.gamma_order
-        self.mt, self.gt = target.m_order, target.gamma_order
-        self.phi = np.full(self.m, -1, dtype=np.int64)
-        self.psi = np.full(self.g, -1, dtype=np.int64)
-        self.phi_used = np.zeros(self.mt, dtype=bool)
-        self.psi_used = np.zeros(self.gt, dtype=bool)
 
     def _undo(self, mark):
         while len(self.trail) > mark:
@@ -427,7 +423,10 @@ class _PairSearch(_Search):
         un_m = np.flatnonzero(self.phi < 0)
         un_g = np.flatnonzero(self.psi < 0)
         if un_m.size == 0 and un_g.size == 0:
-            self._record((self.phi.copy(), self.psi.copy()))
+            self.solutions.append((self.phi.copy(), self.psi.copy()))
+            if self.report_limit is not None and len(self.solutions) >= self.report_limit:
+                self.stopped = True
+                self.complete = False
             return None
 
         if un_g.size and ag.size == 0 and pw.size == 0 and am.size >= 2:
@@ -489,80 +488,182 @@ def search_n_multiplicative_isos(source: GammaRing, target: GammaRing,
     return SearchResult(pairs, eng.complete, eng.nodes)
 
 
-class _DerivSearch(_Search):
-    """DFS over derivation value tables with Leibniz-instance propagation.
+class _Work:
+    """The derivation budget gate: a unit per equation tuple evaluated,
+    generator verified or map listed.  Running out leaves spent at budget + 1."""
 
-    The all-zero instance of the identity forces d(0) = 0 in every ring, so
-    run() fixes it.
+    def __init__(self, budget: int):
+        self.budget, self.spent = budget, 0
+
+    def take(self, units: int) -> bool:
+        self.spent = min(self.spent + units, self.budget + 1)
+        return self.spent <= self.budget
+
+
+def _howell(a, N: int) -> tuple:
+    """(rows, pivots): a Howell basis of the row span of `a` over Z/N (Howell 1986).
+
+    Each pivot row's (N / gcd(v, N)) multiple, zero at its pivot entry v,
+    joins the rows still to reduce.  So a span vector that is zero before
+    column c is a combination of the rows pivoting at c or later, and the
+    span vectors are the sums of lambda_i row_i, 0 <= lambda_i < N / gcd(v_i, N).
+    """
+    a = np.asarray(a, dtype=np.int64) % N
+    width, rows, pivots = a.shape[1], [], []
+    while len(a := a[a.any(axis=1)]):
+        c = int(np.argmax(a.any(axis=0)))         # every row is zero before c
+        col = a[:, c]
+        piv = a[np.argmin(np.gcd(col, N))]
+        while (off := np.flatnonzero(col % gcd(int(piv[c]), N))).size:
+            x, e = int(piv[c]), int(col[off[0]])    # some x + t e has gcd(x, e, N)
+            t = next(t for t in range(N) if gcd(x + t * e, N) == gcd(x, e, N))
+            piv = (piv + t * a[off[0]]) % N
+        g = gcd(int(piv[c]), N)
+        q = col // g * pow(int(piv[c]) // g, -1, N // g)
+        a = np.vstack([(a - q[:, None] * piv) % N, N // g * piv % N])
+        rows.append(piv)
+        pivots.append(c)
+    return np.array(rows, dtype=np.int64).reshape(-1, width), pivots
+
+
+class _Span:
+    """A subgroup of the maps M -> M, held as a Howell basis over Z/N.
+
+    N is the exponent of M.  A map d is the vector u in (Z/N)^(m r) with
+    u[y r + j] = (N / d_j) c_j, c_j the j-th residue of d(y); so the maps are
+    the vectors whose (y, j) entries d_j annihilates, and the lex order of
+    vectors is the lex order of tables.  rows None gives every map, whose
+    Howell basis is the (N / d_j) unit vectors.
     """
 
-    def __init__(self, ring, n, budget, report_limit):
-        super().__init__(budget, report_limit)
-        self.ring = ring
-        self.mu = ring.mu
-        self.addm = ring.m_group.add_table
-        self.n = n
-        self.m, self.g = ring.m_order, ring.gamma_order
-        self.d = np.full(self.m, -1, dtype=np.int64)
+    def __init__(self, group, rows, pivots):
+        self.group, self.N = group, lcm(*group.factors)
+        self.scale = self.N // np.asarray(group.factors, dtype=np.int64)
+        if rows is None:
+            rows = np.diag(np.tile(self.scale, group.order))
+            pivots = list(range(len(rows)))
+        self.rows, self.pivots = rows, pivots
 
-    def _instance_keys(self, a):
-        """Distinct forced pairs over assigned slots, as product index * m + Leibniz sum.
+    @property
+    def count(self) -> int:
+        return prod(self.N // gcd(int(row[c]), self.N) for row, c in zip(self.rows, self.pivots))
 
-        Each chunk is reduced to its distinct keys before the next is built,
-        so a step holds one chunk's instances at a time and never a joined
-        copy of all of them.
+    def tables(self, vecs) -> np.ndarray:
+        """Index tables of the (k, m r) vectors."""
+        res = vecs.reshape(len(vecs), self.group.order, len(self.scale)) // self.scale
+        return res @ self.group._place_values
+
+    def cut(self, defect) -> "_Span":
+        """The subgroup where the linear map d -> defect(d) vanishes, or self
+        when it vanishes everywhere; defect(d) gives an element per tuple.
+
+        Basis row i becomes [w_i | row_i], w_i its defects over the distinct
+        tuples.  These rows span the pairs (sum lambda_i w_i, sum lambda_i
+        row_i), so by the Howell property the rows of their Howell form that
+        pivot past w are a Howell basis of the maps with zero defect.
         """
-        keys = []
-        for lo, hi in _chunks(a.size, (a.size * self.g) ** (self.n - 1)):
-            factors = [a[lo:hi]] + [a] * (self.n - 1)
-            out = _chain(self.mu, factors, _grid_step).ravel()
-            val = _leibniz(self.mu, self.addm, self.d, factors, _grid_step).ravel()
-            keys.append(np.unique(out.astype(np.int64) * self.m + val))
-        return np.unique(np.concatenate(keys))
+        values = np.array([defect(d).ravel() for d in self.tables(self.rows)])
+        if not values.any():
+            return self
+        keys = np.unique(values.T, axis=0)          # each tuple's defects, once
+        w = (self.group.residues[keys] * self.scale).transpose(1, 0, 2).reshape(len(self.rows), -1)
+        rows, pivots = _howell(np.hstack([w, self.rows]), self.N)
+        keep = [i for i, c in enumerate(pivots) if c >= w.shape[1]]
+        return _Span(self.group, rows[keep, w.shape[1]:], [pivots[i] - w.shape[1] for i in keep])
 
-    def _propagate(self) -> bool:
-        while True:
-            a = np.flatnonzero(self.d >= 0)
-            if a.size == 0:
-                return True
-            keys = self._instance_keys(a)
-            ow = keys // self.m
-            ov = keys % self.m
-            if np.unique(ow).size != ow.size:     # same product, two forced values
-                return False
-            cur = self.d[ow]
-            if ((cur >= 0) & (cur != ov)).any():
-                return False
-            new = cur < 0
-            if not new.any():
-                return True
-            for x, v in zip(ow[new].tolist(), ov[new].tolist()):
-                self.d[x] = v
-                self.trail.append(x)
+    def additive(self) -> "_Span":
+        """The maps of the span that are endomorphisms of M."""
+        add, sub = self.group.add_table, self.group.sub_index_array
+        return self.cut(lambda d: sub(d[add], add[d[:, None], d[None, :]]))
 
-    def _branch(self):
-        un = np.flatnonzero(self.d < 0)
-        if un.size == 0:
-            self._record(self.d.copy())
-            return None
-        return 0, int(un[0]), range(self.m)
+    def walk(self):
+        """Every map of the span as an index table, in lex table order.
 
-    def _assign(self, kind, idx, v):
-        self.d[idx] = v
-        self.trail.append(idx)
+        Depth first over the basis rows, one stack level each: the entries
+        before a row's pivot are fixed by the rows above it, so its multiples
+        taken in the order of their pivot entries order the tables.
+        """
+        stack = [iter([np.zeros(self.rows.shape[1], dtype=np.int64)])]
+        while stack:
+            v = next(stack[-1], None)
+            if v is None:
+                stack.pop()
+            elif len(stack) > len(self.rows):
+                yield self.tables(v[None])[0]
+            else:
+                row, c = self.rows[len(stack) - 1], self.pivots[len(stack) - 1]
+                vals = (v + np.arange(self.N // gcd(int(row[c]), self.N))[:, None] * row) % self.N
+                stack.append(iter(vals[np.argsort(vals[:, c])]))
 
-    def _undo(self, mark):
-        while len(self.trail) > mark:
-            self.d[self.trail.pop()] = -1
+
+def _derivations(ring: GammaRing, n: int, work: _Work) -> Optional[_Span]:
+    """The n-derivations of `ring` as a span, or None when the budget runs out.
+
+    Under the Barnes axioms every Leibniz term is additive in d, so the
+    n-derivations are the kernel of a linear map on M^M, one equation per
+    tuple.  Tuples are cut in chunks, each as large as all before it, until
+    one changes nothing.  The span then contains every derivation, and they
+    form a group, so it is exact once each basis map passes an exact
+    verify_n_derivation.  A failing one adds its witness tuple and the chunks
+    resume; once every tuple is in, a failure is an internal inconsistency.
+
+    Chunk k visits tuples k * stride mod count, the stride coprime to count
+    and near count / golden ratio, so early chunks spread over every first
+    factor: in lex order matrix(2,2,2) at n = 3 stops early on tuples that
+    start with 0 and takes 30 times longer.
+    """
+    m, g, addm = ring.m_order, ring.gamma_order, ring.m_group.add_table
+    count = m**n * g**(n - 1)
+    stride = max(1, int(min(count, 2**31) * 0.6180339887498949))
+    while gcd(stride, count) != 1:
+        stride += 1
+
+    def defect(t):
+        xs, step = t[0::2], _tuple_step(t[1::2])
+        out = _chain(ring.mu, xs, step)
+        return lambda d: ring.m_group.sub_index_array(d[out], _leibniz(ring.mu, addm, d, xs, step))
+
+    span, done, settled = _Span(ring.m_group, None, None), 0, False
+    while True:
+        while not settled and done < count:
+            size = min(done + 1, count - done, max(1, _CHUNK_ELEMS // max(1, len(span.rows))))
+            if not work.take(size):
+                return None
+            pos = (done * stride % count + stride * np.arange(size, dtype=np.int64)) % count
+            cut = span.cut(defect(np.unravel_index(pos, (m,) + (g, m) * (n - 1))))
+            settled, span, done = cut is span, cut, done + size
+        failed = []
+        for d in span.tables(span.rows):
+            if not work.take(1):
+                return None
+            rep = verify_n_derivation(DerivationTable(ring, d), n, count)
+            if not rep.passed:
+                failed.append([rep.witness[k] for k in _witness_names(n)])
+        if not failed:
+            return span
+        if done == count:
+            raise InternalInconsistencyError(
+                "a map in the kernel of every Leibniz equation fails verification")
+        span, settled = span.cut(defect(np.array(failed).T)), False
 
 
 def search_n_derivations(ring: GammaRing, config: SearchConfig) -> SearchResult:
-    """Complete enumeration (within node budget) of maps satisfying the n-derivation identity."""
+    """Every map satisfying the n-derivation identity, in sorted table order.
+
+    The maps are a walk of the exact kernel from _derivations.  The budget
+    gates the equation tuples evaluated, the generators verified and the maps
+    listed, and nodes reports that count.
+    """
     ring.require_barnes()
-    eng = _DerivSearch(ring, config.n, config.budget, config.report_limit).run()
-    sols = sorted(tuple(d.tolist()) for d in eng.solutions)
-    tables = [DerivationTable(ring, np.asarray(d)) for d in sols]
-    return SearchResult(tables, eng.complete, eng.nodes)
+    work = _Work(config.budget)
+    span = _derivations(ring, config.n, work)
+    found = []
+    if span is not None:
+        for d in span.walk():
+            if len(found) == config.report_limit or not work.take(1):
+                break
+            found.append(DerivationTable(ring, d))
+    return SearchResult(found, span is not None and len(found) == span.count, work.spent)
 
 
 def _inverse_table(t: np.ndarray) -> np.ndarray:

@@ -22,8 +22,8 @@ from .errors import BudgetExceededError, InternalInconsistencyError, Preconditio
 from .groups import homomorphism_count, homomorphisms, is_group_homomorphism
 from .multmaps import (DEFAULT_BUDGET, _SAMPLE_CAP, DefectMap, DerivationTable, MapPair,
                        SearchConfig, SearchResult, VerifyReport, _chain, _defect,
-                       _DerivSearch, _grid_step, _PairSearch,
-                       search_n_derivations, search_n_multiplicative_isos,
+                       _derivations, _grid_step, _PairSearch, _Work,
+                       search_n_multiplicative_isos,
                        verify_additive, verify_n_derivation, verify_n_multiplicative)
 from .peirce import (IdempotentFrame, MartindaleReport, PeirceComponents,
                      canonical_frames, check_martindale_family, peirce_decompose)
@@ -443,13 +443,13 @@ def _free_part(ring: GammaRing, n: int) -> tuple:
     return np.flatnonzero(ann), np.flatnonzero(free), np.flatnonzero(gam)
 
 
-def _lex_walk(core: np.ndarray, pooled: np.ndarray, pool: list, distinct: bool):
+def _lex_walk(core: np.ndarray, pooled: np.ndarray, pool: list):
     """Yield (table, rows) for every table extending a row of `core`, in lex order.
 
     Positions where `pooled` is False follow the core rows; pooled positions
-    take values from `pool`, each at most once when `distinct`.  rows are the
-    indices of the core rows the table extends.  The walk keeps an explicit
-    stack, one level per position.
+    take distinct values from `pool`.  rows are the indices of the core rows
+    the table extends.  The walk keeps an explicit stack, one level per
+    position.
     """
     length = core.shape[1]
     table = np.zeros(length, dtype=np.int64)
@@ -458,7 +458,7 @@ def _lex_walk(core: np.ndarray, pooled: np.ndarray, pool: list, distinct: bool):
 
     def options(i, rows):
         if pooled[i]:
-            return iter([(v, rows) for v in pool if not (distinct and v in used)])
+            return iter([(v, rows) for v in pool if v not in used])
         col = core[rows, i]
         return iter([(int(v), rows[col == v]) for v in np.unique(col)])
 
@@ -473,7 +473,7 @@ def _lex_walk(core: np.ndarray, pooled: np.ndarray, pool: list, distinct: bool):
             stack.pop()
             continue
         table[i] = v
-        if pooled[i] and distinct:
+        if pooled[i]:
             used.add(v)
             held[i] = True
         if i + 1 == length:
@@ -552,47 +552,30 @@ def _pair_quotient(ring: GammaRing, config: SearchConfig, free: np.ndarray,
     in_a = np.isin(np.arange(g), gammas)
 
     def nonadditive():
-        for phi, rows in _lex_walk(core[:, :m], in_f, free.tolist(), True):
+        for phi, rows in _lex_walk(core[:, :m], in_f, free.tolist()):
             if not is_group_homomorphism(phi, group, group):
-                for psi, _ in _lex_walk(core[rows, m:], in_a, gammas.tolist(), True):
+                for psi, _ in _lex_walk(core[rows, m:], in_a, gammas.tolist()):
                     yield MapPair(ring, ring, phi, psi)
 
     return _Count(len(core) * per_phi * per_psi, additive, True, nonadditive())
 
 
-def _derivation_quotient(ring: GammaRing, config: SearchConfig, annihilator: np.ndarray,
-                         free: np.ndarray) -> Optional[_Count]:
-    """Derivations as core x A_M^F, or None when that is not exact.
+def _derivation_count(ring: GammaRing, config: SearchConfig) -> _Count:
+    """Derivations counted from two kernels: all of them, and the additive ones.
 
-    d(f) for f in F occurs only in Leibniz terms with every other factor
-    free, which all vanish exactly when d(f) is in A_M; the core search fixes
-    d(f) = 0.  The additive count verifies each endomorphism of M exactly.
-    The budget gates the core search's nodes plus the endomorphisms visited;
-    None when it runs out or the free factor is 1.
+    Witnesses walk the first kernel in lex order and skip the additive maps.
+    The budget gates the derivation solve (see multmaps._derivations) plus
+    one unit per basis map checked for additivity, as for each one verified;
+    when it runs out nothing is counted.
     """
-    group, m, n = ring.m_group, ring.m_order, config.n
-    per = annihilator.size ** free.size
-    ends = homomorphism_count(group, group)
-    if per == 1 or ends > config.budget:
-        return None
-    eng = _DerivSearch(ring, n, config.budget - ends, None).run(
-        [(0, int(x), 0) for x in free])
-    if not eng.complete:
-        return None
-    spent, additive = eng.nodes, 0
-    full = m**n * ring.gamma_order**(n - 1)         # an exact verdict's evaluation count
-    for h in homomorphisms(group, group):
-        spent += 1
-        if spent > config.budget:
-            return None
-        additive += verify_n_derivation(DerivationTable(ring, h), n, full).passed
-
-    core = _rows(eng.solutions, m)
-    in_f = np.isin(np.arange(m), free)
-    nonadditive = (DerivationTable(ring, d)
-                   for d, _ in _lex_walk(core, in_f, annihilator.tolist(), False)
+    work = _Work(config.budget)
+    span = _derivations(ring, config.n, work)
+    if span is None or not work.take(len(span.rows)):
+        return _Count(0, 0, False, iter(()))
+    group = ring.m_group
+    nonadditive = (DerivationTable(ring, d) for d in span.walk()
                    if not is_group_homomorphism(d, group, group))
-    return _Count(len(core) * per, additive, True, nonadditive)
+    return _Count(span.count, span.additive().count, True, nonadditive)
 
 
 def hunt_counterexamples(rings, n: int = 2, budget: int = DEFAULT_BUDGET) -> SurveyReport:
@@ -603,15 +586,15 @@ def hunt_counterexamples(rings, n: int = 2, budget: int = DEFAULT_BUDGET) -> Sur
     raises an internal inconsistency.  On non-qualifying rings, non-additive
     finds are recorded as evidence the failed hypothesis cannot be dropped.
 
-    Counts are core x free factor: elements that no length-n chain can see
-    (F) and gammas that kill every chain (A_Gamma) multiply the solutions, so
-    the searches run with them fixed (see _pair_quotient and
-    _derivation_quotient), and such counts are always exact.  A subject
-    whose free factor is 1, or whose quotient runs over the budget, keeps
-    the plain search and checks every map it found, so an incomplete entry
-    is that of the plain enumeration.  Witnesses are the first WITNESS_CAP
-    non-additive maps, pairs in (phi, psi) order, then derivations in table
-    order.
+    Pair counts are core x free factor: elements that no length-n chain can
+    see (F) and gammas that kill every chain (A_Gamma) multiply the
+    solutions, so the search runs with them fixed (see _pair_quotient), and
+    such counts are always exact.  A ring whose free factor is 1, or whose
+    quotient runs over the budget, keeps the plain pair search and checks
+    every pair it found, so an incomplete entry is that of the plain
+    enumeration.  Derivation counts are the sizes of two kernels (see
+    _derivation_count).  Witnesses are the first WITNESS_CAP non-additive
+    maps, pairs in (phi, psi) order, then derivations in table order.
     """
     entries = []
     complete = True
@@ -628,11 +611,10 @@ def hunt_counterexamples(rings, n: int = 2, budget: int = DEFAULT_BUDGET) -> Sur
 
         config = SearchConfig(n=n, budget=budget)
         ring.require_barnes()
-        annihilator, free, gammas = _free_part(ring, n)
+        _, free, gammas = _free_part(ring, n)
         isos = (_pair_quotient(ring, config, free, gammas)
                 or _listed(search_n_multiplicative_isos(ring, ring, config)))
-        derivs = (_derivation_quotient(ring, config, annihilator, free)
-                  or _listed(search_n_derivations(ring, config)))
+        derivs = _derivation_count(ring, config)
         complete = complete and isos.complete and derivs.complete
 
         nonadd = (isos.found - isos.additive) + (derivs.found - derivs.additive)

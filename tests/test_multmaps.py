@@ -7,11 +7,12 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from gammaring import (DerivationTable, MapPair, SearchConfig, compose_pairs,
-                       defect_of_derivation, defect_of_iso, document_dict, emit_grdf,
-                       inverse_pair, make_group,
+from gammaring import (DerivationTable, MapPair, SearchConfig, build_matrix_ring,
+                       build_table_ring, compose_pairs, defect_of_derivation, defect_of_iso,
+                       document_dict, emit_grdf, inverse_pair, make_group,
                        search_n_derivations, search_n_multiplicative_isos, trivial_ring,
                        verify_additive, verify_n_derivation, verify_n_multiplicative)
+from gammaring.multmaps import _PairSearch
 
 from conftest import gidx, midx
 
@@ -225,6 +226,46 @@ def test_derivation_search_on_trivial_rings():
     assert res4.complete
     assert [d.key() for d in res4.found] == brute_force_derivations(z4, 2)
     assert len(res4.found) == 64
+
+
+def _product_ring(group, gamma, scale):
+    """M = Z_group, Gamma = Z_gamma, x.g.y = scale x g y mod group."""
+    mu = np.fromfunction(lambda x, g, y: scale * x * g * y % group, (group, gamma, group),
+                         dtype=np.int64)
+    return build_table_ring(make_group([group]), make_group([gamma]), mu)
+
+
+BRUTE_RINGS = {
+    "matrix(2,1,1)": lambda: build_matrix_ring(2, 1, 1),
+    "matrix(2,1,2)": lambda: build_matrix_ring(2, 1, 2),
+    "Z3-scalar": lambda: _product_ring(3, 3, 1),
+    "Z4-scalar": lambda: _product_ring(4, 4, 1),
+    # composite exponent 6, with products 3 x g y in the subgroup {0, 3}:
+    # 81 derivations at n = 2 and 162 at n = 3
+    "Z6-times-3": lambda: _product_ring(6, 2, 3),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", sorted(BRUTE_RINGS))
+def test_derivation_search_matches_brute_force(name, n):
+    ring = BRUTE_RINGS[name]()
+    res = search_n_derivations(ring, SearchConfig(n=n))
+    assert res.complete
+    assert [d.key() for d in res.found] == brute_force_derivations(ring, n)
+
+
+def test_pair_search_refuses_a_non_injective_pre_assignment(matrix212):
+    eng = _PairSearch(matrix212, matrix212, 2, 10**6, None)
+    for fixed in ([(0, 1, 2), (0, 2, 2)],           # two elements, one image
+                  [(1, 1, 3), (1, 2, 3)],           # two gammas, one image
+                  [(0, 3, 0)],                      # the image of 0 again
+                  [(0, 1, 1), (0, 1, 2)]):          # one element, two images
+        with pytest.raises(ValueError):
+            eng.run(fixed)
+    # each refusal retracted its assignments: a plain run finds every pair
+    want = search_n_multiplicative_isos(matrix212, matrix212, SearchConfig(n=2)).found
+    assert len(eng.run().solutions) == len(want)
 
 
 def test_derivation_search_matrix_ring(matrix222):

@@ -410,7 +410,14 @@ def test_free_part_of_product_ring():
 def test_hunt_over_budget_is_the_plain_enumeration(ring, budget):
     entry = _hunt_entry(ring, 2, budget)
     assert not (entry[2] and entry[5])
-    assert entry == _enumerated_entry(ring, 2, budget)
+    want = _enumerated_entry(ring, 2, budget)
+    if entry[5] and not want[5]:
+        # derivations are counted from two kernels, not listed, so a budget
+        # too small to list them all can still count them: the counts are
+        # the unbudgeted hunt's, and the rest is the plain enumeration
+        assert entry[3:5] == _hunt_entry(ring, 2)[3:5]
+        entry, want = entry[:3] + entry[6:], want[:3] + want[6:]
+    assert entry == want
 
 
 def test_hunt_quotient_budget_counts_its_work():
