@@ -32,8 +32,10 @@ for entry in survey.entries:
 
 print("\n=== sweep: matrix rings with at most 4 cells ===")
 survey = hunt_counterexamples(matrix_ring_family(2, 4), n=2, budget=40_000)
+print(f"survey complete = {survey.complete} (pairs are counted from a stabilizer chain)")
 for entry in survey.entries:
     nonadd = (entry.iso_found - entry.iso_additive) + (entry.deriv_found - entry.deriv_additive)
-    print(f"  {entry.name:16s} qualifying={entry.qualifying}  non-additive finds: {nonadd}")
+    print(f"  {entry.name:16s} qualifying={entry.qualifying}  "
+          f"isos {entry.iso_additive}/{entry.iso_found} additive  non-additive finds: {nonadd}")
 print("only the full 2x2 ring qualifies, and it shows zero violations;")
 print("the degenerate shapes (row/column rings) fail the conditions instead.")

@@ -6,15 +6,19 @@ theorem pipelines refuse partial verdicts.  The pair search is a backtracking
 enumeration over image tables with vectorized constraint propagation: every
 fully-assigned product instance immediately forces (or refutes) the image of
 its output, so the leaves of the search tree are exactly the satisfying
-assignments.  Derivations need no search: under the Barnes axioms they are
-the kernel of one linear map on M^M, solved exactly over Z/N with a Howell
-basis and listed by a walk of that basis in sorted table order.
+assignments.  The pairs of a ring onto itself form a group, which
+_pair_group holds as a stabilizer chain: that search, stopped at its first
+solution, finds a generator or refutes an orbit point, so the group is
+counted, tested and walked in sorted order without being listed.
+Derivations need no search: under the Barnes axioms they are the kernel of
+one linear map on M^M, solved exactly over Z/N with a Howell basis and
+listed by a walk of that basis in sorted table order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import factorial, gcd, lcm, prod
 from typing import Optional
 
 import numpy as np
@@ -488,9 +492,175 @@ def search_n_multiplicative_isos(source: GammaRing, target: GammaRing,
     return SearchResult(pairs, eng.complete, eng.nodes)
 
 
+def _compose(a: tuple, b: tuple) -> tuple:
+    """The pair a after b, both (phi, psi) tables."""
+    return a[0][b[0]], a[1][b[1]]
+
+
+def _orbit(kind: int, point: int, generators: list, identity: tuple) -> dict:
+    """The orbit of a phi (kind 0) or psi (kind 1) point under the generated
+    group, each orbit point c with a product of generators sending point to c."""
+    trans = {point: identity}
+    queue = [point]
+    for p in queue:
+        for s in generators:
+            c = int(s[kind][p])
+            if c not in trans:
+                trans[c] = _compose(s, trans[p])
+                queue.append(c)
+    return trans
+
+
+class _PairGroup:
+    """Mult_n(R), the n-multiplicative pairs of a ring onto itself, as a
+    stabilizer chain (Sims 1970; Seress 2003, ch. 4).
+
+    The pairs are closed under composition and inverse, so they form a group
+    G.  phi maps the product values and, its inverse pair being
+    multiplicative too, the annihilating elements onto themselves, so it
+    maps F onto F; likewise psi maps A_Gamma onto A_Gamma.  Every instance
+    with a factor in F or a gamma in A_Gamma reads 0 = 0, so G is the core,
+    the pairs fixing F and A_Gamma pointwise, times Sym(F) x Sym(A_Gamma).
+    The core's base is its other nonzero elements in index order, then its
+    other gammas.  levels[i] = (kind, point, orbit): the orbit of base point i
+    under the core pairs that fix the points before it, each orbit point c
+    with such a pair sending point to c.  So |core| is the product of the
+    orbit lengths, and the phi levels come first, which leaves the pairs
+    (id, psi) as the stabilizer of every phi point.
+    """
+
+    def __init__(self, ring: GammaRing, free: np.ndarray, gammas: np.ndarray,
+                 levels: list, generators: list):
+        self.ring, self.free, self.gammas = ring, free, gammas
+        self.levels, self.generators = levels, generators
+        sizes = [[len(orbit) for k, _, orbit in levels if k == kind] for kind in (0, 1)]
+        self.phi_order = prod(sizes[0]) * factorial(free.size)         # |pi_phi(G)|
+        self.kernel_order = prod(sizes[1]) * factorial(gammas.size)    # |{psi: (id, psi) in G}|
+        self.order = self.phi_order * self.kernel_order
+
+    def has_phi(self, h) -> bool:
+        """Whether some pair of the group has phi = h: h must map F onto F,
+        and h, reset to the identity on F, must sift through the phi levels."""
+        h = np.asarray(h, dtype=np.int64)
+        if not np.array_equal(np.sort(h[self.free]), self.free):
+            return False
+        h = h.copy()
+        h[self.free] = self.free
+        for kind, point, orbit in self.levels:
+            u = orbit.get(int(h[point])) if kind == 0 else None
+            if u is None:
+                break
+            h = _inverse_table(u[0])[h]
+        return bool((h == np.arange(h.size)).all())
+
+    def walk(self, skip):
+        """Every pair of the group as (phi, psi) tables, in (phi, psi) order,
+        leaving out the pairs whose phi satisfies skip(phi).
+
+        Positions are visited in table order, phi then psi, on an explicit
+        stack, one level per position.  A base point takes the images of its
+        orbit under the pair chosen so far, in increasing order, and extends
+        that pair by the orbit's pair; F and A_Gamma positions take the
+        unused values of their pool in increasing order; phi(0) is 0.
+        """
+        m, g = self.ring.m_order, self.ring.gamma_order
+        at = {(kind, point): orbit for kind, point, orbit in self.levels}
+        pools = (set(self.free.tolist()), set(self.gammas.tolist()))
+        steps = [(0, x) for x in range(m)] + [(1, a) for a in range(g)]
+        tables = (np.zeros(m, dtype=np.int64), np.zeros(g, dtype=np.int64))
+
+        def options(j, prefix):
+            kind, x = steps[j]
+            if x in pools[kind]:
+                taken = {int(tables[k][y]) for k, y in steps[:j] if k == kind and y in pools[k]}
+                return iter([(v, prefix) for v in sorted(pools[kind] - taken)])
+            if (kind, x) not in at:
+                return iter([(0, prefix)])
+            return iter(sorted(((int(prefix[kind][c]), _compose(prefix, u))
+                                for c, u in at[(kind, x)].items()), key=lambda o: o[0]))
+
+        stack = [options(0, (np.arange(m), np.arange(g)))]
+        while stack:
+            j = len(stack) - 1
+            kind, x = steps[j]
+            v, prefix = next(stack[-1], (None, None))
+            if v is None:
+                stack.pop()
+                continue
+            tables[kind][x] = v
+            if j + 1 == m and skip(tables[0]):
+                continue
+            if j + 1 == len(steps):
+                yield tables[0].copy(), tables[1].copy()
+            else:
+                stack.append(options(j + 1, prefix))
+
+
+def _pair_group(ring: GammaRing, n: int, free: np.ndarray, gammas: np.ndarray,
+                work: "_Work") -> Optional[_PairGroup]:
+    """The stabilizer chain of Mult_n(ring), or None when the budget runs out.
+
+    Levels are built deepest first.  The generators found so far fix every
+    base point before the current one; the level closes its point's orbit
+    under them, then runs a leaf search, with F and the earlier base points
+    fixed, for each later base point of its kind outside that orbit.  A
+    solution is a new generator, and the orbit closes again.  So the orbit
+    is exact once every candidate is tried, and the generators found from a
+    level on generate the stabilizer of the points before it (Schreier).
+
+    The leaf search leaves psi free on A_Gamma and the solution is reset to
+    the identity there, which composes it with a pair of Sym(A_Gamma).  A
+    gamma of A_Gamma fires only 0 = 0 instances, and at n >= 3 the search
+    branches on a first gamma only while none is assigned, so fixing them
+    would let it permute elements blindly: on matrix(2,2,2) at n = 3 one
+    refutation took 89,299 nodes with psi(0) = 0 fixed, and the whole chain
+    takes 1,627 without.
+
+    Each generator must be a bijection pair that passes an exact
+    verify_n_multiplicative, or InternalInconsistencyError is raised.  The
+    budget gates the leaf search nodes.
+    """
+    m, g = ring.m_order, ring.gamma_order
+    identity = (np.arange(m), np.arange(g))
+    fixed = [(0, int(x), int(x)) for x in free]
+    base = ([(0, x) for x in range(1, m) if x not in set(free.tolist())]
+            + [(1, a) for a in range(g) if a not in set(gammas.tolist())])
+    generators, levels = [], []
+    for i in range(len(base) - 1, -1, -1):
+        kind, point = base[i]
+        above = [(k, p, p) for k, p in base[:i]]
+        orbit = _orbit(kind, point, generators, identity)
+        for k, c in base[i + 1:]:
+            if k != kind or c in orbit:
+                continue
+            eng = _PairSearch(ring, ring, n, work.budget - work.spent, 1).run(
+                fixed + above + [(kind, point, c)])
+            if not work.take(eng.nodes):
+                return None
+            if eng.solutions:
+                phi, psi = eng.solutions[0]
+                psi[gammas] = gammas
+                generators.append(_generator(ring, n, phi, psi))
+                orbit = _orbit(kind, point, generators, identity)
+        levels.append((kind, point, orbit))
+    return _PairGroup(ring, free, gammas, levels[::-1], generators)
+
+
+def _generator(ring: GammaRing, n: int, phi, psi) -> tuple:
+    """A leaf search solution as a strong generator, checked exactly."""
+    try:
+        pair = MapPair(ring, ring, phi, psi)
+    except ValueError as ex:
+        raise InternalInconsistencyError(f"a leaf search solution is no bijection pair: {ex}")
+    if not verify_n_multiplicative(pair, n, ring.m_order**n * ring.gamma_order**(n - 1)).exact_pass:
+        raise InternalInconsistencyError("a leaf search solution fails verification")
+    return phi.astype(np.int64), psi.astype(np.int64)
+
+
 class _Work:
-    """The derivation budget gate: a unit per equation tuple evaluated,
-    generator verified or map listed.  Running out leaves spent at budget + 1."""
+    """The budget gate of the derivation solve and the pair chain: a unit per
+    equation tuple evaluated, generator verified, map listed, leaf search
+    node or endomorphism visited.  Running out leaves spent at budget + 1."""
 
     def __init__(self, budget: int):
         self.budget, self.spent = budget, 0

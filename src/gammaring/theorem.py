@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from math import factorial
 from typing import Iterator, Optional
 
 import numpy as np
@@ -21,10 +20,9 @@ import numpy as np
 from .errors import BudgetExceededError, InternalInconsistencyError, PreconditionError
 from .groups import homomorphism_count, homomorphisms, is_group_homomorphism
 from .multmaps import (DEFAULT_BUDGET, _SAMPLE_CAP, DefectMap, DerivationTable, MapPair,
-                       SearchConfig, SearchResult, VerifyReport, _chain, _defect,
-                       _derivations, _grid_step, _PairSearch, _Work,
-                       search_n_multiplicative_isos,
-                       verify_additive, verify_n_derivation, verify_n_multiplicative)
+                       SearchConfig, VerifyReport, _chain, _defect, _derivations,
+                       _grid_step, _pair_group, _Work, verify_additive,
+                       verify_n_derivation, verify_n_multiplicative)
 from .peirce import (IdempotentFrame, MartindaleReport, PeirceComponents,
                      canonical_frames, check_martindale_family, peirce_decompose)
 from .rings import (GammaRing, _chunks, _first, _witness, build_matrix_ring, make_group,
@@ -416,11 +414,11 @@ class SurveyReport:
 
 
 def _free_part(ring: GammaRing, n: int) -> tuple:
-    """(A_M, F, A_Gamma) of length-n chains as sorted index arrays, exact for any n.
+    """(F, A_Gamma) of length-n chains as sorted index arrays, exact for any n.
 
-    A_M: the elements that make every chain 0 from any factor slot.  F: A_M
-    minus the values of length-n products.  A_Gamma: the gammas that make
-    every chain 0 from any gamma slot.
+    F: the elements that make every chain 0 from any factor slot, minus the
+    values of length-n products.  A_Gamma: the gammas that make every chain
+    0 from any gamma slot.
 
     pre[j] holds the values of length-j chains, and dead[j] marks the values
     that every continuation by j more (gamma, y) steps sends to 0.  A factor
@@ -432,60 +430,14 @@ def _free_part(ring: GammaRing, n: int) -> tuple:
     dead = [np.arange(ring.m_order) == 0]
     for _ in range(n - 1):
         dead.append(dead[-1][mu].all(axis=(1, 2)))
-    ann = dead[n - 1].copy()
+    free = dead[n - 1].copy()
     for i in range(2, n + 1):
-        ann &= dead[n - i][mu[pre[i - 1]]].all(axis=(0, 1))
+        free &= dead[n - i][mu[pre[i - 1]]].all(axis=(0, 1))
     gam = np.ones(ring.gamma_order, dtype=bool)
     for j in range(1, n):
         gam &= dead[n - 1 - j][mu[pre[j]]].all(axis=(0, 2))
-    free = ann.copy()
     free[pre[n]] = False
-    return np.flatnonzero(ann), np.flatnonzero(free), np.flatnonzero(gam)
-
-
-def _lex_walk(core: np.ndarray, pooled: np.ndarray, pool: list):
-    """Yield (table, rows) for every table extending a row of `core`, in lex order.
-
-    Positions where `pooled` is False follow the core rows; pooled positions
-    take distinct values from `pool`.  rows are the indices of the core rows
-    the table extends.  The walk keeps an explicit stack, one level per
-    position.
-    """
-    length = core.shape[1]
-    table = np.zeros(length, dtype=np.int64)
-    used = set()
-    held = [False] * length
-
-    def options(i, rows):
-        if pooled[i]:
-            return iter([(v, rows) for v in pool if v not in used])
-        col = core[rows, i]
-        return iter([(int(v), rows[col == v]) for v in np.unique(col)])
-
-    stack = [options(0, np.arange(core.shape[0]))]
-    while stack:
-        i = len(stack) - 1
-        if held[i]:
-            used.discard(int(table[i]))
-            held[i] = False
-        v, rows = next(stack[-1], (None, None))
-        if v is None:
-            stack.pop()
-            continue
-        table[i] = v
-        if pooled[i]:
-            used.add(v)
-            held[i] = True
-        if i + 1 == length:
-            yield table.copy(), rows
-        else:
-            stack.append(options(i + 1, rows))
-
-
-def _rows(solutions, width: int) -> np.ndarray:
-    """Solution tables as a lexicographically sorted (count, width) array."""
-    return np.array(sorted(tuple(s.tolist()) for s in solutions),
-                    dtype=np.int64).reshape(-1, width)
+    return np.flatnonzero(free), np.flatnonzero(gam)
 
 
 class _Count:
@@ -502,62 +454,39 @@ class _Count:
         return list(islice(self.nonadditive, min(cap, self.found - self.additive)))
 
 
-def _listed(result: SearchResult) -> _Count:
-    """Count a plain enumeration by checking every map it found."""
-    flags = [verify_additive(x).passed for x in result.found]
-    return _Count(len(result.found), sum(flags), result.complete,
-                  (x for x, ok in zip(result.found, flags) if not ok))
+_NOTHING = _Count(0, 0, False, iter(()))
 
 
-def _pair_quotient(ring: GammaRing, config: SearchConfig, free: np.ndarray,
-                   gammas: np.ndarray) -> Optional[_Count]:
-    """Pairs as core x Sym(F) x Sym(A_Gamma), or None when that is not exact.
+def _pair_count(ring: GammaRing, config: SearchConfig) -> _Count:
+    """Pairs counted from the stabilizer chain of Mult_n(ring) (multmaps._PairGroup).
 
-    phi(P) = P and, the inverse pair being multiplicative too, phi(A_M) =
-    A_M, so phi(F) = F; likewise psi(A_Gamma) = A_Gamma.  Every instance with
-    a factor in F or a gamma in A_Gamma reads 0 = 0, so the core search fixes
-    phi and psi to the identity there and the free part contributes
-    |F|! |A_Gamma|!.  Additivity depends on phi alone, so the additive count
-    runs over the automorphisms of M and searches psi under each.  The budget
-    gates the core search's nodes plus the homomorphisms visited and the
-    nodes of the psi searches; None when it runs out or the free factor is 1.
+    Additivity depends on phi alone, so the additive pairs number
+    |pi_phi(G) n Aut M| times |{psi : (id, psi) in G}|.  When F has at most
+    one element and every generator's phi is additive, pi_phi(G) lies in
+    Aut M; otherwise each automorphism of M is sifted through the phi
+    levels.  Witnesses walk the group in (phi, psi) order and skip additive
+    phi.  The budget gates the leaf search nodes plus the endomorphisms
+    visited; when it runs out nothing is counted.
     """
-    group, m, g = ring.m_group, ring.m_order, ring.gamma_order
-    per_phi = factorial(free.size)
-    per_psi = factorial(gammas.size)
-    ends = homomorphism_count(group, group)
-    if per_phi * per_psi == 1 or ends > config.budget:
-        return None
-    fix_psi = [(1, int(a), int(a)) for a in gammas]
-    eng = _PairSearch(ring, ring, config.n, config.budget - ends, None).run(
-        [(0, int(x), int(x)) for x in free] + fix_psi)
-    if not eng.complete:
-        return None
-    spent, additive = eng.nodes, 0
-    for h in homomorphisms(group, group):
-        spent += 1
-        if spent > config.budget:
-            return None
-        if np.unique(h).size < m:
-            continue
-        under = _PairSearch(ring, ring, config.n, config.budget - spent, None).run(
-            [(0, x, int(h[x])) for x in range(1, m)] + fix_psi)
-        if not under.complete:
-            return None
-        spent += under.nodes
-        additive += len(under.solutions) * per_psi
+    work = _Work(config.budget)
+    free, gammas = _free_part(ring, config.n)
+    grp = _pair_group(ring, config.n, free, gammas, work)
+    if grp is None:
+        return _NOTHING
+    group = ring.m_group
 
-    core = _rows([np.concatenate(s) for s in eng.solutions], m + g)
-    in_f = np.isin(np.arange(m), free)
-    in_a = np.isin(np.arange(g), gammas)
+    def additive(phi):
+        return is_group_homomorphism(phi, group, group)
 
-    def nonadditive():
-        for phi, rows in _lex_walk(core[:, :m], in_f, free.tolist()):
-            if not is_group_homomorphism(phi, group, group):
-                for psi, _ in _lex_walk(core[rows, m:], in_a, gammas.tolist()):
-                    yield MapPair(ring, ring, phi, psi)
-
-    return _Count(len(core) * per_phi * per_psi, additive, True, nonadditive())
+    if free.size < 2 and all(additive(phi) for phi, _ in grp.generators):
+        auts = grp.phi_order
+    elif work.take(homomorphism_count(group, group)):
+        auts = sum(np.unique(h).size == group.order and grp.has_phi(h)
+                   for h in homomorphisms(group, group))
+    else:
+        return _NOTHING
+    nonadditive = (MapPair(ring, ring, phi, psi) for phi, psi in grp.walk(additive))
+    return _Count(grp.order, auts * grp.kernel_order, True, nonadditive)
 
 
 def _derivation_count(ring: GammaRing, config: SearchConfig) -> _Count:
@@ -571,7 +500,7 @@ def _derivation_count(ring: GammaRing, config: SearchConfig) -> _Count:
     work = _Work(config.budget)
     span = _derivations(ring, config.n, work)
     if span is None or not work.take(len(span.rows)):
-        return _Count(0, 0, False, iter(()))
+        return _NOTHING
     group = ring.m_group
     nonadditive = (DerivationTable(ring, d) for d in span.walk()
                    if not is_group_homomorphism(d, group, group))
@@ -586,15 +515,12 @@ def hunt_counterexamples(rings, n: int = 2, budget: int = DEFAULT_BUDGET) -> Sur
     raises an internal inconsistency.  On non-qualifying rings, non-additive
     finds are recorded as evidence the failed hypothesis cannot be dropped.
 
-    Pair counts are core x free factor: elements that no length-n chain can
-    see (F) and gammas that kill every chain (A_Gamma) multiply the
-    solutions, so the search runs with them fixed (see _pair_quotient), and
-    such counts are always exact.  A ring whose free factor is 1, or whose
-    quotient runs over the budget, keeps the plain pair search and checks
-    every pair it found, so an incomplete entry is that of the plain
-    enumeration.  Derivation counts are the sizes of two kernels (see
-    _derivation_count).  Witnesses are the first WITNESS_CAP non-additive
-    maps, pairs in (phi, psi) order, then derivations in table order.
+    Pair counts come from a stabilizer chain of the group of pairs (see
+    _pair_count), and derivation counts are the sizes of two kernels (see
+    _derivation_count); both are exact, and a subject whose budget runs out
+    counts nothing and is incomplete.  Witnesses are the first WITNESS_CAP
+    non-additive maps, pairs in (phi, psi) order, then derivations in table
+    order.
     """
     entries = []
     complete = True
@@ -611,9 +537,7 @@ def hunt_counterexamples(rings, n: int = 2, budget: int = DEFAULT_BUDGET) -> Sur
 
         config = SearchConfig(n=n, budget=budget)
         ring.require_barnes()
-        _, free, gammas = _free_part(ring, n)
-        isos = (_pair_quotient(ring, config, free, gammas)
-                or _listed(search_n_multiplicative_isos(ring, ring, config)))
+        isos = _pair_count(ring, config)
         derivs = _derivation_count(ring, config)
         complete = complete and isos.complete and derivs.complete
 

@@ -1,7 +1,4 @@
-"""The tour scripts in demos/ run to the end without an exception.
-
-Demo 04 is left out: it spends about 25 s in the pair search.
-"""
+"""The tour scripts in demos/ run to the end without an exception."""
 
 import contextlib
 import io
@@ -17,6 +14,7 @@ SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 @pytest.mark.parametrize("script", ["01_gamma_ring_axioms.py", "02_peirce_decomposition.py",
                                     "03_additivity_of_multiplicative_maps.py",
+                                    "04_necessity_witnesses.py",
                                     "05_grdf_documents_and_cli.py"])
 def test_demo_runs(script, tmp_path, monkeypatch):
     # demo 05 writes its documents under a fresh temporary directory and runs

@@ -11,7 +11,7 @@ from gammaring import (DefectMap, SearchConfig, build_matrix_ring, build_table_r
                        run_additivity_pipeline, run_derivation_pipeline,
                        search_n_derivations, search_n_multiplicative_isos, trivial_ring,
                        trivial_ring_family, verify_additive)
-from gammaring.theorem import _free_part
+from gammaring.theorem import _derivation_count, _free_part
 from gammaring.errors import BudgetExceededError, PreconditionError
 
 from conftest import gidx, midx
@@ -340,8 +340,11 @@ def _one_sided():
     return "one-sided(Z2^3)", build_table_ring(m, make_group([2]), mu)
 
 
+# matrix(2,1,1)xtrivial(Z2xZ2) has a chain beside |F| = 3, so its additive
+# count sifts the automorphisms of M
 QUOTIENT_RINGS = trivial_ring_family(5) + [_with_trivial(1, 1, [2]), _with_trivial(1, 2, [2]),
-                                           _with_trivial(1, 1, [3]), _one_sided()]
+                                           _with_trivial(1, 1, [3]), _with_trivial(1, 1, [2, 2]),
+                                           _one_sided()]
 
 
 def _enumerated_entry(ring, n, budget=10**8, cap=8):
@@ -367,8 +370,8 @@ def _hunt_entry(ring, n, budget=10**8):
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("name, ring", QUOTIENT_RINGS, ids=[nm for nm, _ in QUOTIENT_RINGS])
 def test_hunt_quotient_matches_enumeration(name, ring, n):
-    _, free, gammas = _free_part(ring, n)
-    assert free.size or gammas.size > 1                         # the quotient path runs
+    free, gammas = _free_part(ring, n)
+    assert free.size or gammas.size > 1                         # a nontrivial free part
     entry = _hunt_entry(ring, n)
     assert entry == _enumerated_entry(ring, n)
     # a pair or derivation of a ring is one of its opposite ring, which swaps
@@ -379,52 +382,55 @@ def test_hunt_quotient_matches_enumeration(name, ring, n):
 def test_free_part_of_one_sided_ring():
     _, ring = _one_sided()
     for r in (ring, _opposite(ring)):
-        annihilator, free, _ = _free_part(r, 2)
-        assert free.tolist() == [3] and annihilator.tolist() == [0, 3]
+        free, _ = _free_part(r, 2)
+        assert free.tolist() == [3]
 
 
 def test_free_part_of_product_ring():
     _, ring = _with_trivial(1, 2, [2])          # M = matrix(2,1,2) x Z2, Gamma = Z2^2 x Z2
-    annihilator, free, gammas = _free_part(ring, 2)
+    free, gammas = _free_part(ring, 2)
     # the trivial factor's nonzero element is free; gammas (0, c) kill every chain
     assert free.tolist() == [1]
-    assert annihilator.tolist() == [0, 1]
     assert gammas.tolist() == [0, 1]
 
 
-@pytest.mark.parametrize("ring, budget", [
-    # the additive counts visit 512 endomorphisms of Z2^3
-    (trivial_ring(make_group([2, 2, 2]), make_group([2])), 100),
-    # |End M| = 512 alone exceeds the budget
-    (_with_trivial(1, 2, [2])[1], 50),
-    # the core pair search needs 1,194 nodes, 88 are left beside the 512 endomorphisms
-    (_with_trivial(1, 2, [2])[1], 600),
-    # the core completes, the automorphisms' psi searches run out
-    (_with_trivial(1, 2, [2])[1], 1710),
-    # a qualifying ring whose free factor is Sym(A_Gamma) but whose core also
-    # holds every psi that swaps gammas acting alike: far more than 300 nodes
+@pytest.mark.parametrize("ring, budget, pairs_complete", [
+    # the additive count visits the 512 endomorphisms of Z2^3
+    (trivial_ring(make_group([2, 2, 2]), make_group([2])), 100, False),
+    # the chain needs 39 leaf nodes; F has one element and every generator
+    # is additive, so no endomorphism is visited
+    (_with_trivial(1, 2, [2])[1], 50, True),
+    (_with_trivial(1, 2, [2])[1], 600, True),
+    (_with_trivial(1, 2, [2])[1], 1710, True),
+    # a qualifying ring whose chain holds every psi that swaps gammas acting
+    # alike: 455 leaf nodes
     (direct_product(build_matrix_ring(2, 2, 2), trivial_ring(make_group([]), make_group([2]))),
-     300),
+     300, False),
 ], ids=["trivial(Z2xZ2xZ2)", "matrix(2,1,2)xtrivial(Z2)-50", "matrix(2,1,2)xtrivial(Z2)-600",
         "matrix(2,1,2)xtrivial(Z2)-1710", "matrix(2,2,2)xgamma(Z2)"])
-def test_hunt_over_budget_is_the_plain_enumeration(ring, budget):
+def test_hunt_over_budget_is_the_plain_enumeration(ring, budget, pairs_complete):
+    """Each subject of a budgeted hunt is that of the unbudgeted hunt, or it
+    counts nothing and is incomplete; pairs no longer fall back to the plain
+    enumeration, which named this test.  Witnesses come from the complete
+    subjects only."""
     entry = _hunt_entry(ring, 2, budget)
-    assert not (entry[2] and entry[5])
-    want = _enumerated_entry(ring, 2, budget)
-    if entry[5] and not want[5]:
-        # derivations are counted from two kernels, not listed, so a budget
-        # too small to list them all can still count them: the counts are
-        # the unbudgeted hunt's, and the rest is the plain enumeration
-        assert entry[3:5] == _hunt_entry(ring, 2)[3:5]
-        entry, want = entry[:3] + entry[6:], want[:3] + want[6:]
-    assert entry == want
+    full = _hunt_entry(ring, 2)
+    assert entry[2] == pairs_complete
+    assert entry[:3] == (full[:3] if entry[2] else (0, 0, False))
+    assert entry[3:6] == (full[3:6] if entry[5] else (0, 0, False))
+    isos = [w for w in full[6] if w[0] == "iso"] if entry[2] else []
+    derivs = _derivation_count(ring, SearchConfig(n=2)).first_nonadditive(8) if entry[5] else []
+    assert entry[6] == (isos + [("derivation", d.key()) for d in derivs])[:8]
 
 
 def test_hunt_quotient_budget_counts_its_work():
-    # 1,194 core nodes + 512 endomorphisms + 168 nodes of psi searches under the
-    # 168 automorphisms of Z2^3
-    _, ring = _with_trivial(1, 2, [2])
-    exact = hunt_counterexamples([("p", ring)], n=2, budget=1874).entries[0]
-    assert (exact.iso_found, exact.iso_additive, exact.iso_complete) == (96, 96, True)
-    short = hunt_counterexamples([("p", ring)], n=2, budget=1873).entries[0]
-    assert not short.iso_complete and short.iso_found < 96
+    for ring, threshold, counts in (
+            # 39 leaf nodes, and no endomorphism visited
+            (_with_trivial(1, 2, [2])[1], 39, (96, 96)),
+            # 14 leaf nodes, then F has three elements, so the 512 endomorphisms
+            # of Z2^3 are visited and the 24 automorphisms in the group counted
+            (_with_trivial(1, 1, [2, 2])[1], 526, (144, 24))):
+        exact = hunt_counterexamples([("p", ring)], n=2, budget=threshold).entries[0]
+        assert (exact.iso_found, exact.iso_additive, exact.iso_complete) == counts + (True,)
+        short = hunt_counterexamples([("p", ring)], n=2, budget=threshold - 1).entries[0]
+        assert (short.iso_found, short.iso_additive, short.iso_complete) == (0, 0, False)
