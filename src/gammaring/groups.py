@@ -95,6 +95,11 @@ class FiniteAbelianGroup:
                 raise ValueError(f"residue {x} out of range [0, {d})")
 
     @property
+    def generators(self) -> np.ndarray:
+        """Indices of the standard generators e_i (residue 1 in slot i): the place values."""
+        return self._place_values
+
+    @property
     def residues(self) -> np.ndarray:
         """(order, num_factors) matrix of residue vectors in enumeration order."""
         if self._residues is None:

@@ -3,8 +3,14 @@
 A gamma ring here is a pair of finite abelian groups (M, Gamma) with a dense
 triple-product table mu: M x Gamma x M -> M stored as element indices, plus an
 optional Gamma-valued product nu: Gamma x M x Gamma -> Gamma for structures in
-the stronger (Nobusawa) sense.  Rings are immutable once built; all checks are
-exhaustive scans that either finish exactly or refuse.
+the stronger (Nobusawa) sense.  Rings are immutable once built.
+
+The axiom checks are exact.  A pass is decided on generator tuples: a map is
+additive when it respects adding each cyclic generator, and two maps additive
+in every slot agree everywhere when they agree on tuples of generators.  A
+failure there is rescanned in full, so every witness is the lexicographically
+least one.  `checked` reports the raw tuple coverage, and `_guard` gates that
+raw count, so an oversized ring is refused exactly as by a full scan.
 """
 
 from __future__ import annotations
@@ -174,13 +180,35 @@ def _guard(count: int, axiom: str):
         )
 
 
+def _additive_in(table: np.ndarray, axis: int, domain: FiniteAbelianGroup,
+                 add: np.ndarray) -> bool:
+    """Whether table is additive in its slot `axis`, which ranges over `domain`.
+
+    `add` is the addition table of the values.  A map t is additive exactly
+    when t(0) = 0 and t(x + e_i) = t(x) + t(e_i) for every x and every
+    generator e_i: adding generators one at a time then gives t(x + y) =
+    t(x) + t(y).  That is n·r evaluations per map instead of n², r the number
+    of cyclic factors.
+    """
+    t = np.moveaxis(table, axis, 0)
+    if (t[0] != 0).any():
+        return False
+    gens = domain.generators
+    shifted = domain.add_table[:, gens]              # [x, i] = x + e_i
+    images = t[gens]
+    for lo, hi in _chunks(t.shape[0], gens.size * t[0].size):
+        if (t[shifted[lo:hi]] != add[t[lo:hi, None], images[None]]).any():
+            return False
+    return True
+
+
 def _right_distrib(ring) -> tuple[Optional[dict], int]:
     # (x+y) a z == x a z + y a z
     mu, addm = ring.mu, ring.m_group.add_table
     m, g = ring.m_order, ring.gamma_order
     count = m * m * g * m
     _guard(count, "distributivity")
-    w = _scan_equal(
+    w = None if _additive_in(mu, 0, ring.m_group, addm) else _scan_equal(
         lambda lo, hi: mu[addm[lo:hi]],
         lambda lo, hi: addm[mu[lo:hi, None], mu[None, :]],
         m, (m, g, m), ("x", "y", "alpha", "z"))
@@ -193,7 +221,7 @@ def _left_distrib(ring) -> tuple[Optional[dict], int]:
     m, g = ring.m_order, ring.gamma_order
     count = m * g * m * m
     _guard(count, "distributivity")
-    w = _scan_equal(
+    w = None if _additive_in(mu, 2, ring.m_group, addm) else _scan_equal(
         lambda lo, hi: mu[lo:hi][:, :, addm],
         lambda lo, hi: addm[mu[lo:hi][:, :, :, None], mu[lo:hi][:, :, None, :]],
         m, (g, m, m), ("x", "alpha", "y", "z"))
@@ -207,19 +235,29 @@ def _gamma_distrib(ring) -> tuple[Optional[dict], int]:
     m, g = ring.m_order, ring.gamma_order
     count = m * g * g * m
     _guard(count, "gamma-distributivity")
-    w = _scan_equal(
+    w = None if _additive_in(mu, 1, ring.gamma_group, addm) else _scan_equal(
         lambda lo, hi: mu[lo:hi][:, addg, :],
         lambda lo, hi: addm[mu[lo:hi][:, :, None, :], mu[lo:hi][:, None, :, :]],
         m, (g, g, m), ("x", "alpha", "beta", "y"))
     return w, count
 
 
-def _associativity(ring) -> tuple[Optional[dict], int]:
-    # (x a y) b z == x a (y b z)
+def _associativity(ring, additive: bool = False) -> tuple[Optional[dict], int]:
+    """(x a y) b z == x a (y b z): lex-least failing tuple, or None, and the raw count.
+
+    With `additive` (barnes-ii and barnes-iii hold), both sides are additive
+    in all five slots, so a pass on generator tuples is a pass everywhere;
+    without it, or on a failure there, every tuple is scanned.
+    """
     mu = ring.mu
     m, g = ring.m_order, ring.gamma_order
     count = m * g * m * g * m
     _guard(count, "associativity")
+    if additive:
+        gm, gg = ring.m_group.generators, ring.gamma_group.generators
+        x, a, y, b, z = np.ix_(gm, gg, gm, gg, gm)
+        if (mu[mu[x, a, y], b, z] == mu[x, a, mu[y, b, z]]).all():
+            return None, count
     w = _scan_equal(
         lambda lo, hi: mu[mu[lo:hi]],
         lambda lo, hi: mu[lo:hi][:, :, mu],
@@ -228,7 +266,7 @@ def _associativity(ring) -> tuple[Optional[dict], int]:
 
 
 def check_barnes_axioms(ring: GammaRing) -> list[AxiomReport]:
-    """One exhaustive report per Barnes axiom; closure holds by table construction."""
+    """One exact report per Barnes axiom; closure holds by table construction."""
     reports = []
 
     w1, c1 = _right_distrib(ring)
@@ -245,7 +283,7 @@ def check_barnes_axioms(ring: GammaRing) -> list[AxiomReport]:
     reports.append(AxiomReport(
         "barnes-iii", "x.(a+b).y = x.a.y + x.b.y", w is None, w, c))
 
-    w, c = _associativity(ring)
+    w, c = _associativity(ring, reports[0].holds and w is None)
     reports.append(AxiomReport(
         "barnes-iv", "(x.a.y).b.z = x.a.(y.b.z)", w is None, w, c))
     return reports
@@ -255,10 +293,11 @@ def check_nobusawa(ring: GammaRing) -> list[AxiomReport]:
     """Verify the stronger (Nobusawa) conditions, using the Gamma-valued product.
 
     The distributivity and associativity verdicts are the ring's cached
-    Barnes scans; only the nu identity is scanned here.  The faithfulness
-    condition is reported under both readings of its quantifier: strict (any
-    single vanishing product kills gamma) and annihilator (only a gamma
-    annihilating every product must vanish).
+    Barnes scans; only the nu identity is scanned here, on generator tuples
+    when barnes-ii, barnes-iii and nu's additivity in each slot hold.  The
+    faithfulness condition is reported under both readings of its
+    quantifier: strict (any single vanishing product kills gamma) and
+    annihilator (only a gamma annihilating every product must vanish).
     """
     if ring.nu is None:
         raise ValueError("Nobusawa check needs the Gamma-valued product table nu")
@@ -275,12 +314,20 @@ def check_nobusawa(ring: GammaRing) -> list[AxiomReport]:
 
     w, checked, identity = assoc.witness, assoc.checked, assoc.identity
     if w is None:
-        # x a (y b z) == x (a y b) z with the middle product taken in Gamma
+        # x a (y b z) == x (a y b) z with the middle product taken in Gamma;
+        # both sides are additive in every slot once mu and nu are
         count = m * g * m * g * m
         _guard(count, "nobusawa-ii")
-        w = _scan_equal(lambda lo, hi: mu[lo:hi][:, :, mu],
-                        lambda lo, hi: mu[lo:hi][:, nu],
-                        m, (g, m, g, m), ("x", "alpha", "y", "beta", "z"))
+        mg, gg, addg = ring.m_group, ring.gamma_group, ring.gamma_group.add_table
+        holds = False
+        if (distrib.holds and gamma_distrib.holds and _additive_in(nu, 0, gg, addg)
+                and _additive_in(nu, 1, mg, addg) and _additive_in(nu, 2, gg, addg)):
+            x, a, y, b, z = np.ix_(mg.generators, gg.generators, mg.generators,
+                                   gg.generators, mg.generators)
+            holds = bool((mu[x, a, mu[y, b, z]] == mu[x, nu[a, y, b], z]).all())
+        w = None if holds else _scan_equal(lambda lo, hi: mu[lo:hi][:, :, mu],
+                                           lambda lo, hi: mu[lo:hi][:, nu],
+                                           m, (g, m, g, m), ("x", "alpha", "y", "beta", "z"))
         checked += count
         if w is not None:
             identity = "x.a.(y.b.z) = x.(a.y.b).z"

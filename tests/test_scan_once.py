@@ -7,6 +7,7 @@ distributivity (right, left, Gamma), associativity, then the nu identity.
 
 import contextlib
 import io
+import json
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ import pytest
 import gammaring.peirce as peirce_mod
 import gammaring.rings as rings_mod
 from gammaring import (build_matrix_ring, build_table_ring, canonical_frames,
-                       check_nobusawa, document_dict, emit_grdf, make_group)
+                       check_nobusawa, direct_product, document_dict, emit_grdf, make_group,
+                       validate_frame)
 from gammaring.cli import main
 from gammaring.errors import BudgetExceededError
+from gammaring.peirce import IdempotentFrame
 from gammaring.rings import (_associativity, _first, _gamma_distrib, _left_distrib,
                              _right_distrib, _witness)
 
@@ -124,8 +127,9 @@ def test_nobusawa_refuses_over_cap_before_barnes_is_cached(monkeypatch):
 
 @pytest.fixture
 def counters(monkeypatch):
-    """Calls of the associativity scan and of frame validation, counted by name."""
-    calls = {"associativity": 0, "validate_frame": 0}
+    """Calls counted by name: the associativity scan, frame validation, and the
+    full scans behind the generator checks (axiom and frame)."""
+    calls = {"associativity": 0, "validate_frame": 0, "full_scan": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -137,12 +141,21 @@ def counters(monkeypatch):
                         counted("associativity", rings_mod._associativity))
     monkeypatch.setattr(peirce_mod, "validate_frame",
                         counted("validate_frame", peirce_mod.validate_frame))
+    monkeypatch.setattr(rings_mod, "_scan_equal", counted("full_scan", rings_mod._scan_equal))
+    monkeypatch.setattr(peirce_mod, "_scan_frame", counted("full_scan", peirce_mod._scan_frame))
     return calls
 
 
 def _run(*argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return main(list(argv))
+
+
+def _run_json(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv) + ["--format", "json"])
+    return code, json.loads(out.getvalue())
 
 
 def test_axioms_scan_associativity_once(tmp_path, counters):
@@ -166,3 +179,61 @@ def test_each_frame_validated_once(tmp_path, counters, command):
     counters["validate_frame"] = 0
     assert _run(command, "--input", str(path)) == 0
     assert counters["validate_frame"] == len(frames)
+
+
+def test_passing_rings_are_decided_on_generators(tmp_path, counters):
+    product = direct_product(build_matrix_ring(2, 2, 2), build_matrix_ring(2, 1, 1))
+    frames = canonical_frames(product)
+    assert len(frames) == 84
+    # conditions exits 1: condition (iv) fails on 48 of the 84 frames
+    for command, doc, code in (("axioms", document_dict(build_matrix_ring(2, 1, 5)), 0),
+                               ("conditions", document_dict(product, frames=frames), 1)):
+        path = tmp_path / f"{command}.json"
+        path.write_text(emit_grdf(doc))
+        counters["full_scan"] = 0
+        assert _run(command, "--input", str(path)) == code
+        assert counters["full_scan"] == 0, command
+
+
+def _index(value):
+    return value["index"] if isinstance(value, dict) else value
+
+
+# `conditions` on the two user frames below, as the full scans report it
+USER_FRAME_VERDICTS = [
+    ("frame[0]-valid", False, 9, {"a": 1, "invariant": "left-specialization"}),
+    ("frame[1]-valid", False, 9, {"beta": 0, "x": 1, "y": 1, "invariant": "left-additivity"}),
+    ("condition-ii", True, 27, None),
+    ("condition-iii", False, 36, {"x": 2}),
+    ("condition-iv[0]", False, 6, {"corner": 1, "x": 1}),
+    ("condition-iv[1]", False, 6, {"corner": 1, "x": 1}),
+]
+
+
+def test_user_frames_without_barnes_verdict_scan_in_full(tmp_path, counters):
+    """x.a.y = x if y = 1 else 0 is not left-distributive, and no Barnes scan
+    may run for it, so its frames keep every full scan."""
+    ring = _z3_ring(lambda x, g, y: x if y == 1 else 0)
+    zero = np.zeros((3, 3), dtype=np.int32)
+    frames = [IdempotentFrame(ring, 1, 0, [[0, 2, 1]] * 3, zero),
+              IdempotentFrame(ring, 1, 0, [[0, 0, 2]] * 3, zero)]
+    # frame 0's tables are additive and agree at the generators a = b = 1,
+    # so only the missing distributivity verdict forces its full scan
+    lf, rf, mu = frames[0].left_f, frames[0].right_f, ring.mu
+    assert all(mu[rf[1, be], ga, 1] == mu[1, be, lf[ga, 1]] for be in range(3) for ga in range(3))
+    assert [[(v.invariant, v.witness) for v in validate_frame(fr)] for fr in frames] == [
+        [("left-specialization", {"a": 1}),
+         ("frame-associativity", {"a": 1, "beta": 0, "gamma": 0, "b": 2})],
+        [("left-additivity", {"beta": 0, "x": 1, "y": 1})]]
+
+    path = tmp_path / "frames.json"
+    path.write_text(emit_grdf(document_dict(ring, frames=frames)))
+    for name in counters:
+        counters[name] = 0
+    code, report = _run_json("conditions", "--input", str(path))
+    assert counters == {"associativity": 0, "validate_frame": 2, "full_scan": 3}
+    assert code == 1 and report["overall"] is False
+    got = [(v["check"], v["passed"], v["checked"],
+            v["witness"] and {k: _index(w) for k, w in v["witness"].items()})
+           for v in report["verdicts"]]
+    assert got == USER_FRAME_VERDICTS
