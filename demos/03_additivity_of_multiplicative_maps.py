@@ -21,11 +21,12 @@ frame = canonical_frame(ring, gm.index_of((1, 0, 0, 0)),
                         ring.gamma_group.index_of((1, 0, 0, 1)),
                         gm.index_of((1, 0, 0, 1)))
 
-print("=== complete search for 2-multiplicative bijection pairs ===")
+print("=== complete listing of the 2-multiplicative bijection pairs ===")
 t0 = time.perf_counter()
 result = search_n_multiplicative_isos(ring, ring, SearchConfig(n=2))
-print(f"{len(result.found)} pairs in {result.nodes} search nodes "
-      f"({time.perf_counter() - t0:.2f}s), complete = {result.complete}")
+print(f"{len(result.found)} pairs from their stabilizer chain, {result.nodes} work units "
+      f"(leaf search nodes + pairs listed, {time.perf_counter() - t0:.2f}s), "
+      f"complete = {result.complete}")
 print("these are exactly the maps x -> u.x.v with u, v invertible: 6 x 6 = 36")
 
 additive = sum(verify_additive(p).passed for p in result.found)

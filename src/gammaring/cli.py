@@ -27,7 +27,7 @@ from .multmaps import (MapPair, SearchConfig, search_n_derivations,
                        verify_n_multiplicative)
 from .peirce import check_martindale_family, check_peirce_relations, peirce_decompose
 from .rings import check_nobusawa, find_idempotents, find_unities
-from .theorem import hunt_counterexamples, run_additivity_pipeline, run_derivation_pipeline
+from .theorem import _run_pipeline, hunt_counterexamples
 
 SCHEMA = "gammaring.report/1"
 
@@ -245,17 +245,13 @@ def cmd_theorem(doc, args):
         raise GRDFError("theorem needs a 'frames' section")
     if not doc.maps and not doc.derivations:
         raise GRDFError("theorem needs a 'maps' or 'derivations' section")
-    frames = doc.build_frames()
+    family = check_martindale_family(ring, doc.build_frames())   # one check for every subject
     entries, failures, partial = [], [], []
     for kind, (section, label, _, _) in _SUBJECTS.items():
         for i, obj in enumerate(getattr(doc, section)):
             name = f"{label}[{i}]"
             try:
-                if kind == "iso":
-                    rep = run_additivity_pipeline(obj, args.n, frames, args.budget, args.k)
-                else:
-                    rep = run_derivation_pipeline(ring, obj, args.n, frames, args.budget,
-                                                  args.k)
+                rep = _run_pipeline(kind, obj, args.n, family, args.budget, args.k)
                 entries.append(_pipeline_entry(ring, name, rep))
             except PreconditionError as ex:
                 failures.append({"subject": name, "error": str(ex)})

@@ -2,17 +2,24 @@
 
 Verification is exhaustive whenever the tuple count fits the evaluation
 budget, and a seeded pseudorandom sample flagged "partial" otherwise; the
-theorem pipelines refuse partial verdicts.  The pair search is a backtracking
-enumeration over image tables with vectorized constraint propagation: every
-fully-assigned product instance immediately forces (or refutes) the image of
-its output, so the leaves of the search tree are exactly the satisfying
-assignments.  The pairs of a ring onto itself form a group, which
-_pair_group holds as a stabilizer chain: that search, stopped at its first
-solution, finds a generator or refutes an orbit point, so the group is
-counted, tested and walked in sorted order without being listed.
-Derivations need no search: under the Barnes axioms they are the kernel of
-one linear map on M^M, solved exactly over Z/N with a Howell basis and
-listed by a walk of that basis in sorted table order.
+theorem pipelines refuse partial verdicts.  Chains fold left to right, so
+an exhaustive check at n >= 3 scans the m^2 g tuples of n = 2 first: a pair
+that passes there passes at every n, and so does a derivation once the ring
+holds a passing distributivity verdict.  Any other case, and any failure
+there, scans every length-n tuple.
+
+The leaf search is a backtracking enumeration over image tables with
+vectorized constraint propagation: every fully-assigned product instance
+immediately forces (or refutes) the image of its output, so the leaves of
+the search tree are exactly the satisfying assignments.  The pairs of a
+ring onto itself form a group, which _pair_group holds as a stabilizer
+chain: the leaf search, stopped at its first solution, finds a generator or
+refutes an orbit point, so the group is counted, tested and walked in
+sorted order without a search per pair.  search_n_multiplicative_isos lists
+the pairs onto a ring by that walk, started at one pair the leaf search
+finds.  Derivations need no search: under the Barnes axioms they are the
+kernel of one linear map on M^M, solved exactly over Z/N with a Howell
+basis and listed by a walk of that basis in sorted table order.
 """
 
 from __future__ import annotations
@@ -166,25 +173,41 @@ def _leibniz(mu, addm, d, factors, step):
     return rhs
 
 
-def _verify_chains(m: int, g: int, n: int, budget: int, seed: int, lhs, rhs) -> VerifyReport:
+def _scan_chains(m: int, g: int, n: int, lhs, rhs) -> Optional[dict]:
+    """Lex-least length-n tuple where lhs and rhs differ, over every tuple, or None."""
+    def grid(lo, hi):
+        return [np.arange(lo, hi)] + [slice(None)] * (n - 1)
+
+    return _scan_equal(lambda lo, hi: lhs(grid(lo, hi), _grid_step),
+                       lambda lo, hi: rhs(grid(lo, hi), _grid_step),
+                       m, (g, m) * (n - 1), _witness_names(n))
+
+
+def _verify_chains(m: int, g: int, n: int, budget: int, seed: int, lhs, rhs,
+                   inductive: bool) -> VerifyReport:
     """Scan every length-n tuple when the count fits the budget, else a seeded sample.
 
     lhs(factors, step) and rhs(factors, step) evaluate the identity's sides on
     the chains over the given element factors: index arrays, or slice(None)
     for a full open-grid axis.  Exhaustive witnesses are the lexicographically
     least failing tuple.
+
+    `inductive` says that the identity at 2 implies it at every n.  Chains
+    fold left to right, x1 g1 ... xn = (x1 g1 ... x_{n-1}) g_{n-1} xn, so an
+    identity that follows from its n - 1 case and its 2 case on (that
+    product, g_{n-1}, xn) holds at every n once it holds at 2.  The exact
+    scan then tries the m^2 g tuples of n = 2 first, and a pass there is an
+    exact pass that counts every length-n tuple; a failure there scans every
+    length-n tuple for the least witness.
     """
     count = m**n * g**(n - 1)
-    names = _witness_names(n)
     if count <= budget:
-        def grid(lo, hi):
-            return [np.arange(lo, hi)] + [slice(None)] * (n - 1)
-
-        w = _scan_equal(lambda lo, hi: lhs(grid(lo, hi), _grid_step),
-                        lambda lo, hi: rhs(grid(lo, hi), _grid_step),
-                        m, (g, m) * (n - 1), names)
+        if n > 2 and inductive and _scan_chains(m, g, 2, lhs, rhs) is None:
+            return VerifyReport(True, True, count)
+        w = _scan_chains(m, g, n, lhs, rhs)
         return VerifyReport(w is None, True, count, w)
 
+    names = _witness_names(n)
     rng = np.random.default_rng(seed)
     samples = int(min(budget, _SAMPLE_CAP))
     xs = rng.integers(0, m, size=(n, samples))
@@ -198,20 +221,28 @@ def _verify_chains(m: int, g: int, n: int, budget: int, seed: int, lhs, rhs) -> 
     return VerifyReport(False, False, samples, _witness(names, tup))
 
 
+def _pair_sides(pair: MapPair) -> tuple:
+    """(lhs, rhs) of phi(x1 g1 ... xn) = phi(x1) psi(g1) ... phi(xn), for _verify_chains."""
+    phi = pair.phi
+    # target table pulled back to source coordinates through psi/phi
+    mu_tt = pair.target.mu[:, pair.psi, :][:, :, phi]
+    return (lambda xs, step: phi[_chain(pair.source.mu, xs, step)],
+            lambda xs, step: _chain(mu_tt, [phi[xs[0]]] + xs[1:], step))
+
+
 def verify_n_multiplicative(pair: MapPair, n: int,
                             budget: int = DEFAULT_BUDGET, seed: int = 0) -> VerifyReport:
-    """Check phi(x1 g1 x2 ... g_{n-1} xn) = phi(x1) psi(g1) ... phi(xn) over all tuples."""
+    """Check phi(x1 g1 x2 ... g_{n-1} xn) = phi(x1) psi(g1) ... phi(xn) over all tuples.
+
+    Both sides fold left to right, so a pair that passes at n = 2 passes at
+    every n, with no axiom used: an exact pass at n = 2 decides any n.
+    """
     if n < 2:
         raise ValueError("product arity must be >= 2")
     pair.source.require_barnes()
     pair.target.require_barnes()
-    phi = pair.phi
-    # target table pulled back to source coordinates through psi/phi
-    mu_tt = pair.target.mu[:, pair.psi, :][:, :, phi]
-    return _verify_chains(
-        pair.source.m_order, pair.source.gamma_order, n, budget, seed,
-        lambda xs, step: phi[_chain(pair.source.mu, xs, step)],
-        lambda xs, step: _chain(mu_tt, [phi[xs[0]]] + xs[1:], step))
+    return _verify_chains(pair.source.m_order, pair.source.gamma_order, n, budget, seed,
+                          *_pair_sides(pair), inductive=True)
 
 
 def _additivity_sides(obj):
@@ -234,16 +265,27 @@ def verify_additive(obj) -> VerifyReport:
     return VerifyReport(w is None, True, neq.size, w)
 
 
+def _leibniz_sides(deriv: DerivationTable) -> tuple:
+    """(lhs, rhs) of d(x1 g1 ... xn) = sum_i x1 g1 ... d(xi) ... xn, for _verify_chains."""
+    ring, d = deriv.ring, deriv.d
+    return (lambda xs, step: d[_chain(ring.mu, xs, step)],
+            lambda xs, step: _leibniz(ring.mu, ring.m_group.add_table, d, xs, step))
+
+
 def verify_n_derivation(deriv: DerivationTable, n: int,
                         budget: int = DEFAULT_BUDGET, seed: int = 0) -> VerifyReport:
-    """Check the Leibniz expansion of d over every length-n product."""
+    """Check the Leibniz expansion of d over every length-n product.
+
+    When the ring already holds a passing barnes-ii verdict, the product is
+    additive in its first slot, so d(P g xn) = d(P) g xn + P g d(xn) expands
+    d(P) term by term: an exact pass at n = 2 then decides any n.  The
+    verdict is read, never computed; without it every tuple is scanned.
+    """
     if n < 2:
         raise ValueError("product arity must be >= 2")
-    ring, d = deriv.ring, deriv.d
-    return _verify_chains(
-        ring.m_order, ring.gamma_order, n, budget, seed,
-        lambda xs, step: d[_chain(ring.mu, xs, step)],
-        lambda xs, step: _leibniz(ring.mu, ring.m_group.add_table, d, xs, step))
+    ring = deriv.ring
+    return _verify_chains(ring.m_order, ring.gamma_order, n, budget, seed,
+                          *_leibniz_sides(deriv), inductive=ring.known_distributive)
 
 
 class _PairSearch:
@@ -477,19 +519,41 @@ class _PairSearch:
 
 def search_n_multiplicative_isos(source: GammaRing, target: GammaRing,
                                  config: SearchConfig) -> SearchResult:
-    """Complete enumeration (within node budget) of n-multiplicative bijection pairs.
+    """Every n-multiplicative bijection pair source -> target, in sorted
+    (phi, psi) table order, so runs are reproducible byte for byte.
 
-    Results come out sorted by (phi, psi) table order, so runs are
-    reproducible byte for byte.
+    The pairs of source onto itself are the group Mult_n(source), held as a
+    stabilizer chain (_pair_group), and the pairs onto target are the coset
+    sigma Mult_n(source) of any one pair sigma, or none.  sigma is the identity
+    when target is source, else the first solution of the leaf search, and
+    a search that ends without one has refuted every pair.  The coset is
+    listed by a walk of the chain that starts at sigma.
+
+    The budget gates the leaf search nodes plus the pairs listed, and nodes
+    reports that count.  A run that runs out, or stops at report_limit,
+    lists the pairs reached so far: a prefix of the sorted list.
     """
     if source.m_order != target.m_order or source.gamma_order != target.gamma_order:
         return SearchResult([], True, 0)
     source.require_barnes()
     target.require_barnes()
-    eng = _PairSearch(source, target, config.n, config.budget, config.report_limit).run()
-    sols = sorted((tuple(p.tolist()), tuple(q.tolist())) for p, q in eng.solutions)
-    pairs = [MapPair(source, target, np.asarray(p), np.asarray(q)) for p, q in sols]
-    return SearchResult(pairs, eng.complete, eng.nodes)
+    n, work = config.n, _Work(config.budget)
+    sigma = None                                # the identity, onto source itself
+    if target is not source:
+        eng = _PairSearch(source, target, n, config.budget, 1).run()
+        if not work.take(eng.nodes):
+            return SearchResult([], False, work.spent)
+        if not eng.solutions:               # the search refuted every pair
+            return SearchResult([], True, work.spent)
+        sigma = _generator(source, n, *eng.solutions[0], target=target)
+    grp = _pair_group(source, n, work)
+    found = []
+    if grp is not None:
+        for phi, psi in grp.walk(sigma=sigma):
+            if len(found) == config.report_limit or not work.take(1):
+                break
+            found.append(MapPair(source, target, phi, psi))
+    return SearchResult(found, grp is not None and len(found) == grp.order, work.spent)
 
 
 def _compose(a: tuple, b: tuple) -> tuple:
@@ -553,33 +617,38 @@ class _PairGroup:
             h = _inverse_table(u[0])[h]
         return bool((h == np.arange(h.size)).all())
 
-    def walk(self, skip):
-        """Every pair of the group as (phi, psi) tables, in (phi, psi) order,
-        leaving out the pairs whose phi satisfies skip(phi).
+    def walk(self, skip=None, sigma=None):
+        """Every pair sigma h, h in the group, as (phi, psi) tables in (phi,
+        psi) order, leaving out the pairs whose phi satisfies skip(phi).
 
-        Positions are visited in table order, phi then psi, on an explicit
-        stack, one level per position.  A base point takes the images of its
-        orbit under the pair chosen so far, in increasing order, and extends
-        that pair by the orbit's pair; F and A_Gamma positions take the
-        unused values of their pool in increasing order; phi(0) is 0.
+        sigma, a pair of tables from the ring to another, defaults to the
+        identity.  Positions are visited in table order, phi then psi, on an
+        explicit stack, one level per position.  A base point takes the
+        images of its orbit under the pair chosen so far, in increasing
+        order, and extends that pair by the orbit's pair; F and A_Gamma
+        positions take the unused values of sigma(F) and sigma(A_Gamma) in
+        increasing order; phi(0) is 0.
         """
         m, g = self.ring.m_order, self.ring.gamma_order
+        if sigma is None:
+            sigma = (np.arange(m), np.arange(g))
         at = {(kind, point): orbit for kind, point, orbit in self.levels}
-        pools = (set(self.free.tolist()), set(self.gammas.tolist()))
+        free = (set(self.free.tolist()), set(self.gammas.tolist()))
+        pools = tuple({int(sigma[kind][x]) for x in free[kind]} for kind in (0, 1))
         steps = [(0, x) for x in range(m)] + [(1, a) for a in range(g)]
         tables = (np.zeros(m, dtype=np.int64), np.zeros(g, dtype=np.int64))
 
         def options(j, prefix):
             kind, x = steps[j]
-            if x in pools[kind]:
-                taken = {int(tables[k][y]) for k, y in steps[:j] if k == kind and y in pools[k]}
+            if x in free[kind]:
+                taken = {int(tables[k][y]) for k, y in steps[:j] if k == kind and y in free[k]}
                 return iter([(v, prefix) for v in sorted(pools[kind] - taken)])
             if (kind, x) not in at:
                 return iter([(0, prefix)])
             return iter(sorted(((int(prefix[kind][c]), _compose(prefix, u))
                                 for c, u in at[(kind, x)].items()), key=lambda o: o[0]))
 
-        stack = [options(0, (np.arange(m), np.arange(g)))]
+        stack = [options(0, sigma)]
         while stack:
             j = len(stack) - 1
             kind, x = steps[j]
@@ -588,7 +657,7 @@ class _PairGroup:
                 stack.pop()
                 continue
             tables[kind][x] = v
-            if j + 1 == m and skip(tables[0]):
+            if j + 1 == m and skip is not None and skip(tables[0]):
                 continue
             if j + 1 == len(steps):
                 yield tables[0].copy(), tables[1].copy()
@@ -596,17 +665,52 @@ class _PairGroup:
                 stack.append(options(j + 1, prefix))
 
 
-def _pair_group(ring: GammaRing, n: int, free: np.ndarray, gammas: np.ndarray,
-                work: "_Work") -> Optional[_PairGroup]:
+def _length_k_products(ring: GammaRing, k: int) -> np.ndarray:
+    """All values realized by products of k elements (k >= 1)."""
+    p = np.arange(ring.m_order)
+    for _ in range(k - 1):
+        p = np.unique(ring.mu[p].ravel())
+    return p
+
+
+def _free_part(ring: GammaRing, n: int) -> tuple:
+    """(F, A_Gamma) of length-n chains as sorted index arrays, exact for any n.
+
+    F: the elements that make every chain 0 from any factor slot, minus the
+    values of length-n products.  A_Gamma: the gammas that make every chain
+    0 from any gamma slot.
+
+    pre[j] holds the values of length-j chains, and dead[j] marks the values
+    that every continuation by j more (gamma, y) steps sends to 0.  A factor
+    (or gamma) annihilates when, in every slot, the chain value just after it
+    is dead for the steps that remain.
+    """
+    mu = ring.mu
+    pre = [None] + [_length_k_products(ring, j) for j in range(1, n + 1)]
+    dead = [np.arange(ring.m_order) == 0]
+    for _ in range(n - 1):
+        dead.append(dead[-1][mu].all(axis=(1, 2)))
+    free = dead[n - 1].copy()
+    for i in range(2, n + 1):
+        free &= dead[n - i][mu[pre[i - 1]]].all(axis=(0, 1))
+    gam = np.ones(ring.gamma_order, dtype=bool)
+    for j in range(1, n):
+        gam &= dead[n - 1 - j][mu[pre[j]]].all(axis=(0, 2))
+    free[pre[n]] = False
+    return np.flatnonzero(free), np.flatnonzero(gam)
+
+
+def _pair_group(ring: GammaRing, n: int, work: "_Work") -> Optional[_PairGroup]:
     """The stabilizer chain of Mult_n(ring), or None when the budget runs out.
 
-    Levels are built deepest first.  The generators found so far fix every
-    base point before the current one; the level closes its point's orbit
-    under them, then runs a leaf search, with F and the earlier base points
-    fixed, for each later base point of its kind outside that orbit.  A
-    solution is a new generator, and the orbit closes again.  So the orbit
-    is exact once every candidate is tried, and the generators found from a
-    level on generate the stabilizer of the points before it (Schreier).
+    F and A_Gamma come from _free_part.  Levels are built deepest first.
+    The generators found so far fix every base point before the current
+    one; the level closes its point's orbit under them, then runs a leaf
+    search, with F and the earlier base points fixed, for each later base
+    point of its kind outside that orbit.  A solution is a new generator,
+    and the orbit closes again.  So the orbit is exact once every candidate
+    is tried, and the generators found from a level on generate the
+    stabilizer of the points before it (Schreier).
 
     The leaf search leaves psi free on A_Gamma and the solution is reset to
     the identity there, which composes it with a pair of Sym(A_Gamma).  A
@@ -621,6 +725,7 @@ def _pair_group(ring: GammaRing, n: int, free: np.ndarray, gammas: np.ndarray,
     budget gates the leaf search nodes.
     """
     m, g = ring.m_order, ring.gamma_order
+    free, gammas = _free_part(ring, n)
     identity = (np.arange(m), np.arange(g))
     fixed = [(0, int(x), int(x)) for x in free]
     base = ([(0, x) for x in range(1, m) if x not in set(free.tolist())]
@@ -646,10 +751,10 @@ def _pair_group(ring: GammaRing, n: int, free: np.ndarray, gammas: np.ndarray,
     return _PairGroup(ring, free, gammas, levels[::-1], generators)
 
 
-def _generator(ring: GammaRing, n: int, phi, psi) -> tuple:
-    """A leaf search solution as a strong generator, checked exactly."""
+def _generator(ring: GammaRing, n: int, phi, psi, target: Optional[GammaRing] = None) -> tuple:
+    """A leaf search solution ring -> target (default ring) as tables, checked exactly."""
     try:
-        pair = MapPair(ring, ring, phi, psi)
+        pair = MapPair(ring, ring if target is None else target, phi, psi)
     except ValueError as ex:
         raise InternalInconsistencyError(f"a leaf search solution is no bijection pair: {ex}")
     if not verify_n_multiplicative(pair, n, ring.m_order**n * ring.gamma_order**(n - 1)).exact_pass:
@@ -659,8 +764,9 @@ def _generator(ring: GammaRing, n: int, phi, psi) -> tuple:
 
 class _Work:
     """The budget gate of the derivation solve and the pair chain: a unit per
-    equation tuple evaluated, generator verified, map listed, leaf search
-    node or endomorphism visited.  Running out leaves spent at budget + 1."""
+    equation tuple evaluated, generator verified, map or pair listed, leaf
+    search node or endomorphism visited.  Running out leaves spent at
+    budget + 1."""
 
     def __init__(self, budget: int):
         self.budget, self.spent = budget, 0

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 from typing import Optional
 
 import numpy as np
 
 from .errors import FrameValidationError, InternalInconsistencyError
-from .rings import GammaRing, _additive_in, _first, _witness, find_unities
+from .rings import (GammaRing, _additive_in, _first, _guard, _scan_equal, _witness,
+                    find_unities)
 
 
 @dataclass
@@ -100,9 +102,15 @@ def _is_nontrivial_idempotent(ring: GammaRing, e: int, gamma: int) -> bool:
     return e != 0 and ring.prod(e, gamma, e) == e and not _is_unity(ring, e, gamma)
 
 
-def _scan_frame(names, neq_fn) -> Optional[dict]:
-    """Lex-least tuple of a full frame scan where neq_fn() is True, or None."""
-    return _witness(names, _first(neq_fn()))
+def _scan_frame(invariant: str, names, outer: int, inner_shape: tuple,
+                lhs_fn, rhs_fn) -> Optional[dict]:
+    """Lex-least tuple of a full frame scan where the sides differ, or None.
+
+    The sides are built in chunks of first-slot values (rings._scan_equal),
+    and a scan whose raw count exceeds the exact-scan cap is refused.
+    """
+    _guard(outer * prod(inner_shape), invariant)
+    return _scan_equal(lhs_fn, rhs_fn, outer, inner_shape, names)
 
 
 def validate_frame(frame: IdempotentFrame) -> list[FrameViolation]:
@@ -112,8 +120,9 @@ def validate_frame(frame: IdempotentFrame) -> list[FrameViolation]:
     full.  Frame-associativity is additive in a and b once left_f, right_f
     and the ring's kept barnes-ii verdict are, so it compares generators a
     and b only; that verdict is read, never computed, and without it every
-    tuple is scanned.  Reports still count raw coverage; frame scans have no
-    exact-scan cap.
+    tuple is scanned.  Reports still count raw coverage.  A full scan is
+    built in chunks of first-slot values, and one whose raw count exceeds
+    rings.AXIOM_EVAL_CAP raises BudgetExceededError.
     """
     ring, e, g1 = frame.ring, frame.e, frame.gamma1
     mu = ring.mu
@@ -146,24 +155,26 @@ def validate_frame(frame: IdempotentFrame) -> list[FrameViolation]:
     addm = mg.add_table
     left_ok = _additive_in(lf, 1, mg, addm)
     right_ok = _additive_in(rf, 0, mg, addm)
-    kept = ring._barnes_reports                # barnes-ii first; None until scanned
-    distributive = kept is not None and kept[0].holds
     assoc_ok = False
-    if left_ok and right_ok and distributive:
+    if left_ok and right_ok and ring.known_distributive:
         gidx = np.arange(g)
         a, beta, gamma, b = np.ix_(mg.generators, gidx, gidx, mg.generators)
         assoc_ok = bool((mu[rf[a, beta], gamma, b] == mu[a, beta, lf[gamma, b]]).all())
     checks = (
-        ("left-additivity", ("beta", "x", "y"), left_ok,           # [b, x, y]
-         lambda: lf[:, addm] != addm[lf[:, :, None], lf[:, None, :]]),
-        ("right-additivity", ("x", "y", "beta"), right_ok,         # [x, y, b]
-         lambda: rf[addm, :] != addm[rf[:, None, :], rf[None, :, :]]),
+        ("left-additivity", ("beta", "x", "y"), left_ok, g, (m, m),           # [b, x, y]
+         lambda lo, hi: lf[lo:hi][:, addm],
+         lambda lo, hi: addm[lf[lo:hi, :, None], lf[lo:hi, None, :]]),
+        ("right-additivity", ("x", "y", "beta"), right_ok, m, (m, g),         # [x, y, b]
+         lambda lo, hi: rf[addm[lo:hi]],
+         lambda lo, hi: addm[rf[lo:hi, None, :], rf[None, :, :]]),
         # (a beta complement) gamma b == a beta (complement gamma b)
-        ("frame-associativity", ("a", "beta", "gamma", "b"), assoc_ok,  # [a, beta, gamma, b]
-         lambda: mu[rf] != mu[:, :, lf]),
+        ("frame-associativity", ("a", "beta", "gamma", "b"), assoc_ok, m, (g, g, m),
+         lambda lo, hi: mu[rf[lo:hi]],                                       # [a, beta, gamma, b]
+         lambda lo, hi: mu[lo:hi][:, :, lf]),
     )
-    for invariant, names, holds, neq_fn in checks:
-        witness = None if holds else _scan_frame(names, neq_fn)
+    for invariant, names, holds, outer, inner_shape, lhs_fn, rhs_fn in checks:
+        witness = None if holds else _scan_frame(invariant, names, outer, inner_shape,
+                                                 lhs_fn, rhs_fn)
         if witness is not None:
             out.append(FrameViolation(invariant, witness))
     return out

@@ -113,6 +113,13 @@ class GammaRing:
         return self._barnes_reports
 
     @property
+    def known_distributive(self) -> bool:
+        """Whether the ring already holds a passing barnes-ii verdict, so mu is
+        additive in both element slots; reading it never starts a scan."""
+        kept = self._barnes_reports                # barnes-ii first; None until scanned
+        return kept is not None and kept[0].holds
+
+    @property
     def barnes_verified(self) -> bool:
         return all(r.holds for r in self.barnes_reports())
 

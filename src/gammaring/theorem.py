@@ -21,7 +21,7 @@ from .errors import BudgetExceededError, InternalInconsistencyError, Preconditio
 from .groups import homomorphism_count, homomorphisms, is_group_homomorphism
 from .multmaps import (DEFAULT_BUDGET, _SAMPLE_CAP, DefectMap, DerivationTable, MapPair,
                        SearchConfig, VerifyReport, _chain, _defect, _derivations,
-                       _grid_step, _pair_group, _Work, verify_additive,
+                       _grid_step, _length_k_products, _pair_group, _Work, verify_additive,
                        verify_n_derivation, verify_n_multiplicative)
 from .peirce import (IdempotentFrame, MartindaleReport, PeirceComponents,
                      canonical_frames, check_martindale_family, peirce_decompose)
@@ -77,14 +77,6 @@ class PipelineReport:
     defect_zero: bool
     additive: VerifyReport
     agreement: bool
-
-
-def _length_k_products(ring: GammaRing, k: int) -> np.ndarray:
-    """All values realized by products of k elements (k >= 1)."""
-    p = np.arange(ring.m_order)
-    for _ in range(k - 1):
-        p = np.unique(ring.mu[p].ravel())
-    return p
 
 
 def check_hypotheses(defect: DefectMap, k: int, budget: int = DEFAULT_BUDGET) -> HypothesisReport:
@@ -345,17 +337,18 @@ _PIPELINE_TEXT = {
 }
 
 
-def _run_pipeline(kind: str, ring: GammaRing, subject, n: int, frames,
+def _run_pipeline(kind: str, subject, n: int, family: MartindaleReport,
                   budget: int, k: Optional[int]) -> PipelineReport:
     """Gates in order: family, verify, defect, hypotheses, zero defect, additivity.
 
-    The subject is verified once; its defect comes from the same builder the
+    family is check_martindale_family's report on the subject's ring and
+    frames, computed once by the caller however many subjects share it.  The
+    subject is verified once; its defect comes from the same builder the
     public defect_of_* functions use after their own verification.
     """
     no_family, partial, refused, bad_hypotheses, disagree = _PIPELINE_TEXT[kind]
     if k is None:
         k = n - 1
-    family = check_martindale_family(ring, frames)
     if not family.overall:
         raise PreconditionError(no_family)
     verify = verify_n_multiplicative if kind == "iso" else verify_n_derivation
@@ -382,13 +375,15 @@ def _run_pipeline(kind: str, ring: GammaRing, subject, n: int, frames,
 def run_additivity_pipeline(pair: MapPair, n: int, frames,
                             budget: int = DEFAULT_BUDGET, k: Optional[int] = None) -> PipelineReport:
     """Defect route vs direct additivity scan for an n-multiplicative pair."""
-    return _run_pipeline("iso", pair.source, pair, n, frames, budget, k)
+    family = check_martindale_family(pair.source, frames)
+    return _run_pipeline("iso", pair, n, family, budget, k)
 
 
 def run_derivation_pipeline(ring: GammaRing, deriv: DerivationTable, n: int, frames,
                             budget: int = DEFAULT_BUDGET, k: Optional[int] = None) -> PipelineReport:
     """Defect route vs direct additivity scan for an n-multiplicative derivation."""
-    return _run_pipeline("derivation", ring, deriv, n, frames, budget, k)
+    family = check_martindale_family(ring, frames)
+    return _run_pipeline("derivation", deriv, n, family, budget, k)
 
 
 @dataclass
@@ -411,33 +406,6 @@ class SurveyReport:
     n: int
     entries: list
     complete: bool
-
-
-def _free_part(ring: GammaRing, n: int) -> tuple:
-    """(F, A_Gamma) of length-n chains as sorted index arrays, exact for any n.
-
-    F: the elements that make every chain 0 from any factor slot, minus the
-    values of length-n products.  A_Gamma: the gammas that make every chain
-    0 from any gamma slot.
-
-    pre[j] holds the values of length-j chains, and dead[j] marks the values
-    that every continuation by j more (gamma, y) steps sends to 0.  A factor
-    (or gamma) annihilates when, in every slot, the chain value just after it
-    is dead for the steps that remain.
-    """
-    mu = ring.mu
-    pre = [None] + [_length_k_products(ring, j) for j in range(1, n + 1)]
-    dead = [np.arange(ring.m_order) == 0]
-    for _ in range(n - 1):
-        dead.append(dead[-1][mu].all(axis=(1, 2)))
-    free = dead[n - 1].copy()
-    for i in range(2, n + 1):
-        free &= dead[n - i][mu[pre[i - 1]]].all(axis=(0, 1))
-    gam = np.ones(ring.gamma_order, dtype=bool)
-    for j in range(1, n):
-        gam &= dead[n - 1 - j][mu[pre[j]]].all(axis=(0, 2))
-    free[pre[n]] = False
-    return np.flatnonzero(free), np.flatnonzero(gam)
 
 
 class _Count:
@@ -469,8 +437,7 @@ def _pair_count(ring: GammaRing, config: SearchConfig) -> _Count:
     visited; when it runs out nothing is counted.
     """
     work = _Work(config.budget)
-    free, gammas = _free_part(ring, config.n)
-    grp = _pair_group(ring, config.n, free, gammas, work)
+    grp = _pair_group(ring, config.n, work)
     if grp is None:
         return _NOTHING
     group = ring.m_group
@@ -478,14 +445,14 @@ def _pair_count(ring: GammaRing, config: SearchConfig) -> _Count:
     def additive(phi):
         return is_group_homomorphism(phi, group, group)
 
-    if free.size < 2 and all(additive(phi) for phi, _ in grp.generators):
+    if grp.free.size < 2 and all(additive(phi) for phi, _ in grp.generators):
         auts = grp.phi_order
     elif work.take(homomorphism_count(group, group)):
         auts = sum(np.unique(h).size == group.order and grp.has_phi(h)
                    for h in homomorphisms(group, group))
     else:
         return _NOTHING
-    nonadditive = (MapPair(ring, ring, phi, psi) for phi, psi in grp.walk(additive))
+    nonadditive = (MapPair(ring, ring, phi, psi) for phi, psi in grp.walk(skip=additive))
     return _Count(grp.order, auts * grp.kernel_order, True, nonadditive)
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from gammaring import (build_matrix_ring, build_table_ring, direct_product,
                        make_group, trivial_ring)
+from gammaring.multmaps import _PairSearch
 
 
 def f4_ring():
@@ -89,3 +90,11 @@ def midx(ring, *rows):
 def gidx(ring, *rows):
     flat = [v for row in rows for v in row]
     return ring.gamma_group.index_of(tuple(flat))
+
+
+def plain_pairs(source, target, n, budget=10**8):
+    """(phi, psi) keys of every pair source -> target, sorted, as listed by the
+    complete plain DFS: the oracle for the stabilizer-chain listings."""
+    eng = _PairSearch(source, target, n, budget, None).run()
+    assert eng.complete
+    return sorted((tuple(p.tolist()), tuple(q.tolist())) for p, q in eng.solutions)

@@ -1,0 +1,144 @@
+"""An exact pass at n = 2 decides every n: the shortcut against the full scan.
+
+Chains fold left to right, x1 g1 ... xn = (x1 g1 ... x_{n-1}) g_{n-1} xn, so a
+pair that satisfies its identity on every (x, gamma, y) satisfies it on
+every chain, and so does a derivation once the product is additive in its
+first slot.  verify_n_multiplicative and verify_n_derivation therefore scan
+the m^2 g tuples of n = 2 first.  Each verdict, witness and `checked` count
+here must equal the exhaustive length-n scan, called directly, and a failure
+at n = 2 must fall back to that scan for its lex-least witness.
+"""
+
+import numpy as np
+import pytest
+
+import gammaring.multmaps as multmaps_mod
+from gammaring import (DerivationTable, MapPair, SearchConfig, build_matrix_ring,
+                       build_table_ring, make_group, matrix_ring_family, search_n_derivations,
+                       search_n_multiplicative_isos, verify_n_derivation,
+                       verify_n_multiplicative)
+from gammaring.multmaps import _leibniz_sides, _pair_sides, _scan_chains
+
+from test_theorem import QUOTIENT_RINGS, _one_sided
+
+RINGS = matrix_ring_family(2, 4) + QUOTIENT_RINGS
+# the direct n = 4 scan of a 16-element ring covers 2^28 tuples, too many for a reference
+CASES = [(name, ring, n) for n in (3, 4) for name, ring in RINGS
+         if ring.m_order**n * ring.gamma_order**(n - 1) <= 1 << 21]
+
+
+def _full(subject, n):
+    """(passed, exact, checked, witness) of the exhaustive length-n scan."""
+    iso = isinstance(subject, MapPair)
+    ring = subject.source if iso else subject.ring
+    m, g = ring.m_order, ring.gamma_order
+    w = _scan_chains(m, g, n, *(_pair_sides(subject) if iso else _leibniz_sides(subject)))
+    return w is None, True, m**n * g**(n - 1), w
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The arity of every exhaustive chain scan the verifiers run."""
+    arities = []
+
+    def recorded(m, g, n, lhs, rhs):
+        arities.append(n)
+        return _scan_chains(m, g, n, lhs, rhs)
+
+    monkeypatch.setattr(multmaps_mod, "_scan_chains", recorded)
+    return arities
+
+
+def _verify(subject, n):
+    verify = verify_n_multiplicative if isinstance(subject, MapPair) else verify_n_derivation
+    r = verify(subject, n)
+    return r.passed, r.exact, r.checked, r.witness
+
+
+def _planted_pair(pair):
+    """pair with the images of the first and last elements swapped."""
+    phi = pair.phi.copy()
+    phi[[1, -1]] = phi[[-1, 1]]
+    return MapPair(pair.source, pair.target, phi, pair.psi)
+
+
+def _planted_derivation(deriv):
+    """deriv with one image moved by the first generator."""
+    ring, d = deriv.ring, deriv.d.copy()
+    x = ring.m_order - 1
+    d[x] = ring.m_group.add_table[d[x], ring.m_group.generators[0]]
+    return DerivationTable(ring, d)
+
+
+def _subjects(ring):
+    pairs = search_n_multiplicative_isos(ring, ring, SearchConfig(n=2, report_limit=2)).found
+    derivs = search_n_derivations(ring, SearchConfig(n=2, report_limit=2)).found
+    planted = [_planted_pair(p) for p in pairs if ring.m_order > 2]
+    planted += [_planted_derivation(d) for d in derivs]
+    return pairs + derivs, planted
+
+
+@pytest.mark.parametrize("name, ring, n", CASES, ids=[f"{name}-{n}" for name, _, n in CASES])
+def test_shortcut_matches_the_full_scan(name, ring, n, scans):
+    ring.require_barnes()
+    assert ring.known_distributive
+    held, planted = _subjects(ring)
+    for subject in held + planted:
+        want, two = _full(subject, n), _full(subject, 2)[0]
+        scans.clear()
+        assert _verify(subject, n) == want
+        # a pass at n = 2 decides; a failure there rescans every tuple
+        assert scans == ([2] if two else [2, n])
+    if ring.mu.any() and ring.m_order > 2:      # a zero product admits every bijection
+        assert any(not _full(s, n)[0] for s in planted)
+
+
+def test_a_3_derivation_that_is_no_2_derivation_passes_exactly(matrix222):
+    two = {d.key() for d in search_n_derivations(matrix222, SearchConfig(n=2)).found}
+    extra = [d for d in search_n_derivations(matrix222, SearchConfig(n=3)).found
+             if d.key() not in two]
+    assert len(extra) == 1
+    d = extra[0]
+    assert not verify_n_derivation(d, 2).passed
+    assert _verify(d, 3) == _full(d, 3) == (True, True, 16**3 * 16**2, None)
+
+
+def test_derivations_need_a_held_distributivity_verdict(scans):
+    # the same tables in a fresh ring hold no Barnes verdict, and verifying
+    # a derivation must not start one: every length-3 tuple is scanned
+    _, held = _one_sided()
+    fresh = build_table_ring(held.m_group, held.gamma_group, held.mu)
+    d = search_n_derivations(held, SearchConfig(n=2)).found[-1]
+    assert d.d.any()
+    for ring, arity in ((fresh, 3), (held, 2)):
+        scans.clear()
+        deriv = DerivationTable(ring, d.d)
+        assert _verify(deriv, 3) == _full(deriv, 3)
+        assert scans == [arity]
+    assert fresh._barnes_reports is None
+
+
+def test_a_failing_distributivity_verdict_keeps_the_full_scan(scans):
+    # on Z3 with Gamma = Z2, x.0.1 = 2 and x.1.y = 1 for x, y != 0, all else
+    # 0: barnes-ii fails, and d = (0, 2, 2) is a 2-derivation but no 3-derivation
+    mu = np.zeros((3, 2, 3), dtype=np.int32)
+    mu[1:, 0, 1] = 2
+    mu[1:, 1, 1:] = 1
+    ring = build_table_ring(make_group([3]), make_group([2]), mu)
+    assert not ring.barnes_reports()[0].holds
+    d = DerivationTable(ring, np.array([0, 2, 2]))
+    assert verify_n_derivation(d, 2).exact_pass
+    scans.clear()
+    got = _verify(d, 3)
+    assert got == _full(d, 3)
+    assert not got[0] and got[3] == {"x1": 1, "g1": 1, "x2": 1, "g2": 0, "x3": 1}
+    assert scans == [3]
+
+
+@pytest.mark.parametrize("shape, order", [((2, 2), 36), ((1, 4), 20_160)])
+def test_pair_chains_complete_at_n4(shape, order):
+    # each strong generator is verified over 16^4 16^3 = 2^28 tuples, decided at n = 2
+    ring = build_matrix_ring(2, *shape)
+    work = multmaps_mod._Work(10**8)
+    grp = multmaps_mod._pair_group(ring, 4, work)
+    assert grp is not None and grp.order == order

@@ -12,8 +12,13 @@ ended the whole command.  The eight `search-derivations` entries were
 re-pinned, by running this case list, when an exact kernel solve replaced
 the derivation search: `nodes` now counts the solve's work units, and the
 budget-5 case runs out before its first listed map, where the search had
-listed three.  Exit codes, and every other byte of the complete entries,
-are unchanged.
+listed three.  The eight `search-iso` entries were re-pinned, by running
+this case list, when search-iso began to list the pairs by a walk of their
+stabilizer chain: `nodes` now counts the chain's leaf search nodes plus the
+pairs listed (34 -> 12 on trivial(Z4), 1,569 -> 148 on matrix(2,2,2)), and
+the budget-5 case lists the first five pairs in sorted order, where the
+plain search listed one.  Exit codes, pair lists, and every other byte of
+the complete entries, are unchanged.
 
 `theorem --n 3` at the default budget is left out on purpose: its hypothesis
 gate counts the exact scan's work, so it exits 0 where it used to exit 3.
@@ -134,14 +139,14 @@ EXPECTED = {
     "search-derivations-m222-n3/text": (0, '17cea492d165e1f96302dcd5549ad8a11e68eae3a0c19a6b31e5cef0749b25d8'),
     "search-derivations-require-additive/json": (1, 'a53e8e9c1735c89edd3523b56d90dc040979bcc2c7f58ab9da63c0ffa3a3106f'),
     "search-derivations-require-additive/text": (1, '486ea6094ed887660d6b492adb770bf6790ad767272f597035de0e1d12d4d4be'),
-    "search-iso/json": (0, '31333f02b8c9a61275f21b82899a63c7a5adcc32bcd06074f0b0ab7122fe68cc'),
-    "search-iso/text": (0, '7ccabfc5c900ce773dc13df23543e2a13c7dc2c36caf6d2c7e8dcb3c564e8968'),
-    "search-iso-budget/json": (3, '0253a4eab4554b8e00d58ff202ded18ceb52e3ad7f52ab6e4539de6ae5672c66'),
-    "search-iso-budget/text": (3, '825ec26745e7f7cc4000bdbcf944bc1916db5e5df57b659c04f64510b34da3d7'),
-    "search-iso-m222/json": (0, 'ea470dcd04b21b584ee707fdb2db41f821053f65f448b8009348fbf0579bd49b'),
-    "search-iso-m222/text": (0, 'c3c5d95cf8889f4c60b6ea2edf0f25257237ae2a28c35d3ff14711f5cdd2d755'),
-    "search-iso-require-additive/json": (1, 'dd00fde7ab23cdf529fd746e3dc15adba3088bbd850a7be7d85505e8ef336a82'),
-    "search-iso-require-additive/text": (1, 'a5a50c7fc6ddf58a93c9716b7a7d96b19807a660f42d8431ee2cd8bf54c33331'),
+    "search-iso/json": (0, 'eb18b843839848d4c4f06802b466d45885ce522c6f8e73968002bb55a5c585b9'),
+    "search-iso/text": (0, '09cc4e2590de68bec5c1d595aabcb4d75fa111b277b24ce70d6fd4dd82c7fd2f'),
+    "search-iso-budget/json": (3, '936680cfe00c50a292837838b220e666295d8ca5b96b0633f588faed90222456'),
+    "search-iso-budget/text": (3, '3c5aa343cebbebc99216fc1d40b22e3002638d8c2fe71af3d06cbd50ec4b9a69'),
+    "search-iso-m222/json": (0, '41e2f70ab2d55b670b75cd9ef7a5e36cdb920c29f1d0920caef2525035002bab'),
+    "search-iso-m222/text": (0, 'eb5be468c9590a64a490217b3d6683da7b0d41311a9a35d5a3c9d34b685559e4'),
+    "search-iso-require-additive/json": (1, 'f0178e1bd572a3ef028a5ac69133fba0c6266208083fb57461343bac1456a672'),
+    "search-iso-require-additive/text": (1, '54fdeb55ef66be4a47de4d4d9789c0d8b703477a40bd3929a1172d8cbfed13d1'),
     "theorem-budget/json": (3, '99daf4557196edbd9fcd16dbbae3e53a62e5ab44fc38c6b4fdaaef057414faf3'),
     "theorem-budget/text": (3, '37cc46f352d1d678081ae1496e0d1a0971c0c6070f4bcbe9a0fdcb9cfceb7f68'),
     "theorem-failure/json": (1, '64ea95465abf5b038114cabb24431459f5ab554f40870b8512fc8f458e9fe37a'),

@@ -11,6 +11,7 @@ read.
 import numpy as np
 import pytest
 
+import gammaring.rings as rings_mod
 from gammaring import (build_matrix_ring, build_table_ring, canonical_frames,
                        check_barnes_axioms, check_nobusawa, direct_product, make_group,
                        matrix_ring_family, trivial_ring, trivial_ring_family, validate_frame)
@@ -140,6 +141,29 @@ def test_frame_scans_match_brute_force(name, ring):
             right = _linear_table(rng, ring.m_group, g).T
             frames.append(IdempotentFrame(ring, 0, 0, left, right))
             frames.append(IdempotentFrame(ring, 0, 0, left, rng.integers(0, m, size=(m, g))))
+    for frame in frames:
+        assert _frame_scans(frame) == _reference_frame(frame)
+
+
+@pytest.mark.parametrize("name,ring", RINGS, ids=[name for name, _ in RINGS])
+def test_chunked_frame_scans_match_the_whole_array(name, ring, monkeypatch):
+    """Random complement tables, each full scan one first-slot value per chunk."""
+    monkeypatch.setattr(rings_mod, "_CHUNK_ELEMS", 1)
+    rng = np.random.default_rng(len(name) + 1)
+    m, g = ring.m_order, ring.gamma_order
+    frames = []
+    for _ in range(3):
+        left, right = rng.integers(0, m, size=(g, m)), rng.integers(0, m, size=(m, g))
+        left[:, 0] = right[0, :] = 0             # no witness at the zero element
+        frames.append(IdempotentFrame(ring, 0, 0, left, right))
+    if set(ring.m_group.factors) == {2}:
+        # additive tables with their last entry moved: left-additivity first
+        # fails in the last chunk
+        add, e = ring.m_group.add_table, ring.m_group.generators[0]
+        left = _linear_table(rng, ring.m_group, g)
+        right = _linear_table(rng, ring.m_group, g).T.copy()
+        left[-1, -1], right[-1, -1] = add[left[-1, -1], e], add[right[-1, -1], e]
+        frames.append(IdempotentFrame(ring, 0, 0, left, right))
     for frame in frames:
         assert _frame_scans(frame) == _reference_frame(frame)
 

@@ -19,10 +19,11 @@ from gammaring import (MapPair, SearchConfig, build_matrix_ring, build_table_rin
 from gammaring.errors import InternalInconsistencyError
 from gammaring.groups import is_group_homomorphism
 from gammaring.multmaps import _generator, _pair_group, _Work
-from gammaring.theorem import _free_part, _pair_count
+from gammaring.theorem import _pair_count
 
+from conftest import plain_pairs
 from test_derivation_kernel import _scalar, _z3_diagonal
-from test_theorem import QUOTIENT_RINGS, _opposite
+from test_theorem import QUOTIENT_RINGS, _opposite, _with_trivial
 
 CAPPED = ("matrix(2,1,3)", "matrix(2,1,4)", "matrix(2,4,1)")    # the plain search runs out
 ORACLE_RINGS = ([r for r in matrix_ring_family(2, 4) if r[0] not in CAPPED]
@@ -36,8 +37,7 @@ ORACLE_CASES = [(name, ring, n) for n in (2, 3) for name, ring in ORACLE_RINGS
 
 
 def _group(ring, n):
-    free, gammas = _free_part(ring, n)
-    return _pair_group(ring, n, free, gammas, _Work(10**8))
+    return _pair_group(ring, n, _Work(10**8))
 
 
 def _counts(ring, n):
@@ -49,13 +49,16 @@ def _counts(ring, n):
 @pytest.mark.parametrize("name, ring, n", ORACLE_CASES,
                          ids=[f"{name}-{n}" for name, _, n in ORACLE_CASES])
 def test_chain_matches_plain_enumeration(name, ring, n):
-    res = search_n_multiplicative_isos(ring, ring, SearchConfig(n=n))
-    assert res.complete
+    want = plain_pairs(ring, ring, n)
     grp = _group(ring, n)
-    assert grp.order == len(res.found)
-    walked = [(tuple(p.tolist()), tuple(q.tolist())) for p, q in grp.walk(lambda phi: False)]
-    assert walked == [p.key() for p in res.found]
-    assert _counts(ring, n) == (len(res.found), sum(verify_additive(p).passed for p in res.found))
+    assert grp.order == len(want)
+    walked = [(tuple(p.tolist()), tuple(q.tolist())) for p, q in grp.walk()]
+    assert walked == want
+    additive = sum(verify_additive(MapPair(ring, ring, np.array(p), np.array(q))).passed
+                   for p, q in want)
+    assert _counts(ring, n) == (len(want), additive)
+    res = search_n_multiplicative_isos(ring, ring, SearchConfig(n=n))
+    assert res.complete and [p.key() for p in res.found] == want
 
 
 def _automorphism(group):
@@ -87,6 +90,72 @@ def test_chain_counts_are_invariant(name, ring, n):
     want = _counts(ring, n)
     assert _counts(_opposite(ring), n) == want
     assert _counts(_relabel(ring, sigma, tau), n) == want
+
+
+def _reversed(group):
+    """The automorphism reversing the residue coordinates, for palindromic factors."""
+    return group.residues[:, ::-1] @ group._place_values
+
+
+def _moved(rows, cols, m_factors):
+    """A matrix ring beside a trivial one, and its relabelling by the coordinate
+    reversals of M and Gamma, which moves F and A_Gamma."""
+    _, ring = _with_trivial(rows, cols, m_factors)
+    return ring, _relabel(ring, _reversed(ring.m_group), _reversed(ring.gamma_group))
+
+
+def _between_cases():
+    m212, m222 = build_matrix_ring(2, 1, 2), build_matrix_ring(2, 2, 2)
+    clone = build_table_ring(m212.m_group, m212.gamma_group, m212.mu, m212.nu)
+    shear = _relabel(m222, _automorphism(m222.m_group), _automorphism(m222.gamma_group))
+    return [("m212-opposite", m212, _opposite(m212), (2, 3)),
+            ("m212-m221", m212, build_matrix_ring(2, 2, 1), (2, 3)),
+            ("m212-clone", m212, clone, (2, 3)),
+            ("m222-relabelled", m222, shear, (2, 3)),
+            # F = {1}, A_Gamma = {0, 1} onto F = {2}, A_Gamma = {0, 2}
+            ("m211xZ2-relabelled", *_moved(1, 1, [2]), (2, 3)),
+            # F = {1, 2, 3} onto {2, 4, 6}
+            ("m211xZ2^2-relabelled", *_moved(1, 1, [2, 2]), (2, 3)),
+            ("m212xZ2-relabelled", *_moved(1, 2, [2]), (2,))]
+
+
+BETWEEN = [(name, s, t, n) for name, s, t, ns in _between_cases() for n in ns]
+
+
+@pytest.mark.parametrize("name, source, target, n", BETWEEN,
+                         ids=[f"{name}-{n}" for name, _, _, n in BETWEEN])
+def test_search_between_rings_lists_the_plain_enumeration(name, source, target, n):
+    # the pairs onto another ring are sigma Mult_n(source), walked from one pair sigma
+    res = search_n_multiplicative_isos(source, target, SearchConfig(n=n))
+    assert res.complete
+    assert [p.key() for p in res.found] == plain_pairs(source, target, n)
+
+
+def test_search_between_rings_of_different_orders():
+    res = search_n_multiplicative_isos(build_matrix_ring(2, 1, 2), build_matrix_ring(2, 2, 2),
+                                       SearchConfig(n=2))
+    assert (res.found, res.complete, res.nodes) == ([], True, 0)
+
+
+@pytest.mark.parametrize("case", ["m212-clone", "m211xZ2-relabelled"])
+def test_a_budgeted_pair_listing_is_a_sorted_prefix(case):
+    # the budget counts leaf search nodes and pairs listed; a run that runs
+    # out reports budget + 1 and the first pairs in sorted order
+    _, source, target, _ = next(c for c in _between_cases() if c[0] == case)
+    full = search_n_multiplicative_isos(source, target, SearchConfig(n=2))
+    keys = [p.key() for p in full.found]
+    assert full.complete and keys
+    for budget in range(1, full.nodes + 1):
+        res = search_n_multiplicative_isos(source, target, SearchConfig(n=2, budget=budget))
+        got = [p.key() for p in res.found]
+        assert got == keys[:len(got)]
+        assert res.complete == (budget == full.nodes)
+        assert res.nodes == (full.nodes if res.complete else budget + 1)
+    assert got == keys
+    for limit in (1, 5):
+        res = search_n_multiplicative_isos(source, target, SearchConfig(n=2, report_limit=limit))
+        assert [p.key() for p in res.found] == keys[:limit]
+        assert res.complete == (limit >= len(keys))
 
 
 def test_hunt_matrix_family_is_exact():

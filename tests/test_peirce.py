@@ -1,11 +1,19 @@
+import contextlib
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import gammaring.rings as rings_mod
 from gammaring import (canonical_frame, canonical_frames, check_condition_ii,
                        check_condition_iii, check_condition_iv, check_martindale_family,
-                       check_peirce_relations, custom_frame, peirce_decompose,
-                       validate_frame)
+                       check_peirce_relations, custom_frame, document_dict, emit_grdf,
+                       make_group, peirce_decompose, trivial_ring, validate_frame)
+from gammaring.cli import main
 from gammaring.errors import FrameValidationError
+from gammaring.peirce import IdempotentFrame
+from gammaring.rings import _first, _witness
 
 from conftest import gidx, midx
 
@@ -156,3 +164,47 @@ def test_canonical_frames_discovery(matrix222, matrix212):
     frames = canonical_frames(matrix222)
     assert frames and all(validate_frame(f) == [] for f in frames)
     assert canonical_frames(matrix212) == []      # no unity there
+
+
+def _random_frame(ring, seed):
+    """A user frame with random complement tables, zero at the zero element."""
+    rng = np.random.default_rng(seed)
+    m, g = ring.m_order, ring.gamma_order
+    left, right = rng.integers(0, m, size=(g, m)), rng.integers(0, m, size=(m, g))
+    left[:, 0] = right[0, :] = 0
+    return IdempotentFrame(ring, 1, 1, left, right)
+
+
+def test_oversized_frame_scan_exits_3(tmp_path, monkeypatch):
+    # a user frame on a ring nobody Barnes-checked keeps its full scans; past
+    # the exact-scan cap they are refused, and no Barnes scan runs first
+    ring = trivial_ring(make_group([2, 2]), make_group([2, 2]))
+    path = tmp_path / "frame.json"
+    path.write_text(emit_grdf(document_dict(ring, frames=[_random_frame(ring, 0)])))
+    argv = ["conditions", "--input", str(path)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 1
+        monkeypatch.setattr(rings_mod, "AXIOM_EVAL_CAP", 4 * 4 * 4 - 1)   # g m^2
+        assert main(argv) == 3
+
+
+def test_large_frame_scan_is_chunked():
+    # m = g = 64: the whole frame-associativity arrays (two int32 sides and a
+    # mask) take 9 m^2 g^2 bytes, 144 MiB; the chunked scan stays under half
+    z2_6 = make_group([2] * 6)
+    ring = trivial_ring(z2_6, z2_6)
+    frame = _random_frame(ring, 1)
+    tracemalloc.start()
+    try:
+        got = [(v.invariant, v.witness) for v in validate_frame(frame)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 64**4 // 2
+    lf, rf, addm = frame.left_f, frame.right_f, ring.m_group.add_table
+    want = [("left-additivity", ("beta", "x", "y"),
+             lf[:, addm] != addm[lf[:, :, None], lf[:, None, :]]),
+            ("right-additivity", ("x", "y", "beta"),
+             rf[addm, :] != addm[rf[:, None, :], rf[None, :, :]])]
+    assert got[-2:] == [(name, _witness(names, _first(neq))) for name, names, neq in want]
+    assert got[-1][1] != {"x": 0, "y": 0, "beta": 0}
