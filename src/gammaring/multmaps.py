@@ -298,9 +298,14 @@ class _PairSearch:
     and, at a full assignment, constitutes a complete verification.
 
     Branch variables: minimum-remaining-values over both kinds, with every
-    candidate forward-checked against the already-fired instances, so only
-    locally consistent values are ever tried; ties keep phi images in
-    element-index order with psi interleaved once instances discriminate.
+    candidate forward-checked against the already-fired instances (Haralick
+    and Elliott 1980), so only locally consistent values are ever tried;
+    ties keep phi images in element-index order with psi interleaved once
+    instances discriminate.  At n >= 3 no instance fires until a gamma is
+    assigned, so the search first branches on the gamma u with the most
+    nonzero products over the assigned elements, and it tries only the
+    values c under which no chain x1 u x2 ... u xn of assigned factors, its
+    source product assigned, contradicts phi (_gamma_values).
 
     phi(0) = 0 holds in every solution, so run() fixes it: phi(0) =
     phi(0 g ... g x) with phi(x) = 0 collapses to a product with a zero factor
@@ -362,6 +367,33 @@ class _PairSearch:
         The fixed values must be injective: an element or gamma given twice,
         or two of them given one image, raises ValueError.
         """
+        if self._fix(fixed):
+            self._dfs()
+        self._undo(0)
+        return self
+
+    def admits(self, fixed, kind, idx) -> np.ndarray:
+        """ok[c]: whether run(fixed + [(kind, idx, c)]) survives its root.
+
+        The fixed part is propagated once and idx's candidate row read off
+        the fired instances, as _branch reads it; every c the row rejects
+        would be refuted by the root propagation, for 0 nodes.
+        """
+        ok = np.zeros(self.mt if kind == 0 else self.gt, dtype=bool)
+        if self._fix(fixed):
+            table = self.phi if kind == 0 else self.psi
+            if table[idx] >= 0:
+                ok[table[idx]] = True
+            else:
+                am, fam, ag, fag, pw, pv = self._state()
+                one = np.array([idx])
+                ok = (self._phi_candidates(pw, pv, ag, fag, one) if kind == 0
+                      else self._psi_candidates(pw, pv, am, fam, one))[0]
+        self._undo(0)
+        return ok
+
+    def _fix(self, fixed) -> bool:
+        """Assign phi(0) = 0 and each (kind, index, value) of `fixed`, then propagate."""
         self._assign(0, 0, 0)
         for kind, idx, v in fixed:
             table, used = (self.phi, self.phi_used) if kind == 0 else (self.psi, self.psi_used)
@@ -369,10 +401,7 @@ class _PairSearch:
                 self._undo(0)
                 raise ValueError(f"pre-assignment {(kind, idx, v)} repeats an index or image")
             self._assign(kind, idx, v)
-        if self._propagate():
-            self._dfs()
-        self._undo(0)
-        return self
+        return self._propagate()
 
     def _undo(self, mark):
         while len(self.trail) > mark:
@@ -458,14 +487,18 @@ class _PairSearch:
         ok &= free[None, :]
         return ok
 
-    def _branch(self):
+    def _state(self):
+        """Assigned elements and gammas with their images, and the prefix pairs."""
         am = np.flatnonzero(self.phi >= 0)
         ag = np.flatnonzero(self.psi >= 0)
         fam = self.phi[am]
         fag = self.psi[ag]
         pre = self._prefixes(am, fam, ag, fag)
         pw, pv = pre if pre is not None else (np.empty(0, np.int64), np.empty(0, np.int64))
+        return am, fam, ag, fag, pw, pv
 
+    def _branch(self):
+        am, fam, ag, fag, pw, pv = self._state()
         un_m = np.flatnonzero(self.phi < 0)
         un_g = np.flatnonzero(self.psi < 0)
         if un_m.size == 0 and un_g.size == 0:
@@ -483,7 +516,7 @@ class _PairSearch:
             prods = self.mu_s[np.ix_(am, un_g, am)]
             scores = (prods != 0).sum(axis=(0, 2))
             kind, idx = 1, int(un_g[int(np.argmax(scores))])
-            values = np.flatnonzero(~self.psi_used)
+            values = self._gamma_values(idx, am, fam)
         else:
             phi_ok = self._phi_candidates(pw, pv, ag, fag, un_m)
             psi_ok = self._psi_candidates(pw, pv, am, fam, un_g)
@@ -506,6 +539,27 @@ class _PairSearch:
             values = np.flatnonzero(values)
 
         return kind, idx, values.tolist()
+
+    def _gamma_values(self, u, am, fam):
+        """The free values c of psi(u) under which no chain x1 u x2 ... u xn of
+        assigned factors, with an assigned source product, contradicts phi.
+
+        Rows (value position, source value, target value) extend the chains
+        one (u, x) step at a time, each depth's rows deduplicated as in
+        _prefixes, so a value keeps at most m * m_t rows.
+        """
+        cs = np.flatnonzero(~self.psi_used)
+        k = np.repeat(np.arange(cs.size), am.size)
+        w, v = np.tile(am, cs.size), np.tile(fam, cs.size)
+        for depth in range(1, self.n):
+            w = self.mu_s[w[:, None], u, am[None, :]].ravel()
+            v = self.mu_t[v[:, None], cs[k][:, None], fam[None, :]].ravel()
+            k = np.repeat(k, am.size)
+            if depth < self.n - 1:
+                keys = np.unique((k * self.m + w) * self.mt + v)
+                k, w, v = keys // (self.m * self.mt), keys // self.mt % self.m, keys % self.mt
+        out = self.phi[w]
+        return np.delete(cs, k[(out >= 0) & (out != v)])
 
     def _assign(self, kind, idx, v):
         if kind == 0:
@@ -710,7 +764,10 @@ def _pair_group(ring: GammaRing, n: int, work: "_Work") -> Optional[_PairGroup]:
     point of its kind outside that orbit.  A solution is a new generator,
     and the orbit closes again.  So the orbit is exact once every candidate
     is tried, and the generators found from a level on generate the
-    stabilizer of the points before it (Schreier).
+    stabilizer of the points before it (Schreier).  The level propagates its
+    fixed part once and reads its point's candidate row (_PairSearch.admits);
+    a candidate outside the row would be refuted at its leaf search's root,
+    for 0 nodes, so it starts no search.
 
     The leaf search leaves psi free on A_Gamma and the solution is reset to
     the identity there, which composes it with a pair of Sym(A_Gamma).  A
@@ -718,7 +775,7 @@ def _pair_group(ring: GammaRing, n: int, work: "_Work") -> Optional[_PairGroup]:
     branches on a first gamma only while none is assigned, so fixing them
     would let it permute elements blindly: on matrix(2,2,2) at n = 3 one
     refutation took 89,299 nodes with psi(0) = 0 fixed, and the whole chain
-    takes 1,627 without.
+    takes 123 without.
 
     Each generator must be a bijection pair that passes an exact
     verify_n_multiplicative, or InternalInconsistencyError is raised.  The
@@ -731,12 +788,14 @@ def _pair_group(ring: GammaRing, n: int, work: "_Work") -> Optional[_PairGroup]:
     base = ([(0, x) for x in range(1, m) if x not in set(free.tolist())]
             + [(1, a) for a in range(g) if a not in set(gammas.tolist())])
     generators, levels = [], []
+    probe = _PairSearch(ring, ring, n, work.budget, 1)
     for i in range(len(base) - 1, -1, -1):
         kind, point = base[i]
         above = [(k, p, p) for k, p in base[:i]]
         orbit = _orbit(kind, point, generators, identity)
+        row = probe.admits(fixed + above, kind, point)
         for k, c in base[i + 1:]:
-            if k != kind or c in orbit:
+            if k != kind or c in orbit or not row[c]:
                 continue
             eng = _PairSearch(ring, ring, n, work.budget - work.spent, 1).run(
                 fixed + above + [(kind, point, c)])

@@ -87,8 +87,11 @@ def check_hypotheses(defect: DefectMap, k: int, budget: int = DEFAULT_BUDGET) ->
     (length-k product, final gamma) action, so the exhaustive scan covers all
     raw tuples by checking each composite once.  A defect that does not depend
     on gamma, as every iso and derivation defect, is scanned once per (x, y)
-    on its gamma = 0 slice.  The budget gates that scan's own work; `checked`
-    still counts the raw tuples it covers.  Witnesses are reported as raw
+    on its gamma = 0 slice, and a constant defect c, as every defect on a
+    qualifying ring is (c = 0), passes when each composite action fixes c,
+    one table lookup per action (_absorption_exact).  The budget gates the
+    full scan's work; `checked` still counts the raw tuples it covers, and a
+    failure always runs the full scan.  Witnesses are reported as raw
     tuples, least in the order (u1, g1, ..., uk, gk, x, gamma, y) for the left
     identity and (g1, u1, ..., gk, uk, x, gamma, y) for the right one.
     """
@@ -125,23 +128,45 @@ def _gamma_free(f: np.ndarray) -> np.ndarray:
 
     An identity in f(x, gamma, y) then holds or fails alike for every gamma,
     so a scan over the slice decides it, and its least witness, which has
-    gamma = 0, is the least witness of the full scan.
+    gamma = 0, is the least witness of the full scan.  A constant f is
+    gamma-free too, so its constancy is read on the slice.
     """
     head = f[:, :1, :]
     return head if (f == head).all() else f
 
 
+def _absorption_act(ring: GammaRing, pk: np.ndarray, side: str) -> np.ndarray:
+    """The composite actions: [p, gk, w] = p gk w on the left, [g1, q, w] = w g1 q
+    on the right."""
+    if side == "left":
+        return ring.mu[pk]
+    return np.moveaxis(ring.mu[:, :, pk], 0, 2)
+
+
 def _absorption_exact(ring: GammaRing, f: np.ndarray, k: int, pk: np.ndarray,
                       side: str) -> VerifyReport:
-    mu = ring.mu
+    """The absorption identity on every composite action, decided in one table
+    lookup when f is one constant c.
+
+    Both sides then read act(c) = c for each action, since f(act x, gamma,
+    act y) = c, so a pass needs only act[:, :, c] == c.  A failure, or a
+    non-constant f, runs the chunked scan, which finds the least witness.
+    """
+    c = f.flat[0]
+    if (f == c).all() and (_absorption_act(ring, pk, side)[:, :, c] == c).all():
+        return VerifyReport(True, True, ring.m_order**(k + 2) * ring.gamma_order**(k + 1))
+    return _absorption_scan(ring, f, k, pk, side)
+
+
+def _absorption_scan(ring: GammaRing, f: np.ndarray, k: int, pk: np.ndarray,
+                     side: str) -> VerifyReport:
+    """The absorption identity scanned over every composite action and (x,
+    gamma, y), in chunks of actions."""
     m, g = ring.m_order, ring.gamma_order
     gs = f.shape[1]                  # gamma slots scanned: g, or 1 for a gamma-free f
     raw_count = m**(k + 2) * g**(k + 1)
 
-    if side == "left":
-        act = mu[pk]                                   # [p, gk, w] = p gk w
-    else:
-        act = np.moveaxis(mu[:, :, pk], 0, 2)          # [g1, q, w] = w g1 q
+    act = _absorption_act(ring, pk, side)
     a, b = act.shape[0], act.shape[1]
     flat = act.reshape(a * b, m)
     fail = np.zeros((a, b), dtype=bool)
