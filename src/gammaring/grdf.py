@@ -71,6 +71,24 @@ def _int_list(val, where: str) -> list:
     return val
 
 
+def _int_table(val, where: str) -> np.ndarray:
+    """A JSON table of integers as an array, checked on its dtype: a ragged
+    table, or one holding a string, float, null or an integer beyond 32 bits,
+    raises GRDFError, so every later int32 cast is exact."""
+    try:
+        arr = np.asarray(val)
+    except ValueError:
+        raise GRDFError(f"{where}: a ragged table") from None
+    if arr.size and (arr.dtype.kind != "i" or arr.min() < -2**31 or arr.max() >= 2**31):
+        raise GRDFError(f"{where}: not a table of 32-bit integers")
+    return arr
+
+
+def _section(doc: dict, key: str) -> list:
+    """An optional list section of the document; absent means empty."""
+    return _need(doc, key, list, "document") if key in doc else []
+
+
 def parse_grdf(text: str) -> GRDFDocument:
     """Parse and structurally validate a GRDF JSON document."""
     try:
@@ -100,8 +118,9 @@ def parse_grdf(text: str) -> GRDFDocument:
             m_group = make_group(_int_list(_need(mg, "invariants", list, "m_group"), "m_group"))
             gamma_group = make_group(_int_list(_need(gg, "invariants", list, "gamma_group"),
                                                "gamma_group"))
-            entries = _need(product, "entries", list, "product")
+            entries = _int_table(_need(product, "entries", list, "product"), "entries")
             nu = doc.get("nu")
+            nu = None if nu is None else _int_table(nu, "nu")
             ring = build_table_ring(m_group, gamma_group, entries, nu)
         except ValueError as ex:
             raise GRDFError(f"table product: {ex}") from None
@@ -109,7 +128,7 @@ def parse_grdf(text: str) -> GRDFDocument:
         raise GRDFError(f"unknown product type {ptype!r}")
 
     frame_specs = []
-    for i, fr in enumerate(doc.get("frames", [])):
+    for i, fr in enumerate(_section(doc, "frames")):
         where = f"frames[{i}]"
         if not isinstance(fr, dict):
             raise GRDFError(f"{where}: must be an object")
@@ -126,8 +145,8 @@ def parse_grdf(text: str) -> GRDFDocument:
         elif mode == "custom":
             lf = _need(fr, "left_f", list, where)
             rf = _need(fr, "right_f", list, where)
-            lfa = np.asarray(lf, dtype=np.int64)
-            rfa = np.asarray(rf, dtype=np.int64)
+            lfa = _int_table(lf, f"{where}.left_f")
+            rfa = _int_table(rf, f"{where}.right_f")
             if lfa.shape != (ring.gamma_order, ring.m_order) or \
                rfa.shape != (ring.m_order, ring.gamma_order):
                 raise GRDFError(f"{where}: frame table dimensions are wrong")
@@ -140,25 +159,25 @@ def parse_grdf(text: str) -> GRDFDocument:
             raise GRDFError(f"{where}: unknown mode {mode!r}")
 
     maps = []
-    for i, mp in enumerate(doc.get("maps", [])):
+    for i, mp in enumerate(_section(doc, "maps")):
         where = f"maps[{i}]"
         if not isinstance(mp, dict):
             raise GRDFError(f"{where}: must be an object")
         phi = _int_list(_need(mp, "phi", list, where), where)
         psi = _int_list(_need(mp, "psi", list, where), where)
         try:
-            maps.append(MapPair(ring, ring, np.asarray(phi), np.asarray(psi)))
+            maps.append(MapPair(ring, ring, _int_table(phi, "phi"), _int_table(psi, "psi")))
         except ValueError as ex:
             raise GRDFError(f"{where}: {ex}") from None
 
     derivations = []
-    for i, dv in enumerate(doc.get("derivations", [])):
+    for i, dv in enumerate(_section(doc, "derivations")):
         where = f"derivations[{i}]"
         if not isinstance(dv, dict):
             raise GRDFError(f"{where}: must be an object")
         d = _int_list(_need(dv, "d", list, where), where)
         try:
-            derivations.append(DerivationTable(ring, np.asarray(d)))
+            derivations.append(DerivationTable(ring, _int_table(d, "d")))
         except ValueError as ex:
             raise GRDFError(f"{where}: {ex}") from None
 

@@ -293,15 +293,21 @@ class _PairSearch:
 
     Prefix realizations: every length-(n-1) product whose factors are all
     assigned yields a pair (source value, target value); appending one more
-    assigned (gamma, x) step determines phi of the full product.  Propagating
-    these forced values to a fixed point after each branch point both prunes
-    and, at a full assignment, constitutes a complete verification.
+    assigned (gamma, x) step (_extend) determines phi of the full product.
+    Propagating these forced values to a fixed point after each branch point
+    both prunes and, at a full assignment, constitutes a complete
+    verification.
 
-    Branch variables: minimum-remaining-values over both kinds, with every
-    candidate forward-checked against the already-fired instances (Haralick
-    and Elliott 1980), so only locally consistent values are ever tried;
-    ties keep phi images in element-index order with psi interleaved once
-    instances discriminate.  At n >= 3 no instance fires until a gamma is
+    Both kinds share one path: the image tables, their used marks and the
+    products are held by kind, kind 0 for phi and kind 1 for psi.  A
+    candidate row (_candidates) compares, for each unassigned index u, the
+    outputs phi(p g x) of the fired instances with the target values under
+    each image c; the gamma kind is the element kind with the last two
+    product slots swapped.  Branch variables: minimum-remaining-values over
+    the rows of both kinds, every candidate forward-checked against the
+    already-fired instances (Haralick and Elliott 1980), so only locally
+    consistent values are ever tried; ties take phi before psi and the
+    lowest index first.  At n >= 3 no instance fires until a gamma is
     assigned, so the search first branches on the gamma u with the most
     nonzero products over the assigned elements, and it tries only the
     values c under which no chain x1 u x2 ... u xn of assigned factors, its
@@ -328,12 +334,17 @@ class _PairSearch:
         self.mu_s = source.mu
         self.mu_t = target.mu
         self.n = n
-        self.m, self.g = source.m_order, source.gamma_order
-        self.mt, self.gt = target.m_order, target.gamma_order
+        self.m = source.m_order
+        self.mt = target.m_order
         self.phi = np.full(self.m, -1, dtype=np.int64)
-        self.psi = np.full(self.g, -1, dtype=np.int64)
+        self.psi = np.full(source.gamma_order, -1, dtype=np.int64)
         self.phi_used = np.zeros(self.mt, dtype=bool)
-        self.psi_used = np.zeros(self.gt, dtype=bool)
+        self.psi_used = np.zeros(target.gamma_order, dtype=bool)
+        self.tables = (self.phi, self.psi)
+        self.used = (self.phi_used, self.psi_used)
+        # products with the candidate slot last: (prefix, other kind, kind)
+        self.slots = ((self.mu_s, self.mu_t),
+                      (self.mu_s.swapaxes(1, 2), self.mu_t.swapaxes(1, 2)))
 
     def _open(self, stack):
         branch = self._branch()
@@ -379,16 +390,13 @@ class _PairSearch:
         the fired instances, as _branch reads it; every c the row rejects
         would be refuted by the root propagation, for 0 nodes.
         """
-        ok = np.zeros(self.mt if kind == 0 else self.gt, dtype=bool)
+        ok = np.zeros(self.used[kind].size, dtype=bool)
         if self._fix(fixed):
-            table = self.phi if kind == 0 else self.psi
+            table = self.tables[kind]
             if table[idx] >= 0:
                 ok[table[idx]] = True
             else:
-                am, fam, ag, fag, pw, pv = self._state()
-                one = np.array([idx])
-                ok = (self._phi_candidates(pw, pv, ag, fag, one) if kind == 0
-                      else self._psi_candidates(pw, pv, am, fam, one))[0]
+                ok = self._candidates(kind, self._state(), np.array([idx]))[0]
         self._undo(0)
         return ok
 
@@ -396,51 +404,48 @@ class _PairSearch:
         """Assign phi(0) = 0 and each (kind, index, value) of `fixed`, then propagate."""
         self._assign(0, 0, 0)
         for kind, idx, v in fixed:
-            table, used = (self.phi, self.phi_used) if kind == 0 else (self.psi, self.psi_used)
-            if table[idx] >= 0 or used[v]:
+            if self.tables[kind][idx] >= 0 or self.used[kind][v]:
                 self._undo(0)
                 raise ValueError(f"pre-assignment {(kind, idx, v)} repeats an index or image")
             self._assign(kind, idx, v)
         return self._propagate()
 
+    def _assign(self, kind, idx, v):
+        self.tables[kind][idx] = v
+        self.used[kind][v] = True
+        self.trail.append((kind, idx))
+
     def _undo(self, mark):
         while len(self.trail) > mark:
             kind, i = self.trail.pop()
-            if kind == 0:
-                self.phi_used[self.phi[i]] = False
-                self.phi[i] = -1
-            else:
-                self.psi_used[self.psi[i]] = False
-                self.psi[i] = -1
+            table = self.tables[kind]
+            self.used[kind][table[i]] = False
+            table[i] = -1
 
-    def _prefixes(self, am, fam, ag, fag):
+    def _extend(self, pw, pv, am, fam, ag, fag):
+        """The distinct (source, target) values of the products p g x, each
+        prefix pair (pw, pv) extended by an assigned gamma and element."""
+        w = self.mu_s[pw[:, None, None], ag[None, :, None], am[None, None, :]]
+        v = self.mu_t[pv[:, None, None], fag[None, :, None], fam[None, None, :]]
+        keys = np.unique(w.ravel().astype(np.int64) * self.mt + v.ravel())
+        return keys // self.mt, keys % self.mt
+
+    def _state(self):
+        """Assigned elements and gammas with their images, and the prefix
+        pairs (pw, pv) of the length-(n-1) products of assigned factors."""
+        am = np.flatnonzero(self.phi >= 0)
+        ag = np.flatnonzero(self.psi >= 0)
+        fam = self.phi[am]
+        fag = self.psi[ag]
         pw, pv = am, fam
         for _ in range(self.n - 2):
-            if ag.size == 0:
-                return None
-            w = self.mu_s[pw[:, None, None], ag[None, :, None], am[None, None, :]]
-            v = self.mu_t[pv[:, None, None], fag[None, :, None], fam[None, None, :]]
-            keys = np.unique(w.ravel().astype(np.int64) * self.mt + v.ravel())
-            pw, pv = keys // self.mt, keys % self.mt
-        return pw, pv
+            pw, pv = self._extend(pw, pv, am, fam, ag, fag)
+        return am, fam, ag, fag, pw, pv
 
     def _propagate(self) -> bool:
         while True:
-            am = np.flatnonzero(self.phi >= 0)
-            ag = np.flatnonzero(self.psi >= 0)
-            if am.size == 0 or ag.size == 0:
-                return True
-            fam = self.phi[am]
-            fag = self.psi[ag]
-            pre = self._prefixes(am, fam, ag, fag)
-            if pre is None:
-                return True
-            pw, pv = pre
-            ow = self.mu_s[pw[:, None, None], ag[None, :, None], am[None, None, :]].ravel()
-            ov = self.mu_t[pv[:, None, None], fag[None, :, None], fam[None, None, :]].ravel()
-            keys = np.unique(ow.astype(np.int64) * self.mt + ov)
-            ow = keys // self.mt
-            ov = keys % self.mt
+            am, fam, ag, fag, pw, pv = self._state()
+            ow, ov = self._extend(pw, pv, am, fam, ag, fag)
             cur = self.phi[ow]
             if ((cur >= 0) & (cur != ov)).any():
                 return False
@@ -455,90 +460,54 @@ class _PairSearch:
             if np.unique(nv).size != nv.size:     # two elements, one image
                 return False
             for x, v in zip(nw.tolist(), nv.tolist()):
-                self.phi[x] = v
-                self.phi_used[v] = True
-                self.trail.append((0, x))
+                self._assign(0, x, v)
 
-    def _psi_candidates(self, pw, pv, am, fam, un_g):
-        """ok[u, c]: value c survives the fired instances with gamma slot un_g[u]."""
-        free = ~self.psi_used
-        if un_g.size == 0:
-            return np.zeros((0, self.gt), dtype=bool)
-        if pw.size == 0 or am.size == 0:
-            return np.broadcast_to(free, (un_g.size, self.gt)).copy()
-        outs = self.phi[self.mu_s[np.ix_(pw, un_g, am)]]         # (P, U, A)
-        known = outs >= 0
-        vals = self.mu_t[pv[:, None, None], np.arange(self.gt)[None, :, None], fam[None, None, :]]
-        ok = ((vals[:, None, :, :] == outs[:, :, None, :]) | ~known[:, :, None, :]).all(axis=(0, 3))
-        ok &= free[None, :]
-        return ok
+    def _candidates(self, kind, state, un):
+        """ok[u, c]: image c of index un[u] of `kind` survives the fired instances.
 
-    def _phi_candidates(self, pw, pv, ag, fag, un_m):
-        """ok[u, c]: image c survives the fired instances with un_m[u] in the last slot."""
-        free = ~self.phi_used
-        if un_m.size == 0:
-            return np.zeros((0, self.mt), dtype=bool)
-        if pw.size == 0 or ag.size == 0:
-            return np.broadcast_to(free, (un_m.size, self.mt)).copy()
-        outs = self.phi[self.mu_s[np.ix_(pw, ag, un_m)]]         # (P, AG, U)
-        known = outs >= 0
-        vals = self.mu_t[pv[:, None, None], fag[None, :, None], np.arange(self.mt)[None, None, :]]
-        ok = ((vals[:, :, None, :] == outs[:, :, :, None]) | ~known[:, :, :, None]).all(axis=(0, 1))
-        ok &= free[None, :]
-        return ok
-
-    def _state(self):
-        """Assigned elements and gammas with their images, and the prefix pairs."""
-        am = np.flatnonzero(self.phi >= 0)
-        ag = np.flatnonzero(self.psi >= 0)
-        fam = self.phi[am]
-        fag = self.psi[ag]
-        pre = self._prefixes(am, fam, ag, fag)
-        pw, pv = pre if pre is not None else (np.empty(0, np.int64), np.empty(0, np.int64))
-        return am, fam, ag, fag, pw, pv
+        outs (P, X, U) holds phi of each source product of a prefix, an
+        assigned index X of the other kind and un[u]; vals (P, X, C) the
+        target product under image c.  An unassigned output constrains nothing.
+        """
+        am, fam, ag, fag, pw, pv = state
+        x, fx = (ag, fag) if kind == 0 else (am, fam)
+        src, tgt = self.slots[kind]
+        free = ~self.used[kind]
+        outs = self.phi[src[np.ix_(pw, x, un)]]
+        vals = tgt[pv[:, None, None], fx[None, :, None], np.arange(free.size)[None, None, :]]
+        ok = ((vals[:, :, None, :] == outs[..., None]) | (outs < 0)[..., None]).all(axis=(0, 1))
+        return ok & free
 
     def _branch(self):
-        am, fam, ag, fag, pw, pv = self._state()
-        un_m = np.flatnonzero(self.phi < 0)
-        un_g = np.flatnonzero(self.psi < 0)
-        if un_m.size == 0 and un_g.size == 0:
+        state = self._state()
+        am, fam, ag, fag, pw, pv = state
+        un = [np.flatnonzero(table < 0) for table in self.tables]
+        if un[0].size == 0 and un[1].size == 0:
             self.solutions.append((self.phi.copy(), self.psi.copy()))
             if self.report_limit is not None and len(self.solutions) >= self.report_limit:
                 self.stopped = True
                 self.complete = False
             return None
 
-        if un_g.size and ag.size == 0 and pw.size == 0 and am.size >= 2:
+        if un[1].size and ag.size == 0 and pw.size == 0 and am.size >= 2:
             # arity > 2 bootstrap: no prefixes can form until one gamma image
             # exists, so nothing discriminates; branch the gamma variable with
             # the most nonzero products over the assigned elements (a zero
             # slot would leave every downstream instance vacuous)
-            prods = self.mu_s[np.ix_(am, un_g, am)]
+            prods = self.mu_s[np.ix_(am, un[1], am)]
             scores = (prods != 0).sum(axis=(0, 2))
-            kind, idx = 1, int(un_g[int(np.argmax(scores))])
-            values = self._gamma_values(idx, am, fam)
-        else:
-            phi_ok = self._phi_candidates(pw, pv, ag, fag, un_m)
-            psi_ok = self._psi_candidates(pw, pv, am, fam, un_g)
-            # minimum-remaining-values over both variable kinds; ties prefer the
-            # lowest element index, then the lowest gamma index
-            kind, idx, values = None, None, None
-            best = None
-            for u, x in enumerate(un_m):
-                c = int(phi_ok[u].sum())
-                if c == 0:
-                    return None
-                if best is None or c < best:
-                    best, kind, idx, values = c, 0, int(x), phi_ok[u]
-            for u, gq in enumerate(un_g):
-                c = int(psi_ok[u].sum())
-                if c == 0:
-                    return None
-                if best is None or c < best:
-                    best, kind, idx, values = c, 1, int(gq), psi_ok[u]
-            values = np.flatnonzero(values)
-
-        return kind, idx, values.tolist()
+            idx = int(un[1][int(np.argmax(scores))])
+            return 1, idx, self._gamma_values(idx, am, fam).tolist()
+        # minimum-remaining-values over both kinds, phi rows first: the first
+        # least count takes the lowest element index, then the lowest gamma
+        ok = [self._candidates(kind, state, un[kind]) for kind in (0, 1)]
+        counts = np.concatenate([rows.sum(axis=1) for rows in ok])
+        if not counts.all():
+            return None
+        j = int(np.argmin(counts))
+        kind = int(j >= un[0].size)
+        u = j - kind * un[0].size
+        return kind, int(un[kind][u]), np.flatnonzero(ok[kind][u]).tolist()
 
     def _gamma_values(self, u, am, fam):
         """The free values c of psi(u) under which no chain x1 u x2 ... u xn of
@@ -546,7 +515,7 @@ class _PairSearch:
 
         Rows (value position, source value, target value) extend the chains
         one (u, x) step at a time, each depth's rows deduplicated as in
-        _prefixes, so a value keeps at most m * m_t rows.
+        _extend, so a value keeps at most m * m_t rows.
         """
         cs = np.flatnonzero(~self.psi_used)
         k = np.repeat(np.arange(cs.size), am.size)
@@ -560,15 +529,6 @@ class _PairSearch:
                 k, w, v = keys // (self.m * self.mt), keys // self.mt % self.m, keys % self.mt
         out = self.phi[w]
         return np.delete(cs, k[(out >= 0) & (out != v)])
-
-    def _assign(self, kind, idx, v):
-        if kind == 0:
-            self.phi[idx] = v
-            self.phi_used[v] = True
-        else:
-            self.psi[idx] = v
-            self.psi_used[v] = True
-        self.trail.append((kind, idx))
 
 
 def search_n_multiplicative_isos(source: GammaRing, target: GammaRing,

@@ -394,10 +394,12 @@ def build_matrix_ring(mod: int, rows: int, cols: int) -> GammaRing:
         raise ValueError("matrix entries need modulus >= 2")
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be >= 1")
+    # as mod >= 2, rows * cols > 9 alone exceeds the budget; testing it first
+    # keeps a huge dimension from building a huge power
+    if rows * cols > 9 or mod ** (3 * rows * cols) > 2**28:
+        raise ValueError(f"mu table with {mod}^{3 * rows * cols} entries exceeds order budget")
     mo = mod ** (rows * cols)
     go = mod ** (cols * rows)
-    if mo * mo * go > 2**28:
-        raise ValueError(f"mu table with {mo * mo * go} entries exceeds order budget")
     m_group = make_group([mod] * (rows * cols))
     gamma_group = make_group([mod] * (cols * rows))
 

@@ -1,0 +1,116 @@
+"""The leaf search's candidate rows, for phi (kind 0) and psi (kind 1) alike.
+
+_PairSearch._candidates reads both kinds through one path, the gamma kind
+being the element kind with its last two product slots swapped.  Each row
+is checked against a loop over (index, image) that evaluates every fired
+instance, one product per chain tuple, in states the pair chain fixes and
+in states the DFS reaches.  Every free image a row rejects must be refuted
+by the propagation once it is assigned.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from gammaring import build_matrix_ring, direct_product, make_group, trivial_ring
+from gammaring.multmaps import _chain, _free_part, _PairSearch, _tuple_step
+
+RINGS = {
+    "matrix(2,2,2)": lambda: build_matrix_ring(2, 2, 2),
+    "matrix(2,1,3)": lambda: build_matrix_ring(2, 1, 3),
+    "matrix(2,3,1)": lambda: build_matrix_ring(2, 3, 1),
+    # gammas (g, 0) and (g, 1) act alike
+    "twin-gamma": lambda: direct_product(build_matrix_ring(2, 2, 2),
+                                         trivial_ring(make_group([]), make_group([2]))),
+}
+DFS_STATES = 4
+
+
+def _row_oracle(eng, kind, u):
+    """ok[c]: no instance x1 g1 ... x_{n-1} g x of assigned factors, with u
+    in the last slot of its kind and an assigned source product, contradicts
+    the image c of u; c must be free."""
+    am = np.flatnonzero(eng.phi >= 0).tolist()
+    ag = np.flatnonzero(eng.psi >= 0).tolist()
+    last = [ag, [u]] if kind == 0 else [[u], am]
+    slots = [am] + [ag, am] * (eng.n - 2) + last
+    used = eng.phi_used if kind == 0 else eng.psi_used
+    tuples = list(itertools.product(*slots))
+    if not tuples:
+        return ~used
+    grid = np.array(tuples).T
+    xs, gs = list(grid[0::2]), list(grid[1::2])
+    out = eng.phi[_chain(eng.mu_s, xs, _tuple_step(gs))]
+    ok = np.zeros(used.size, dtype=bool)
+    for c in np.flatnonzero(~used).tolist():
+        fill = np.full(grid.shape[1], c)
+        fx = [eng.phi[x] for x in xs[:-1]] + [fill if kind == 0 else eng.phi[xs[-1]]]
+        fg = [eng.psi[g] for g in gs[:-1]] + [eng.psi[gs[-1]] if kind == 0 else fill]
+        v = _chain(eng.mu_t, fx, _tuple_step(fg))
+        ok[c] = not ((out >= 0) & (out != v)).any()
+    return ok
+
+
+def _check_state(eng):
+    """Both kinds' rows in the engine's current state: equal to the oracle,
+    and every free value they reject refuted by the propagation."""
+    state = eng._state()
+    for kind, (table, used) in enumerate([(eng.phi, eng.phi_used), (eng.psi, eng.psi_used)]):
+        un = np.flatnonzero(table < 0)
+        rows = eng._candidates(kind, state, un)
+        assert rows.shape == (un.size, used.size)
+        for u, row in zip(un.tolist(), rows):
+            assert row.tolist() == _row_oracle(eng, kind, u).tolist(), (kind, u)
+            for c in np.flatnonzero(~row & ~used).tolist():
+                mark = len(eng.trail)
+                eng._assign(kind, u, c)
+                assert not eng._propagate(), (kind, u, c)
+                eng._undo(mark)
+
+
+def _chain_fixed_lists(ring, n):
+    """The fixed part of each level of the pair chain (_pair_group): F and
+    the base points above the level fixed to themselves."""
+    free, gammas = _free_part(ring, n)
+    fixed = [(0, int(x), int(x)) for x in free]
+    base = ([(0, x) for x in range(1, ring.m_order) if x not in set(free.tolist())]
+            + [(1, a) for a in range(ring.gamma_order) if a not in set(gammas.tolist())])
+    return [fixed + [(k, p, p) for k, p in base[:i]] for i in range(len(base))]
+
+
+class _Recorder(_PairSearch):
+    """A leaf search that keeps the tables of the first DFS_STATES branch
+    points after the root, where instances have fired."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.states = []
+
+    def _branch(self):
+        if self.nodes and len(self.states) < DFS_STATES:
+            self.states.append((self.phi.copy(), self.psi.copy()))
+        return super()._branch()
+
+
+CASES = [(name, n) for name in RINGS for n in (2, 3)]
+
+
+@pytest.mark.parametrize("name, n", CASES, ids=[f"{name}-n{n}" for name, n in CASES])
+def test_candidate_rows_match_instance_loop(name, n):
+    ring = RINGS[name]()
+    eng = _PairSearch(ring, ring, n, 10**8, None)
+    lists = _chain_fixed_lists(ring, n)
+    for fixed in lists[::max(1, len(lists) // 6)]:
+        if eng._fix(fixed):
+            _check_state(eng)
+        eng._undo(0)
+
+    rec = _Recorder(ring, ring, n, 10**8, 1).run()
+    assert len(rec.states) == DFS_STATES
+    for tables in rec.states:
+        for kind, table in enumerate(tables):
+            for idx in np.flatnonzero(table >= 0).tolist():
+                eng._assign(kind, idx, int(table[idx]))
+        _check_state(eng)
+        eng._undo(0)

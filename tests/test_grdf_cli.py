@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from gammaring import (DerivationTable, MapPair, canonical_frame, document_dict,
-                       emit_grdf, parse_grdf)
+from gammaring import (DerivationTable, MapPair, build_matrix_ring, build_table_ring,
+                       canonical_frame, document_dict, emit_grdf, parse_grdf)
 from gammaring.cli import main
 from gammaring.errors import GRDFError, InternalInconsistencyError
 
@@ -260,3 +264,99 @@ def test_cli_theorem_keeps_other_subjects_when_one_is_partial(tmp_path, monkeypa
     assert [f["subject"] for f in report["failures"]] == ["map[1]", "derivation[1]"]
     assert [p["subject"] for p in report["partial"]] == ["map[0]", "derivation[0]"]
     assert all("partial" in p["error"] for p in report["partial"])
+
+
+def _small_docs():
+    """A valid matrix(2,1,1) document and its 2-element table copy, each with
+    a custom frame, a map pair and a derivation."""
+    ring = build_matrix_ring(2, 1, 1)
+    table = build_table_ring(ring.m_group, ring.gamma_group, ring.mu, ring.nu)
+    docs = {}
+    for name, r in (("matrix", ring), ("table", table)):
+        doc = document_dict(r, maps=[MapPair(r, r, np.arange(2), np.arange(2))],
+                            derivations=[DerivationTable(r, np.zeros(2, dtype=np.int32))])
+        doc["frames"] = [{"mode": "custom", "e": 1, "gamma1": 1,
+                          "left_f": [[0, 0], [0, 1]], "right_f": [[0, 0], [0, 1]]}]
+        docs[name] = doc
+    return docs
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+MALFORMED = [
+    ("frames-int", "conditions", "matrix", ["frames"], 5),
+    ("frames-null", "conditions", "matrix", ["frames"], None),
+    ("maps-int", "verify-iso", "matrix", ["maps"], 5),
+    ("maps-null", "verify-iso", "matrix", ["maps"], None),
+    ("derivations-int", "verify-derivation", "matrix", ["derivations"], 5),
+    ("derivations-null", "verify-derivation", "matrix", ["derivations"], None),
+    ("left_f-ragged", "conditions", "matrix", ["frames", 0, "left_f"], [[0, 1], [0]]),
+    ("left_f-string", "conditions", "matrix", ["frames", 0, "left_f"], [[0, "x"], [0, 1]]),
+    ("entries-2^40", "axioms", "table", ["product", "entries", 1, 1, 1], 2**40),
+    ("nu-2^40", "axioms", "table", ["nu", 1, 1, 1], 2**40),
+    ("phi-2^70", "verify-iso", "matrix", ["maps", 0, "phi", 1], 2**70),
+    ("d-2^70", "verify-derivation", "matrix", ["derivations", 0, "d", 1], 2**70),
+    ("entries-float", "axioms", "table", ["product", "entries", 1, 1, 1], 0.5),
+    # 2^32 wraps to 0 in an int32 table, which made the identity pair
+    ("phi-2^32", "verify-iso", "matrix", ["maps", 0, "phi", 0], 2**32),
+    ("rows-2^40", "axioms", "matrix", ["product", "rows"], 2**40),
+]
+
+
+@pytest.mark.parametrize("command, base, path, value", [c[1:] for c in MALFORMED],
+                         ids=[c[0] for c in MALFORMED])
+def test_cli_malformed_document_is_usage_error(command, base, path, value, tmp_path, capsys):
+    doc = _small_docs()[base]
+    _set(doc, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main([command, "--input", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
+def _paths(node, prefix=()):
+    """Every (path to a value) inside a JSON document, the root excluded."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+REPLACEMENTS = [0, 1, 3, -1, 0.5, -1.0, 2**40, 2**70, -2**70, None, True, "x", "table",
+                "canonical", {}, [], [[0, 1], [0]], [0.5, 1], [None], [2**70, 0]]
+FUZZ_COMMANDS = ["axioms", "conditions", "verify-iso", "verify-derivation", "theorem"]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_fuzzed_documents_never_exit_4(tmp_path_factory, data):
+    doc = data.draw(st.sampled_from(sorted(_small_docs().items())))[1]
+    doc = json.loads(json.dumps(doc))
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = sorted(_paths(doc), key=repr)
+        if not paths:
+            break
+        path = data.draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()) and isinstance(parent, dict):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = json.loads(json.dumps(data.draw(st.sampled_from(REPLACEMENTS))))
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    command = data.draw(st.sampled_from(FUZZ_COMMANDS))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--input", str(path), "--budget", "1000"])
+    assert code in (0, 1, 2, 3), (command, doc, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -1,0 +1,57 @@
+"""Code lines of each module under src/gammaring, and in total.
+
+A code line is a line that holds a token other than a comment, and that is
+not part of a docstring (the string that opens a module, class or function
+body, found with `ast`).  Blank lines, comment lines and docstrings are left
+out.  The five largest top-level classes and functions are listed after the
+modules.
+
+Run from the repository root:
+
+    python3 tools/code_lines.py
+"""
+
+import ast
+import io
+import pathlib
+import tokenize
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "gammaring"
+_LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+           tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+_BODIES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def code_lines(text: str) -> tuple:
+    """(tree, the set of code line numbers) of a module's source."""
+    tree = ast.parse(text)
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in _LAYOUT:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    for node in ast.walk(tree):
+        body = node.body if isinstance(node, _BODIES) else []
+        if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant) \
+                and isinstance(body[0].value.value, str):
+            lines.difference_update(range(body[0].lineno, body[0].end_lineno + 1))
+    return tree, lines
+
+
+def main():
+    total, units = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        tree, lines = code_lines(path.read_text(encoding="utf-8"))
+        total += len(lines)
+        print(f"{len(lines):6d}  {path.name}")
+        for node in tree.body:
+            if isinstance(node, _BODIES[1:]):
+                size = sum(node.lineno <= i <= node.end_lineno for i in lines)
+                units.append((size, f"{path.stem}.{node.name}"))
+    print(f"{total:6d}  total")
+    print("largest units:")
+    for size, name in sorted(units, reverse=True)[:5]:
+        print(f"{size:6d}  {name}")
+
+
+if __name__ == "__main__":
+    main()
