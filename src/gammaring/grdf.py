@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -74,12 +75,18 @@ def _int_list(val, where: str) -> list:
 def _int_table(val, where: str) -> np.ndarray:
     """A JSON table of integers as an array, checked on its dtype: a ragged
     table, or one holding a string, float, null or an integer beyond 32 bits,
-    raises GRDFError, so every later int32 cast is exact."""
+    raises GRDFError, so every later int32 cast is exact.  np.asarray reads a
+    boolean among integers as 0 or 1, so the entries' types are read too, by
+    iterators that run no Python code per entry."""
     try:
         arr = np.asarray(val)
     except ValueError:
         raise GRDFError(f"{where}: a ragged table") from None
-    if arr.size and (arr.dtype.kind != "i" or arr.min() < -2**31 or arr.max() >= 2**31):
+    entries = [val]
+    for _ in range(arr.ndim):
+        entries = chain.from_iterable(entries)
+    if arr.size and (arr.dtype.kind != "i" or arr.min() < -2**31 or arr.max() >= 2**31
+                     or bool in set(map(type, entries))):
         raise GRDFError(f"{where}: not a table of 32-bit integers")
     return arr
 

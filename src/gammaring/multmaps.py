@@ -5,8 +5,10 @@ budget, and a seeded pseudorandom sample flagged "partial" otherwise; the
 theorem pipelines refuse partial verdicts.  Chains fold left to right, so
 an exhaustive check at n >= 3 scans the m^2 g tuples of n = 2 first: a pair
 that passes there passes at every n, and so does a derivation once the ring
-holds a passing distributivity verdict.  Any other case, and any failure
-there, scans every length-n tuple.
+holds a passing distributivity verdict.  A failure there is rescanned over
+the distinct fold states of each length, at most m^2 of them, for the same
+lex-least witness; a derivation without that verdict scans every length-n
+tuple.
 
 The leaf search is a backtracking enumeration over image tables with
 vectorized constraint propagation: every fully-assigned product instance
@@ -183,8 +185,54 @@ def _scan_chains(m: int, g: int, n: int, lhs, rhs) -> Optional[dict]:
                        m, (g, m) * (n - 1), _witness_names(n))
 
 
+def _fold_scan(m: int, g: int, n: int, f, step) -> Optional[dict]:
+    """Lex-least failing length-n tuple of an identity that folds, or None: the
+    witness _scan_chains gives, read off the distinct fold states.
+
+    The state of x1 is (x1, f(x1)), step(P, T, gammas, xs) appends one
+    (gamma, x) step, and a length-n state fails where f(P) != T.  A tuple's
+    verdict depends on its prefix only through the prefix's state, so each
+    depth keeps its distinct states, at most m * m, as sorted keys P m + T.
+    A backward pass marks the states from which some continuation fails.
+    The witness takes the least x1 whose state is marked, then at each depth
+    the lex-least (gamma, x) that leads to a marked state.  Successors are
+    built for chunks of states under the _CHUNK_ELEMS soft cap, so the scan
+    evaluates at most 2 (n - 1) m^3 g steps and holds no transition table.
+    """
+    xs, gs = np.arange(m), np.arange(g)[:, None]
+
+    def moves(keys):
+        """(lo, successor keys of keys[lo:lo + k] by every (gamma, x)) per chunk."""
+        size = max(1, _CHUNK_ELEMS // (g * m))
+        for lo in range(0, keys.size, size):
+            p, t = step(*np.divmod(keys[lo:lo + size, None, None], m), gs, xs)
+            yield lo, p.astype(np.int64) * m + t
+
+    firsts = xs.astype(np.int64) * m + f[xs]
+    depths = [np.unique(firsts)]
+    for _ in range(n - 1):
+        depths.append(np.unique(np.concatenate([np.unique(s) for _, s in moves(depths[-1])])))
+    p, t = np.divmod(depths[-1], m)
+    marks = [None] * (n - 1) + [f[p] != t]
+    if not marks[-1].any():
+        return None
+    for k in range(n - 2, -1, -1):
+        marks[k] = np.empty(depths[k].size, dtype=bool)
+        for lo, s in moves(depths[k]):
+            ahead = marks[k + 1][np.searchsorted(depths[k + 1], s)]
+            marks[k][lo:lo + len(s)] = ahead.any(axis=(1, 2))
+    x = int(np.argmax(marks[0][np.searchsorted(depths[0], firsts)]))
+    tup, key = [x], firsts[x:x + 1]
+    for k in range(1, n):
+        s = next(moves(key))[1][0]
+        gx = _first(marks[k][np.searchsorted(depths[k], s)])
+        tup += gx
+        key = s[gx][None]
+    return _witness(_witness_names(n), tup)
+
+
 def _verify_chains(m: int, g: int, n: int, budget: int, seed: int, lhs, rhs,
-                   inductive: bool) -> VerifyReport:
+                   fold: Optional[tuple]) -> VerifyReport:
     """Scan every length-n tuple when the count fits the budget, else a seeded sample.
 
     lhs(factors, step) and rhs(factors, step) evaluate the identity's sides on
@@ -192,19 +240,20 @@ def _verify_chains(m: int, g: int, n: int, budget: int, seed: int, lhs, rhs,
     for a full open-grid axis.  Exhaustive witnesses are the lexicographically
     least failing tuple.
 
-    `inductive` says that the identity at 2 implies it at every n.  Chains
-    fold left to right, x1 g1 ... xn = (x1 g1 ... x_{n-1}) g_{n-1} xn, so an
-    identity that follows from its n - 1 case and its 2 case on (that
-    product, g_{n-1}, xn) holds at every n once it holds at 2.  The exact
-    scan then tries the m^2 g tuples of n = 2 first, and a pass there is an
-    exact pass that counts every length-n tuple; a failure there scans every
-    length-n tuple for the least witness.
+    `fold`, the identity's (f, step) for _fold_scan, says that each side of a
+    chain is carried along x1 g1 ... xn = (x1 g1 ... x_{n-1}) g_{n-1} xn by a
+    state of two elements; None means it is not.  A folding identity that
+    holds at 2 keeps f(P) = T along every fold, so at every n.  The exact
+    check then scans the m^2 g tuples of n = 2 first, and a pass there is an
+    exact pass that counts every length-n tuple; a failure there is rescanned
+    over the fold states for the least length-n witness.  An identity
+    without a fold scans every length-n tuple.
     """
     count = m**n * g**(n - 1)
     if count <= budget:
-        if n > 2 and inductive and _scan_chains(m, g, 2, lhs, rhs) is None:
-            return VerifyReport(True, True, count)
-        w = _scan_chains(m, g, n, lhs, rhs)
+        w = _scan_chains(m, g, 2 if fold else n, lhs, rhs)
+        if w is not None and fold and n > 2:
+            w = _fold_scan(m, g, n, *fold)
         return VerifyReport(w is None, True, count, w)
 
     names = _witness_names(n)
@@ -221,28 +270,40 @@ def _verify_chains(m: int, g: int, n: int, budget: int, seed: int, lhs, rhs,
     return VerifyReport(False, False, samples, _witness(names, tup))
 
 
+def _pulled_back(pair: MapPair) -> np.ndarray:
+    """The target table with its gamma and right slots read through psi and phi."""
+    return pair.target.mu[:, pair.psi, :][:, :, pair.phi]
+
+
 def _pair_sides(pair: MapPair) -> tuple:
     """(lhs, rhs) of phi(x1 g1 ... xn) = phi(x1) psi(g1) ... phi(xn), for _verify_chains."""
-    phi = pair.phi
-    # target table pulled back to source coordinates through psi/phi
-    mu_tt = pair.target.mu[:, pair.psi, :][:, :, phi]
+    phi, mu_tt = pair.phi, _pulled_back(pair)
     return (lambda xs, step: phi[_chain(pair.source.mu, xs, step)],
             lambda xs, step: _chain(mu_tt, [phi[xs[0]]] + xs[1:], step))
+
+
+def _pair_fold(pair: MapPair) -> tuple:
+    """(phi, step) of the pair identity, for _fold_scan: the state (P, T)
+    steps to (P g x, T psi(g) phi(x)), the sides of _pair_sides one step
+    further, so the fold needs no axiom."""
+    mu_s, mu_tt = pair.source.mu, _pulled_back(pair)
+    return pair.phi, lambda p, t, gs, xs: (mu_s[p, gs, xs], mu_tt[t, gs, xs])
 
 
 def verify_n_multiplicative(pair: MapPair, n: int,
                             budget: int = DEFAULT_BUDGET, seed: int = 0) -> VerifyReport:
     """Check phi(x1 g1 x2 ... g_{n-1} xn) = phi(x1) psi(g1) ... phi(xn) over all tuples.
 
-    Both sides fold left to right, so a pair that passes at n = 2 passes at
-    every n, with no axiom used: an exact pass at n = 2 decides any n.
+    Both sides fold left to right (_pair_fold), with no axiom used: an exact
+    pass at n = 2 decides any n, and a failure there is rescanned over the
+    distinct fold states of each length.
     """
     if n < 2:
         raise ValueError("product arity must be >= 2")
     pair.source.require_barnes()
     pair.target.require_barnes()
     return _verify_chains(pair.source.m_order, pair.source.gamma_order, n, budget, seed,
-                          *_pair_sides(pair), inductive=True)
+                          *_pair_sides(pair), _pair_fold(pair))
 
 
 def _additivity_sides(obj):
@@ -272,20 +333,31 @@ def _leibniz_sides(deriv: DerivationTable) -> tuple:
             lambda xs, step: _leibniz(ring.mu, ring.m_group.add_table, d, xs, step))
 
 
+def _leibniz_fold(deriv: DerivationTable) -> tuple:
+    """(d, step) of the Leibniz identity, for _fold_scan: the state (P, R)
+    steps to (P g x, R g x + P g d(x)).  R is the Leibniz sum of the chain
+    so far only when the product is additive in its first slot."""
+    mu, add, d = deriv.ring.mu, deriv.ring.m_group.add_table, deriv.d
+    return d, lambda p, r, gs, xs: (mu[p, gs, xs], add[mu[r, gs, xs], mu[p, gs, d[xs]]])
+
+
 def verify_n_derivation(deriv: DerivationTable, n: int,
                         budget: int = DEFAULT_BUDGET, seed: int = 0) -> VerifyReport:
     """Check the Leibniz expansion of d over every length-n product.
 
     When the ring already holds a passing barnes-ii verdict, the product is
     additive in its first slot, so d(P g xn) = d(P) g xn + P g d(xn) expands
-    d(P) term by term: an exact pass at n = 2 then decides any n.  The
-    verdict is read, never computed; without it every tuple is scanned.
+    d(P) term by term and the identity folds (_leibniz_fold): an exact pass
+    at n = 2 then decides any n, and a failure there is rescanned over the
+    distinct fold states.  The verdict is read, never computed; without it
+    every length-n tuple is scanned.
     """
     if n < 2:
         raise ValueError("product arity must be >= 2")
     ring = deriv.ring
     return _verify_chains(ring.m_order, ring.gamma_order, n, budget, seed,
-                          *_leibniz_sides(deriv), inductive=ring.known_distributive)
+                          *_leibniz_sides(deriv),
+                          _leibniz_fold(deriv) if ring.known_distributive else None)
 
 
 class _PairSearch:

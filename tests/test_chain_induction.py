@@ -1,13 +1,16 @@
-"""An exact pass at n = 2 decides every n: the shortcut against the full scan.
+"""An exact pass at n = 2 decides every n; a failure is rescanned over fold states.
 
 Chains fold left to right, x1 g1 ... xn = (x1 g1 ... x_{n-1}) g_{n-1} xn, so a
 pair that satisfies its identity on every (x, gamma, y) satisfies it on
 every chain, and so does a derivation once the product is additive in its
 first slot.  verify_n_multiplicative and verify_n_derivation therefore scan
-the m^2 g tuples of n = 2 first.  Each verdict, witness and `checked` count
-here must equal the exhaustive length-n scan, called directly, and a failure
-at n = 2 must fall back to that scan for its lex-least witness.
+the m^2 g tuples of n = 2 first.  A failure there is rescanned at length n
+over the distinct states of the fold (_fold_scan), not over every tuple.
+Each verdict, witness and `checked` count here must equal the exhaustive
+length-n scan, called directly.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from gammaring import (DerivationTable, MapPair, SearchConfig, build_matrix_ring
                        verify_n_multiplicative)
 from gammaring.multmaps import _leibniz_sides, _pair_sides, _scan_chains
 
-from test_theorem import QUOTIENT_RINGS, _one_sided
+from test_theorem import QUOTIENT_RINGS, _one_sided, _with_trivial
 
 RINGS = matrix_ring_family(2, 4) + QUOTIENT_RINGS
 # the direct n = 4 scan of a 16-element ring covers 2^28 tuples, too many for a reference
@@ -46,6 +49,20 @@ def scans(monkeypatch):
         return _scan_chains(m, g, n, lhs, rhs)
 
     monkeypatch.setattr(multmaps_mod, "_scan_chains", recorded)
+    return arities
+
+
+@pytest.fixture
+def folds(monkeypatch):
+    """The arity of every fold-state rescan the verifiers run."""
+    arities = []
+    scan = multmaps_mod._fold_scan
+
+    def recorded(m, g, n, f, step):
+        arities.append(n)
+        return scan(m, g, n, f, step)
+
+    monkeypatch.setattr(multmaps_mod, "_fold_scan", recorded)
     return arities
 
 
@@ -79,16 +96,18 @@ def _subjects(ring):
 
 
 @pytest.mark.parametrize("name, ring, n", CASES, ids=[f"{name}-{n}" for name, _, n in CASES])
-def test_shortcut_matches_the_full_scan(name, ring, n, scans):
+def test_shortcut_matches_the_full_scan(name, ring, n, scans, folds):
     ring.require_barnes()
     assert ring.known_distributive
     held, planted = _subjects(ring)
     for subject in held + planted:
         want, two = _full(subject, n), _full(subject, 2)[0]
         scans.clear()
+        folds.clear()
         assert _verify(subject, n) == want
-        # a pass at n = 2 decides; a failure there rescans every tuple
-        assert scans == ([2] if two else [2, n])
+        # a pass at n = 2 decides; a failure there rescans the fold states
+        assert scans == [2]
+        assert folds == ([] if two else [n])
     if ring.mu.any() and ring.m_order > 2:      # a zero product admits every bijection
         assert any(not _full(s, n)[0] for s in planted)
 
@@ -101,6 +120,34 @@ def test_a_3_derivation_that_is_no_2_derivation_passes_exactly(matrix222):
     d = extra[0]
     assert not verify_n_derivation(d, 2).passed
     assert _verify(d, 3) == _full(d, 3) == (True, True, 16**3 * 16**2, None)
+
+
+@pytest.mark.parametrize("n, count, nodes", [(4, 16, 80), (5, 32, 83)])
+def test_derivation_solve_scans_no_length_n_tuple(n, count, nodes, scans):
+    # each basis map that is no 2-derivation is rescanned over fold states;
+    # scanning every tuple took minutes at n = 5
+    _, ring = _with_trivial(1, 2, [2])
+    ring.require_barnes()
+    res = search_n_derivations(ring, SearchConfig(n=n, budget=10_000))
+    assert (len(res.found), res.complete, res.nodes) == (count, True, nodes)
+    assert scans and set(scans) == {2}
+
+
+def test_failing_rescan_memory_stays_small(matrix222):
+    # the 3-derivation that is no 2-derivation fails at n = 4: the full scan
+    # of its 2^28 tuples peaked at 336 MiB
+    two = {d.key() for d in search_n_derivations(matrix222, SearchConfig(n=2)).found}
+    d = next(d for d in search_n_derivations(matrix222, SearchConfig(n=3)).found
+             if d.key() not in two)
+    tracemalloc.start()
+    try:
+        rep = verify_n_derivation(d, 4, 10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.passed, rep.exact, rep.checked) == (False, True, 16**4 * 16**3)
+    assert rep.witness == {"x1": 1, "g1": 1, "x2": 1, "g2": 1, "x3": 1, "g3": 1, "x4": 1}
+    assert peak < 8 << 20
 
 
 def test_derivations_need_a_held_distributivity_verdict(scans):

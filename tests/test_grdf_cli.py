@@ -304,6 +304,10 @@ MALFORMED = [
     # 2^32 wraps to 0 in an int32 table, which made the identity pair
     ("phi-2^32", "verify-iso", "matrix", ["maps", 0, "phi", 0], 2**32),
     ("rows-2^40", "axioms", "matrix", ["product", "rows"], 2**40),
+    # np.asarray reads a boolean among integers as 0 or 1
+    ("entries-true", "axioms", "table", ["product", "entries", 1, 1, 1], True),
+    ("nu-true", "axioms", "table", ["nu", 1, 1, 1], True),
+    ("left_f-true", "conditions", "matrix", ["frames", 0, "left_f", 1, 1], True),
 ]
 
 

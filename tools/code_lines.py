@@ -13,7 +13,9 @@ Run from the repository root:
 
 import ast
 import io
+import os
 import pathlib
+import sys
 import tokenize
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "gammaring"
@@ -54,4 +56,11 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout, as `| head` does: send the interpreter's
+        # final flush to devnull and exit without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
