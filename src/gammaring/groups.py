@@ -82,9 +82,6 @@ class FiniteAbelianGroup:
     def add_index(self, i: int, j: int) -> int:
         return int(self.add_table[i, j])
 
-    def neg_index(self, i: int) -> int:
-        return int(self.neg_table[i])
-
     def _check(self, a):
         if len(a) != len(self.factors):
             raise ValueError(

@@ -102,11 +102,6 @@ class GammaRing:
     def prod(self, x: int, g: int, y: int) -> int:
         return int(self.mu[x, g, y])
 
-    def nu_prod(self, g: int, x: int, h: int) -> int:
-        if self.nu is None:
-            raise ValueError("ring has no Gamma-valued product")
-        return int(self.nu[g, x, h])
-
     def barnes_reports(self) -> list[AxiomReport]:
         if self._barnes_reports is None:
             self._barnes_reports = check_barnes_axioms(self)

@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import BudgetExceededError, InternalInconsistencyError, PreconditionError
 from .groups import homomorphism_count, homomorphisms, is_group_homomorphism
-from .multmaps import (DEFAULT_BUDGET, _SAMPLE_CAP, DefectMap, DerivationTable, MapPair,
-                       SearchConfig, VerifyReport, _chain, _defect, _derivations,
-                       _grid_step, _length_k_products, _pair_group, _Work, verify_additive,
+from .multmaps import (DEFAULT_BUDGET, DefectMap, DerivationTable, MapPair, SearchConfig,
+                       VerifyReport, _chain, _defect, _derivations, _grid_step,
+                       _length_k_products, _pair_group, _Work, verify_additive,
                        verify_n_derivation, verify_n_multiplicative)
 from .peirce import (IdempotentFrame, MartindaleReport, PeirceComponents,
                      canonical_frames, check_martindale_family, peirce_decompose)
@@ -80,7 +80,7 @@ class PipelineReport:
 
 
 def check_hypotheses(defect: DefectMap, k: int, budget: int = DEFAULT_BUDGET) -> HypothesisReport:
-    """Verify the three vanishing-theorem hypotheses for f at chain length k.
+    """Verify the three vanishing-theorem hypotheses for f at chain length k, exactly.
 
     The absorption identities quantify over k extra element slots and k+1
     gamma slots; associativity collapses every such chain onto a composite
@@ -90,16 +90,26 @@ def check_hypotheses(defect: DefectMap, k: int, budget: int = DEFAULT_BUDGET) ->
     on its gamma = 0 slice, and a constant defect c, as every defect on a
     qualifying ring is (c = 0), passes when each composite action fixes c,
     one table lookup per action (_absorption_exact).  The budget gates the
-    full scan's work; `checked` still counts the raw tuples it covers, and a
-    failure always runs the full scan.  Witnesses are reported as raw
-    tuples, least in the order (u1, g1, ..., uk, gk, x, gamma, y) for the left
-    identity and (g1, u1, ..., gk, uk, x, gamma, y) for the right one.
+    full scan's work: past it, BudgetExceededError("hypothesis verdicts are
+    partial; raise the budget") is raised before any scan runs, so every
+    report returned is exact.  `checked` still counts the raw tuples the scan
+    covers, and a failure always runs the full scan.  Witnesses are reported
+    as raw tuples, least in the order (u1, g1, ..., uk, gk, x, gamma, y) for
+    the left identity and (g1, u1, ..., gk, uk, x, gamma, y) for the right one.
     """
     if k < 1:
         raise ValueError("chain length k must be >= 1")
     ring = defect.ring
     f = defect.f
     m, g = ring.m_order, ring.gamma_order
+
+    # the exact scan checks |P_k| g composite actions over (x, gamma, y), with
+    # gamma collapsed to one slot when f ignores it; a failing check also
+    # builds the m^k g^k table of raw chains for its witness
+    pk = _length_k_products(ring, k)
+    fs = _gamma_free(f)
+    if max(pk.size * g * m * fs.shape[1] * m, m**k * g**k) > budget:
+        raise BudgetExceededError("hypothesis verdicts are partial; raise the budget")
 
     zr = VerifyReport(True, True, 2 * m * g)
     for side, names, mask in (("right-zero", ("x", "gamma"), f[:, :, 0] != 0),
@@ -108,18 +118,8 @@ def check_hypotheses(defect: DefectMap, k: int, budget: int = DEFAULT_BUDGET) ->
         if w is not None:
             zr = VerifyReport(False, True, 2 * m * g, {"side": side, **w})
             break
-
-    # the exact scan checks |P_k| g composite actions over (x, gamma, y), with
-    # gamma collapsed to one slot when f ignores it; a failing check also
-    # builds the m^k g^k table of raw chains for its witness
-    pk = _length_k_products(ring, k)
-    fs = _gamma_free(f)
-    if max(pk.size * g * m * fs.shape[1] * m, m**k * g**k) <= budget:
-        left = _absorption_exact(ring, fs, k, pk, side="left")
-        right = _absorption_exact(ring, fs, k, pk, side="right")
-    else:
-        left = _absorption_sampled(defect, k, budget, seed=0, side="left")
-        right = _absorption_sampled(defect, k, budget, seed=1, side="right")
+    left = _absorption_exact(ring, fs, k, pk, side="left")
+    right = _absorption_exact(ring, fs, k, pk, side="right")
     return HypothesisReport(k, zr, left, right)
 
 
@@ -210,41 +210,6 @@ def _absorption_witness(ring, k, side, pk, fail, first_xy) -> dict:
     return w
 
 
-def _absorption_sampled(defect: DefectMap, k: int, budget: int, seed: int, side: str) -> VerifyReport:
-    ring = defect.ring
-    f = defect.f
-    mu = ring.mu
-    m, g = ring.m_order, ring.gamma_order
-    rng = np.random.default_rng(seed)
-    samples = int(min(budget, _SAMPLE_CAP))
-    us = rng.integers(0, m, size=(k, samples))
-    gs = rng.integers(0, g, size=(k, samples))
-    xs = rng.integers(0, m, size=samples)
-    ys = rng.integers(0, m, size=samples)
-    gammas = rng.integers(0, g, size=samples)
-
-    prod = us[0]
-    for i in range(1, k):
-        prod = mu[prod, gs[i - 1], us[i]]
-    if side == "left":
-        lhs = mu[prod, gs[k - 1], f[xs, gammas, ys]]
-        rhs = f[mu[prod, gs[k - 1], xs], gammas, mu[prod, gs[k - 1], ys]]
-    else:
-        q = us[k - 1]
-        for i in range(k - 1, 0, -1):
-            q = mu[us[i - 1], gs[i], q]
-        lhs = mu[f[xs, gammas, ys], gs[0], q]
-        rhs = f[mu[xs, gs[0], q], gammas, mu[ys, gs[0], q]]
-    bad = _first(lhs != rhs)
-    if bad is not None:
-        j = bad[0]
-        w = {f"u{i+1}": int(us[i, j]) for i in range(k)}
-        w.update({f"g{i+1}": int(gs[i, j]) for i in range(k)})
-        w.update({"x": int(xs[j]), "gamma": int(gammas[j]), "y": int(ys[j])})
-        return VerifyReport(False, False, samples, w)
-    return VerifyReport(True, False, samples)
-
-
 def check_claims(defect: DefectMap, frame: IdempotentFrame,
                  components: Optional[PeirceComponents] = None) -> ClaimTrace:
     """Exhaustively evaluate the five staged vanishing identities for f.
@@ -327,8 +292,10 @@ def conclude_main_theorem(ring: GammaRing, frames, defect: DefectMap, k: int,
                           budget: int = DEFAULT_BUDGET) -> TheoremVerdict:
     """Gate on the structural conditions and hypotheses, then assert f = 0.
 
-    A gate failure raises PreconditionError.  With all gates exactly passed,
-    a nonzero f would contradict the theorem and therefore raises an internal
+    A gate failure raises PreconditionError.  Hypotheses past the budget
+    raise check_hypotheses' BudgetExceededError("hypothesis verdicts are
+    partial; raise the budget").  With all gates exactly passed, a nonzero f
+    would contradict the theorem and therefore raises an internal
     inconsistency: it cannot arise from input data.
     """
     family = check_martindale_family(ring, frames)
@@ -336,9 +303,6 @@ def conclude_main_theorem(ring: GammaRing, frames, defect: DefectMap, k: int,
         raise PreconditionError("ring/frame family fails the structural conditions; "
                                 "the vanishing theorem does not apply")
     hyp = check_hypotheses(defect, k, budget)
-    if not hyp.all_exact:
-        raise BudgetExceededError("hypothesis verdicts are partial; raise the budget "
-                                  "for an exact conclusion")
     if not hyp.all_passed:
         raise PreconditionError("defect map fails the theorem hypotheses")
     if not defect.is_zero:
@@ -366,6 +330,8 @@ def _run_pipeline(kind: str, subject, n: int, family: MartindaleReport,
                   budget: int, k: Optional[int]) -> PipelineReport:
     """Gates in order: family, verify, defect, hypotheses, zero defect, additivity.
 
+    A partial verification, or a hypothesis check past the budget, raises
+    BudgetExceededError, so a report is returned only on exact verdicts.
     family is check_martindale_family's report on the subject's ring and
     frames, computed once by the caller however many subjects share it.  The
     subject is verified once; its defect comes from the same builder the
@@ -384,8 +350,6 @@ def _run_pipeline(kind: str, subject, n: int, family: MartindaleReport,
         raise PreconditionError(refused.format(n=n, witness=verified.witness))
     defect = _defect(subject)
     hyp = check_hypotheses(defect, k, budget)
-    if not hyp.all_exact:
-        raise BudgetExceededError("hypothesis verdicts are partial; raise the budget")
     if not hyp.all_passed:
         raise InternalInconsistencyError(bad_hypotheses)
     if not defect.is_zero:
@@ -570,10 +534,11 @@ def _factor_sequences(order: int):
     return out
 
 
-def trivial_ring_family(max_order: int, gamma_factors=(2,)) -> list:
-    """All-zero-product rings over every abelian presentation of order <= max_order."""
+def trivial_ring_family(max_order: int) -> list:
+    """All-zero-product rings over every abelian presentation of order <= max_order,
+    each with Gamma = Z2."""
     out = []
-    gamma = make_group(gamma_factors)
+    gamma = make_group([2])
     for order in range(2, max_order + 1):
         for factors in _factor_sequences(order):
             m = make_group(factors)

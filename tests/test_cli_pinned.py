@@ -20,6 +20,10 @@ the budget-5 case lists the first five pairs in sorted order, where the
 plain search listed one.  Exit codes, pair lists, and every other byte of
 the complete entries, are unchanged.
 
+The `theorem-hypothesis-budget` and `theorem-k4` entries were recorded, by
+running this case list, while `check_hypotheses` still sampled past its
+gate; they pin that refusing before any scan leaves the report unchanged.
+
 `theorem --n 3` at the default budget is left out on purpose: its hypothesis
 gate counts the exact scan's work, so it exits 0 where it used to exit 3.
 """
@@ -117,6 +121,9 @@ CASES = {
     "theorem-family-failure": ["theorem", "--input", "product.json"],
     "theorem-budget": ["theorem", "--input", "m222-good.json", "--n", "3",
                        "--budget", "100000"],
+    "theorem-hypothesis-budget": ["theorem", "--input", "m222-good.json", "--n", "2",
+                                  "--budget", "10000"],
+    "theorem-k4": ["theorem", "--input", "m222-good.json", "--n", "2", "--k", "4"],
     "hunt": ["hunt", "--input", "trivz4.json", "--input", "m212.json",
              "--input", "m222-good.json"],
 }
@@ -149,6 +156,10 @@ EXPECTED = {
     "search-iso-require-additive/text": (1, '54fdeb55ef66be4a47de4d4d9789c0d8b703477a40bd3929a1172d8cbfed13d1'),
     "theorem-budget/json": (3, '99daf4557196edbd9fcd16dbbae3e53a62e5ab44fc38c6b4fdaaef057414faf3'),
     "theorem-budget/text": (3, '37cc46f352d1d678081ae1496e0d1a0971c0c6070f4bcbe9a0fdcb9cfceb7f68'),
+    "theorem-hypothesis-budget/json": (3, '24695f93f15e4cb3edf3328a3400c2e2c0037df6136ef84bdb1f9f0ca90dc6b9'),
+    "theorem-hypothesis-budget/text": (3, '4c75f1e6e282a1ffe119e10d353fb09b0301bc2a6adafd44689147878af15317'),
+    "theorem-k4/json": (3, '4b19e8e842e811e0af88b8baf6395d99da16bf8418e5f6854c9b49a982b2e3c8'),
+    "theorem-k4/text": (3, '23122ed0ad0fea64f65a8c97c71c4ae770269c084b862c13f60313c65b0afa27'),
     "theorem-failure/json": (1, '64ea95465abf5b038114cabb24431459f5ab554f40870b8512fc8f458e9fe37a'),
     "theorem-failure/text": (1, '431458e387bea2312a8b2f1a4869ee3689eb4f850a144360e966408775fda080'),
     "theorem-family-failure/json": (1, '114b4880d8f3964d95c290adb2f529f9b3366e4fa699769248f7dcc311a99d49'),

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -11,6 +12,7 @@ from gammaring import (DefectMap, MapPair, SearchConfig, build_matrix_ring, buil
                        run_additivity_pipeline, run_derivation_pipeline,
                        search_n_derivations, search_n_multiplicative_isos, trivial_ring,
                        trivial_ring_family, verify_additive)
+from gammaring import theorem
 from gammaring.multmaps import _free_part
 from gammaring.theorem import _derivation_count
 from gammaring.errors import BudgetExceededError, PreconditionError
@@ -93,9 +95,44 @@ def test_absorption_failure_witness_reproduces(matrix222, matrix212):
     assert not (rep2.left_absorption.passed and rep2.right_absorption.passed)
 
 
-def test_hypotheses_partial_flagged(matrix222):
-    rep = check_hypotheses(zero_defect(matrix222), 2, budget=1000)
-    assert rep.all_passed and not rep.all_exact
+PARTIAL = "hypothesis verdicts are partial; raise the budget"
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_hypothesis_gate_boundary(matrix222, k, monkeypatch):
+    # a gamma-free f scans one gamma slot: max(16 * 16 * 16 * 1 * 16, 16^k * 16^k) = 65,536
+    rep = check_hypotheses(zero_defect(matrix222), k, budget=65_536)
+    assert rep.all_passed and rep.all_exact
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a refused check must not scan")
+
+    monkeypatch.setattr(theorem, "_absorption_exact", no_scan)
+    monkeypatch.setattr(theorem, "_first", no_scan)
+    with pytest.raises(BudgetExceededError, match=PARTIAL):
+        check_hypotheses(zero_defect(matrix222), k, budget=65_535)
+
+
+def test_hypothesis_gate_counts_gamma_slots(matrix222):
+    # f = mu depends on gamma, so the gate is 16 * 16 * 16 * 16 * 16 = 1,048,576 at k = 1
+    f = DefectMap(matrix222, matrix222.mu.copy(), "user")
+    with pytest.raises(BudgetExceededError, match=PARTIAL):
+        check_hypotheses(f, 1, budget=1_048_575)
+    rep = check_hypotheses(f, 1, budget=1_048_576)
+    assert rep.all_exact and not rep.all_passed
+
+
+def test_refused_hypotheses_do_no_work(matrix222, frame):
+    # at k = 4 the raw-chain term 16^4 * 16^4 exceeds the default budget
+    ident = MapPair(matrix222, matrix222, np.arange(16), np.arange(16))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match=PARTIAL):
+            run_additivity_pipeline(ident, 2, [frame], k=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_claims_zero_defect(matrix222, frame):

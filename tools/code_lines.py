@@ -6,6 +6,12 @@ body, found with `ast`).  Blank lines, comment lines and docstrings are left
 out.  The five largest top-level classes and functions are listed after the
 modules.
 
+The last line counts settable values, the defaults a caller may override, in
+three parts found with `ast`: defaulted function and method parameters
+(positional and keyword-only), fields with a default in `@dataclass` classes,
+and command-line options with a default (`add_argument` calls that pass
+`default=`, or a `store_true` or `store_false` action).
+
 Run from the repository root:
 
     python3 tools/code_lines.py
@@ -39,11 +45,29 @@ def code_lines(text: str) -> tuple:
     return tree, lines
 
 
+def settable_values(tree) -> tuple:
+    """(defaulted parameters, dataclass field defaults, CLI option defaults) of a module."""
+    params = fields = options = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            params += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and any(ast.unparse(d).startswith("dataclass")
+                                                     for d in node.decorator_list):
+            fields += sum(isinstance(st, ast.AnnAssign) and st.value is not None
+                          for st in node.body)
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+            kw = {k.arg: k.value for k in node.keywords}
+            action = getattr(kw.get("action"), "value", None)
+            options += "default" in kw or action in ("store_true", "store_false")
+    return params, fields, options
+
+
 def main():
-    total, units = 0, []
+    total, units, settable = 0, [], (0, 0, 0)
     for path in sorted(SRC.glob("*.py")):
         tree, lines = code_lines(path.read_text(encoding="utf-8"))
         total += len(lines)
+        settable = tuple(a + b for a, b in zip(settable, settable_values(tree)))
         print(f"{len(lines):6d}  {path.name}")
         for node in tree.body:
             if isinstance(node, _BODIES[1:]):
@@ -53,6 +77,9 @@ def main():
     print("largest units:")
     for size, name in sorted(units, reverse=True)[:5]:
         print(f"{size:6d}  {name}")
+    params, fields, options = settable
+    print(f"{sum(settable):6d}  settable values: {params} defaulted parameters, "
+          f"{fields} dataclass field defaults, {options} CLI option defaults")
 
 
 if __name__ == "__main__":
