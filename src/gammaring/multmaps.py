@@ -1,14 +1,14 @@
 """Length-n multiplicative isomorphisms and derivations between finite gamma rings.
 
-Verification is exhaustive whenever the tuple count fits the evaluation
-budget, and a seeded pseudorandom sample flagged "partial" otherwise; the
-theorem pipelines refuse partial verdicts.  Chains fold left to right, so
-an exhaustive check at n >= 3 scans the m^2 g tuples of n = 2 first: a pair
-that passes there passes at every n, and so does a derivation once the ring
-holds a passing distributivity verdict.  A failure there is rescanned over
-the distinct fold states of each length, at most m^2 of them, for the same
-lex-least witness; a derivation without that verdict scans every length-n
-tuple.
+Verification is exact whenever each pass it runs fits the budget (see
+rings._Meter), and a seeded pseudorandom sample flagged "partial" otherwise;
+the theorem pipelines refuse instead of sampling.  Chains fold left to
+right, so an exact check at n >= 3 scans the m^2 g tuples of n = 2 first: a
+pair that passes there passes at every n, and so does a derivation once the
+ring holds a passing distributivity verdict.  A failure there is rescanned
+over the distinct fold states of each length, at most m^2 of them, for the
+same lex-least witness; a derivation without that verdict scans every
+length-n tuple.  So a pass is charged m^2 g evaluations, however large n.
 
 The leaf search is a backtracking enumeration over image tables with
 vectorized constraint propagation: every fully-assigned product instance
@@ -32,8 +32,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InternalInconsistencyError
-from .rings import _CHUNK_ELEMS, GammaRing, _first, _scan_equal, _witness
+from .errors import BudgetExceededError, InternalInconsistencyError
+from .rings import (_CHUNK_ELEMS, _UNBOUNDED, GammaRing, _first, _Meter, _scan_equal,
+                    _witness)
 
 DEFAULT_BUDGET = 10**8
 _SAMPLE_CAP = 1 << 20
@@ -176,13 +177,14 @@ def _leibniz(mu, addm, d, factors, step):
 
 
 def _scan_chains(m: int, g: int, n: int, lhs, rhs) -> Optional[dict]:
-    """Lex-least length-n tuple where lhs and rhs differ, over every tuple, or None."""
+    """Lex-least length-n tuple where lhs and rhs differ, over every tuple, or
+    None; uncharged, so the caller charges its m^n g^(n-1) evaluations."""
     def grid(lo, hi):
         return [np.arange(lo, hi)] + [slice(None)] * (n - 1)
 
     return _scan_equal(lambda lo, hi: lhs(grid(lo, hi), _grid_step),
                        lambda lo, hi: rhs(grid(lo, hi), _grid_step),
-                       m, (g, m) * (n - 1), _witness_names(n))
+                       m, (g, m) * (n - 1), _witness_names(n), _UNBOUNDED, "")
 
 
 def _fold_scan(m: int, g: int, n: int, f, step) -> Optional[dict]:
@@ -231,43 +233,66 @@ def _fold_scan(m: int, g: int, n: int, f, step) -> Optional[dict]:
     return _witness(_witness_names(n), tup)
 
 
-def _verify_chains(m: int, g: int, n: int, budget: int, seed: int, lhs, rhs,
-                   fold: Optional[tuple]) -> VerifyReport:
-    """Scan every length-n tuple when the count fits the budget, else a seeded sample.
+def _exact_chains(n: int, meter: _Meter, what: str, m: int, g: int, lhs, rhs,
+                  fold: Optional[tuple]) -> VerifyReport:
+    """The exact verdict on every length-n tuple, each pass charged to meter
+    first: a pass past its budget raises BudgetExceededError, never a sample.
 
     lhs(factors, step) and rhs(factors, step) evaluate the identity's sides on
     the chains over the given element factors: index arrays, or slice(None)
-    for a full open-grid axis.  Exhaustive witnesses are the lexicographically
-    least failing tuple.
+    for a full open-grid axis.  Witnesses are the lexicographically least
+    failing tuple, and checked counts every length-n tuple.
 
     `fold`, the identity's (f, step) for _fold_scan, says that each side of a
     chain is carried along x1 g1 ... xn = (x1 g1 ... x_{n-1}) g_{n-1} xn by a
     state of two elements; None means it is not.  A folding identity that
-    holds at 2 keeps f(P) = T along every fold, so at every n.  The exact
-    check then scans the m^2 g tuples of n = 2 first, and a pass there is an
-    exact pass that counts every length-n tuple; a failure there is rescanned
-    over the fold states for the least length-n witness.  An identity
-    without a fold scans every length-n tuple.
+    holds at 2 keeps f(P) = T along every fold, so at every n.  The check
+    then scans the m^2 g tuples of n = 2 first, and a pass there is an exact
+    pass; only a failure is rescanned over the fold states for the least
+    length-n witness.  That rescan is charged the cheaper of its bound
+    2 (n - 1) m^3 g and the raw count: depth j keeps at most
+    min(m^2, m^j g^(j-1)) states, so where the bound passes the raw count
+    the rescan takes about as many steps as the full scan.  So no pass is
+    charged more than the raw count, and a check exact at that budget
+    stays exact.  An identity without a fold scans, and is charged, every
+    length-n tuple.
     """
+    if n < 2:
+        raise ValueError("product arity must be >= 2")
     count = m**n * g**(n - 1)
-    if count <= budget:
-        w = _scan_chains(m, g, 2 if fold else n, lhs, rhs)
-        if w is not None and fold and n > 2:
-            w = _fold_scan(m, g, n, *fold)
-        return VerifyReport(w is None, True, count, w)
+    meter.charge(m * m * g if fold else count, what)
+    w = _scan_chains(m, g, 2 if fold else n, lhs, rhs)
+    if w is not None and fold and n > 2:
+        meter.charge(min(2 * (n - 1) * m**3 * g, count), what)
+        w = _fold_scan(m, g, n, *fold)
+    return VerifyReport(w is None, True, count, w)
 
-    names = _witness_names(n)
+
+def _verify_chains(m: int, g: int, n: int, budget: int, seed: int, lhs, rhs,
+                   fold: Optional[tuple]) -> VerifyReport:
+    """_exact_chains' verdict when its passes fit the budget, else a seeded sample.
+
+    The sample draws min(budget, _SAMPLE_CAP) tuples in chunks of at most
+    _CHUNK_ELEMS entries, (2n - 1) per tuple, and stops at the first chunk
+    holding a failure; a sample that fits in one chunk is drawn in one call.
+    """
+    try:
+        return _exact_chains(n, _Meter(budget), "verification", m, g, lhs, rhs, fold)
+    except BudgetExceededError:
+        pass
     rng = np.random.default_rng(seed)
     samples = int(min(budget, _SAMPLE_CAP))
-    xs = rng.integers(0, m, size=(n, samples))
-    gs = rng.integers(0, g, size=(n - 1, samples))
-    step = _tuple_step(gs)
-    bad = _first(lhs(list(xs), step) != rhs(list(xs), step))
-    if bad is None:
-        return VerifyReport(True, False, samples)
-    j = bad[0]
-    tup = [xs[0, j]] + [v for i in range(1, n) for v in (gs[i - 1, j], xs[i, j])]
-    return VerifyReport(False, False, samples, _witness(names, tup))
+    size = max(1, _CHUNK_ELEMS // (2 * n - 1))
+    for lo in range(0, samples, size):
+        xs = rng.integers(0, m, size=(n, min(size, samples - lo)))
+        gs = rng.integers(0, g, size=(n - 1, xs.shape[1]))
+        step = _tuple_step(gs)
+        bad = _first(lhs(list(xs), step) != rhs(list(xs), step))
+        if bad is not None:
+            j = bad[0]
+            tup = [xs[0, j]] + [v for i in range(1, n) for v in (gs[i - 1, j], xs[i, j])]
+            return VerifyReport(False, False, lo + xs.shape[1], _witness(_witness_names(n), tup))
+    return VerifyReport(True, False, samples)
 
 
 def _pulled_back(pair: MapPair) -> np.ndarray:
@@ -298,12 +323,8 @@ def verify_n_multiplicative(pair: MapPair, n: int,
     pass at n = 2 decides any n, and a failure there is rescanned over the
     distinct fold states of each length.
     """
-    if n < 2:
-        raise ValueError("product arity must be >= 2")
-    pair.source.require_barnes()
-    pair.target.require_barnes()
-    return _verify_chains(pair.source.m_order, pair.source.gamma_order, n, budget, seed,
-                          *_pair_sides(pair), _pair_fold(pair))
+    m, g, lhs, rhs, fold = _identity(pair)
+    return _verify_chains(m, g, n, budget, seed, lhs, rhs, fold)
 
 
 def _additivity_sides(obj):
@@ -352,12 +373,22 @@ def verify_n_derivation(deriv: DerivationTable, n: int,
     distinct fold states.  The verdict is read, never computed; without it
     every length-n tuple is scanned.
     """
-    if n < 2:
-        raise ValueError("product arity must be >= 2")
-    ring = deriv.ring
-    return _verify_chains(ring.m_order, ring.gamma_order, n, budget, seed,
-                          *_leibniz_sides(deriv),
-                          _leibniz_fold(deriv) if ring.known_distributive else None)
+    m, g, lhs, rhs, fold = _identity(deriv)
+    return _verify_chains(m, g, n, budget, seed, lhs, rhs, fold)
+
+
+def _identity(subject) -> tuple:
+    """(m, g, lhs, rhs, fold) of the identity a map pair or a derivation
+    satisfies, for _exact_chains and _verify_chains; a pair needs
+    Barnes-verified rings."""
+    if isinstance(subject, MapPair):
+        subject.source.require_barnes()
+        subject.target.require_barnes()
+        ring, fold = subject.source, _pair_fold(subject)
+        return ring.m_order, ring.gamma_order, *_pair_sides(subject), fold
+    ring = subject.ring
+    fold = _leibniz_fold(subject) if ring.known_distributive else None
+    return ring.m_order, ring.gamma_order, *_leibniz_sides(subject), fold
 
 
 class _PairSearch:
@@ -623,7 +654,7 @@ def search_n_multiplicative_isos(source: GammaRing, target: GammaRing,
         return SearchResult([], True, 0)
     source.require_barnes()
     target.require_barnes()
-    n, work = config.n, _Work(config.budget)
+    n, work = config.n, _Meter(config.budget)
     sigma = None                                # the identity, onto source itself
     if target is not source:
         eng = _PairSearch(source, target, n, config.budget, 1).run()
@@ -786,7 +817,7 @@ def _free_part(ring: GammaRing, n: int) -> tuple:
     return np.flatnonzero(free), np.flatnonzero(gam)
 
 
-def _pair_group(ring: GammaRing, n: int, work: "_Work") -> Optional[_PairGroup]:
+def _pair_group(ring: GammaRing, n: int, work: _Meter) -> Optional[_PairGroup]:
     """The stabilizer chain of Mult_n(ring), or None when the budget runs out.
 
     F and A_Gamma come from _free_part.  Levels are built deepest first.
@@ -809,9 +840,9 @@ def _pair_group(ring: GammaRing, n: int, work: "_Work") -> Optional[_PairGroup]:
     refutation took 89,299 nodes with psi(0) = 0 fixed, and the whole chain
     takes 123 without.
 
-    Each generator must be a bijection pair that passes an exact
-    verify_n_multiplicative, or InternalInconsistencyError is raised.  The
-    budget gates the leaf search nodes.
+    Each generator must be a bijection pair that passes an exact, uncharged
+    verification, or InternalInconsistencyError is raised.  The budget
+    gates the leaf search nodes.
     """
     m, g = ring.m_order, ring.gamma_order
     free, gammas = _free_part(ring, n)
@@ -848,23 +879,9 @@ def _generator(ring: GammaRing, n: int, phi, psi, target: Optional[GammaRing] = 
         pair = MapPair(ring, ring if target is None else target, phi, psi)
     except ValueError as ex:
         raise InternalInconsistencyError(f"a leaf search solution is no bijection pair: {ex}")
-    if not verify_n_multiplicative(pair, n, ring.m_order**n * ring.gamma_order**(n - 1)).exact_pass:
+    if not _exact_chains(n, _UNBOUNDED, "", *_identity(pair)).passed:
         raise InternalInconsistencyError("a leaf search solution fails verification")
     return phi.astype(np.int64), psi.astype(np.int64)
-
-
-class _Work:
-    """The budget gate of the derivation solve and the pair chain: a unit per
-    equation tuple evaluated, generator verified, map or pair listed, leaf
-    search node or endomorphism visited.  Running out leaves spent at
-    budget + 1."""
-
-    def __init__(self, budget: int):
-        self.budget, self.spent = budget, 0
-
-    def take(self, units: int) -> bool:
-        self.spent = min(self.spent + units, self.budget + 1)
-        return self.spent <= self.budget
 
 
 def _howell(a, N: int) -> tuple:
@@ -963,16 +980,17 @@ class _Span:
                 stack.append(iter(vals[np.argsort(vals[:, c])]))
 
 
-def _derivations(ring: GammaRing, n: int, work: _Work) -> Optional[_Span]:
+def _derivations(ring: GammaRing, n: int, work: _Meter) -> Optional[_Span]:
     """The n-derivations of `ring` as a span, or None when the budget runs out.
 
     Under the Barnes axioms every Leibniz term is additive in d, so the
     n-derivations are the kernel of a linear map on M^M, one equation per
     tuple.  Tuples are cut in chunks, each as large as all before it, until
     one changes nothing.  The span then contains every derivation, and they
-    form a group, so it is exact once each basis map passes an exact
-    verify_n_derivation.  A failing one adds its witness tuple and the chunks
-    resume; once every tuple is in, a failure is an internal inconsistency.
+    form a group, so it is exact once each basis map passes an exact,
+    uncharged verification, for which the budget takes one unit.  A failing
+    one adds its witness tuple and the chunks resume; once every tuple is
+    in, a failure is an internal inconsistency.
 
     Chunk k visits tuples k * stride mod count, the stride coprime to count
     and near count / golden ratio, so early chunks spread over every first
@@ -1003,7 +1021,7 @@ def _derivations(ring: GammaRing, n: int, work: _Work) -> Optional[_Span]:
         for d in span.tables(span.rows):
             if not work.take(1):
                 return None
-            rep = verify_n_derivation(DerivationTable(ring, d), n, count)
+            rep = _exact_chains(n, _UNBOUNDED, "", *_identity(DerivationTable(ring, d)))
             if not rep.passed:
                 failed.append([rep.witness[k] for k in _witness_names(n)])
         if not failed:
@@ -1022,7 +1040,7 @@ def search_n_derivations(ring: GammaRing, config: SearchConfig) -> SearchResult:
     listed, and nodes reports that count.
     """
     ring.require_barnes()
-    work = _Work(config.budget)
+    work = _Meter(config.budget)
     span = _derivations(ring, config.n, work)
     found = []
     if span is not None:
@@ -1064,11 +1082,11 @@ def _defect(obj) -> DefectMap:
 
 
 def defect_of_iso(pair: MapPair, n: int = 2, budget: int = DEFAULT_BUDGET) -> DefectMap:
-    """f(x, gamma, y) = phi^-1(phi(x+y) - phi(x) - phi(y)); constant in gamma."""
-    vr = verify_n_multiplicative(pair, n, budget)   # also enforces Barnes rings
-    if not vr.exact:
-        raise ValueError("defect construction needs an exact multiplicativity verdict; "
-                         "raise the budget")
+    """f(x, gamma, y) = phi^-1(phi(x+y) - phi(x) - phi(y)); constant in gamma.
+
+    The pair must pass an exact verification; one with a pass past the
+    budget raises BudgetExceededError before drawing any sample."""
+    vr = _exact_chains(n, _Meter(budget), "defect construction", *_identity(pair))
     if not vr.passed:
         raise ValueError(f"pair is not {n}-multiplicative: witness {vr.witness}")
     return _defect(pair)
@@ -1076,26 +1094,27 @@ def defect_of_iso(pair: MapPair, n: int = 2, budget: int = DEFAULT_BUDGET) -> De
 
 def defect_of_derivation(deriv: DerivationTable, n: int = 2,
                          budget: int = DEFAULT_BUDGET) -> DefectMap:
-    """f(x, gamma, y) = d(x+y) - d(x) - d(y); constant in gamma."""
+    """f(x, gamma, y) = d(x+y) - d(x) - d(y); constant in gamma.
+
+    The map must pass an exact verification; one with a pass past the
+    budget raises BudgetExceededError before drawing any sample."""
     deriv.ring.require_barnes()
-    vr = verify_n_derivation(deriv, n, budget)
-    if not vr.exact:
-        raise ValueError("defect construction needs an exact derivation verdict; "
-                         "raise the budget")
+    vr = _exact_chains(n, _Meter(budget), "defect construction", *_identity(deriv))
     if not vr.passed:
         raise ValueError(f"map is not an {n}-derivation: witness {vr.witness}")
     return _defect(deriv)
 
 
 def inverse_pair(pair: MapPair, n: int = 2, budget: int = DEFAULT_BUDGET) -> MapPair:
-    """Invert a verified pair; the inverse verifies n-multiplicative by construction."""
-    vr = verify_n_multiplicative(pair, n, budget)
-    if not vr.exact_pass:
+    """Invert a verified pair; the inverse verifies n-multiplicative by construction.
+
+    Both verifications are exact; a pass past the budget raises
+    BudgetExceededError before drawing any sample."""
+    if not _exact_chains(n, _Meter(budget), "inversion", *_identity(pair)).passed:
         raise ValueError("can only invert an exactly verified pair")
     out = MapPair(pair.target, pair.source,
                   _inverse_table(pair.phi), _inverse_table(pair.psi))
-    back = verify_n_multiplicative(out, n, budget)
-    if not back.exact_pass:
+    if not _exact_chains(n, _Meter(budget), "inversion", *_identity(out)).passed:
         raise InternalInconsistencyError("inverse of a verified pair failed verification")
     return out
 

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import prod
 from typing import Optional
 
 import numpy as np
 
 from .errors import FrameValidationError, InternalInconsistencyError
-from .rings import (GammaRing, _additive_in, _first, _guard, _scan_equal, _witness,
-                    find_unities)
+from . import rings
+from .rings import GammaRing, _additive_in, _first, _Meter, _scan_equal, _witness, find_unities
 
 
 @dataclass
@@ -102,17 +101,6 @@ def _is_nontrivial_idempotent(ring: GammaRing, e: int, gamma: int) -> bool:
     return e != 0 and ring.prod(e, gamma, e) == e and not _is_unity(ring, e, gamma)
 
 
-def _scan_frame(invariant: str, names, outer: int, inner_shape: tuple,
-                lhs_fn, rhs_fn) -> Optional[dict]:
-    """Lex-least tuple of a full frame scan where the sides differ, or None.
-
-    The sides are built in chunks of first-slot values (rings._scan_equal),
-    and a scan whose raw count exceeds the exact-scan cap is refused.
-    """
-    _guard(outer * prod(inner_shape), invariant)
-    return _scan_equal(lhs_fn, rhs_fn, outer, inner_shape, names)
-
-
 def validate_frame(frame: IdempotentFrame) -> list[FrameViolation]:
     """All violated frame invariants, each with its lex-least witness.
 
@@ -121,8 +109,9 @@ def validate_frame(frame: IdempotentFrame) -> list[FrameViolation]:
     and the ring's kept barnes-ii verdict are, so it compares generators a
     and b only; that verdict is read, never computed, and without it every
     tuple is scanned.  Reports still count raw coverage.  A full scan is
-    built in chunks of first-slot values, and one whose raw count exceeds
-    rings.AXIOM_EVAL_CAP raises BudgetExceededError.
+    built in chunks of first-slot values.  Each pass that runs, a generator
+    check or a full scan, is charged to a meter at rings.AXIOM_EVAL_CAP,
+    and one past it raises BudgetExceededError.
     """
     ring, e, g1 = frame.ring, frame.e, frame.gamma1
     mu = ring.mu
@@ -152,13 +141,14 @@ def validate_frame(frame: IdempotentFrame) -> list[FrameViolation]:
     if bad.size:
         out.append(FrameViolation("right-specialization", {"a": int(bad[0])}))
 
-    addm = mg.add_table
-    left_ok = _additive_in(lf, 1, mg, addm)
-    right_ok = _additive_in(rf, 0, mg, addm)
+    addm, meter = mg.add_table, _Meter(rings.AXIOM_EVAL_CAP)
+    left_ok = _additive_in(lf, 1, mg, addm, meter, "left-additivity")
+    right_ok = _additive_in(rf, 0, mg, addm, meter, "right-additivity")
     assoc_ok = False
     if left_ok and right_ok and ring.known_distributive:
         gidx = np.arange(g)
         a, beta, gamma, b = np.ix_(mg.generators, gidx, gidx, mg.generators)
+        meter.charge(a.size * g * g * b.size, "frame-associativity")
         assoc_ok = bool((mu[rf[a, beta], gamma, b] == mu[a, beta, lf[gamma, b]]).all())
     checks = (
         ("left-additivity", ("beta", "x", "y"), left_ok, g, (m, m),           # [b, x, y]
@@ -173,8 +163,8 @@ def validate_frame(frame: IdempotentFrame) -> list[FrameViolation]:
          lambda lo, hi: mu[lo:hi][:, :, lf]),
     )
     for invariant, names, holds, outer, inner_shape, lhs_fn, rhs_fn in checks:
-        witness = None if holds else _scan_frame(invariant, names, outer, inner_shape,
-                                                 lhs_fn, rhs_fn)
+        witness = None if holds else _scan_equal(lhs_fn, rhs_fn, outer, inner_shape, names,
+                                                 meter, invariant)
         if witness is not None:
             out.append(FrameViolation(invariant, witness))
     return out

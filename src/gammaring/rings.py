@@ -9,13 +9,16 @@ The axiom checks are exact.  A pass is decided on generator tuples: a map is
 additive when it respects adding each cyclic generator, and two maps additive
 in every slot agree everywhere when they agree on tuples of generators.  A
 failure there is rescanned in full, so every witness is the lexicographically
-least one.  `checked` reports the raw tuple coverage, and `_guard` gates that
-raw count, so an oversized ring is refused exactly as by a full scan.
+least one.  `checked` reports the raw tuple coverage.  Every budget decision
+of the package goes through one _Meter.  Here each scan charges its
+generator check, and its full rescan only when that runs, against
+AXIOM_EVAL_CAP, so a ring is refused only when a pass it needs is oversized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Optional
 
 import numpy as np
@@ -23,7 +26,8 @@ import numpy as np
 from .errors import BudgetExceededError, InternalInconsistencyError, PreconditionError
 from .groups import FiniteAbelianGroup, make_group
 
-# Hard cap on evaluations per axiom scan: verdicts are exact or refused.
+# Hard cap on the evaluations of each pass of an axiom or frame scan: verdicts
+# are exact or refused.
 AXIOM_EVAL_CAP = 2**32
 # Soft cap on elements per vectorized chunk (memory control).
 _CHUNK_ELEMS = 1 << 22
@@ -137,6 +141,35 @@ class GammaRing:
         return [list(res[r * cols:(r + 1) * cols]) for r in range(rows)]
 
 
+class _Meter:
+    """The budget of one check or search: every budget decision is made here.
+
+    Searches and solves take units that add up: leaf search nodes, equation
+    tuples, basis maps verified, maps and pairs listed, endomorphisms
+    visited; running out leaves spent at budget + 1.  An exact check charges
+    each pass it runs, the evaluations that pass makes, before running it.
+    A pass must fit the budget on its own, as every exact gate has, and one
+    that does not raises BudgetExceededError.  So a check is charged for the
+    passes it needs, never for its raw tuple count.
+    """
+
+    def __init__(self, budget):
+        self.budget, self.spent = budget, 0
+
+    def take(self, units: int) -> bool:
+        self.spent = min(self.spent + units, self.budget + 1)
+        return self.spent <= self.budget
+
+    def charge(self, units: int, what: str):
+        if units > self.budget:
+            raise BudgetExceededError(f"{what}: {units} evaluations exceed the budget "
+                                      f"{self.budget}")
+
+
+# refuses no pass: the exact path of a check whose work is gated elsewhere
+_UNBOUNDED = _Meter(float("inf"))
+
+
 def _chunks(total: int, per_x: int):
     step = max(1, _CHUNK_ELEMS // max(per_x, 1))
     for lo in range(0, total, step):
@@ -155,8 +188,10 @@ def _witness(names, idx) -> Optional[dict]:
     return None if idx is None else {n: int(i) for n, i in zip(names, idx)}
 
 
-def _scan_equal(lhs_fn, rhs_fn, outer: int, inner_shape: tuple, names) -> Optional[dict]:
-    """Lex-least tuple where two chunked builders differ, or None.
+def _scan_equal(lhs_fn, rhs_fn, outer: int, inner_shape: tuple, names,
+                meter: _Meter, what: str) -> Optional[dict]:
+    """Lex-least tuple where two chunked builders differ, or None; the scan's
+    outer * prod(inner_shape) evaluations are charged to meter first.
 
     lhs_fn(lo, hi) and rhs_fn(lo, hi) build the sides for first-slot values
     [lo, hi), each of shape (hi - lo,) + inner_shape.  The sides and their
@@ -165,6 +200,7 @@ def _scan_equal(lhs_fn, rhs_fn, outer: int, inner_shape: tuple, names) -> Option
     cost about 10% on the associativity scans of 32-element rings.
     """
     per_x = int(np.prod(inner_shape, dtype=np.int64))
+    meter.charge(outer * per_x, what)
     for lo, hi in _chunks(outer, per_x):
         lhs = lhs_fn(lo, hi)
         rhs = rhs_fn(lo, hi)
@@ -175,27 +211,21 @@ def _scan_equal(lhs_fn, rhs_fn, outer: int, inner_shape: tuple, names) -> Option
     return None
 
 
-def _guard(count: int, axiom: str):
-    if count > AXIOM_EVAL_CAP:
-        raise BudgetExceededError(
-            f"{axiom}: {count} evaluations exceed the exact-scan cap {AXIOM_EVAL_CAP}"
-        )
-
-
 def _additive_in(table: np.ndarray, axis: int, domain: FiniteAbelianGroup,
-                 add: np.ndarray) -> bool:
+                 add: np.ndarray, meter: _Meter, what: str) -> bool:
     """Whether table is additive in its slot `axis`, which ranges over `domain`.
 
     `add` is the addition table of the values.  A map t is additive exactly
     when t(0) = 0 and t(x + e_i) = t(x) + t(e_i) for every x and every
     generator e_i: adding generators one at a time then gives t(x + y) =
     t(x) + t(y).  That is n·r evaluations per map instead of n², r the number
-    of cyclic factors.
+    of cyclic factors, and meter is charged for them.
     """
     t = np.moveaxis(table, axis, 0)
+    gens = domain.generators
+    meter.charge(t.size * gens.size, what)
     if (t[0] != 0).any():
         return False
-    gens = domain.generators
     shifted = domain.add_table[:, gens]              # [x, i] = x + e_i
     images = t[gens]
     for lo, hi in _chunks(t.shape[0], gens.size * t[0].size):
@@ -204,44 +234,40 @@ def _additive_in(table: np.ndarray, axis: int, domain: FiniteAbelianGroup,
     return True
 
 
+def _distributive(ring, axis: int, what: str, lhs_fn, rhs_fn, names):
+    """(lex-least failing tuple or None, raw count) of mu's additivity in slot
+    axis: the generator check, then the full scan only when that fails.  The
+    scan's tuples are mu's slots with slot axis doubled, the first outermost."""
+    meter, shape = _Meter(AXIOM_EVAL_CAP), ring.mu.shape
+    inner = shape[1:axis + 1] + shape[axis:]
+    domain = ring.gamma_group if axis == 1 else ring.m_group
+    w = None if _additive_in(ring.mu, axis, domain, ring.m_group.add_table, meter, what) \
+        else _scan_equal(lhs_fn, rhs_fn, ring.m_order, inner, names, meter, what)
+    return w, ring.m_order * prod(inner)
+
+
 def _right_distrib(ring) -> tuple[Optional[dict], int]:
     # (x+y) a z == x a z + y a z
     mu, addm = ring.mu, ring.m_group.add_table
-    m, g = ring.m_order, ring.gamma_order
-    count = m * m * g * m
-    _guard(count, "distributivity")
-    w = None if _additive_in(mu, 0, ring.m_group, addm) else _scan_equal(
-        lambda lo, hi: mu[addm[lo:hi]],
-        lambda lo, hi: addm[mu[lo:hi, None], mu[None, :]],
-        m, (m, g, m), ("x", "y", "alpha", "z"))
-    return w, count
+    return _distributive(ring, 0, "distributivity", lambda lo, hi: mu[addm[lo:hi]],
+                         lambda lo, hi: addm[mu[lo:hi, None], mu[None, :]],
+                         ("x", "y", "alpha", "z"))
 
 
 def _left_distrib(ring) -> tuple[Optional[dict], int]:
     # x a (y+z) == x a y + x a z
     mu, addm = ring.mu, ring.m_group.add_table
-    m, g = ring.m_order, ring.gamma_order
-    count = m * g * m * m
-    _guard(count, "distributivity")
-    w = None if _additive_in(mu, 2, ring.m_group, addm) else _scan_equal(
-        lambda lo, hi: mu[lo:hi][:, :, addm],
-        lambda lo, hi: addm[mu[lo:hi][:, :, :, None], mu[lo:hi][:, :, None, :]],
-        m, (g, m, m), ("x", "alpha", "y", "z"))
-    return w, count
+    return _distributive(ring, 2, "distributivity", lambda lo, hi: mu[lo:hi][:, :, addm],
+                         lambda lo, hi: addm[mu[lo:hi][:, :, :, None], mu[lo:hi][:, :, None, :]],
+                         ("x", "alpha", "y", "z"))
 
 
 def _gamma_distrib(ring) -> tuple[Optional[dict], int]:
     # x (a+b) y == x a y + x b y
-    mu, addm = ring.mu, ring.m_group.add_table
-    addg = ring.gamma_group.add_table
-    m, g = ring.m_order, ring.gamma_order
-    count = m * g * g * m
-    _guard(count, "gamma-distributivity")
-    w = None if _additive_in(mu, 1, ring.gamma_group, addm) else _scan_equal(
-        lambda lo, hi: mu[lo:hi][:, addg, :],
-        lambda lo, hi: addm[mu[lo:hi][:, :, None, :], mu[lo:hi][:, None, :, :]],
-        m, (g, g, m), ("x", "alpha", "beta", "y"))
-    return w, count
+    mu, addm, addg = ring.mu, ring.m_group.add_table, ring.gamma_group.add_table
+    return _distributive(ring, 1, "gamma-distributivity", lambda lo, hi: mu[lo:hi][:, addg, :],
+                         lambda lo, hi: addm[mu[lo:hi][:, :, None, :], mu[lo:hi][:, None, :, :]],
+                         ("x", "alpha", "beta", "y"))
 
 
 def _associativity(ring, additive: bool = False) -> tuple[Optional[dict], int]:
@@ -251,24 +277,26 @@ def _associativity(ring, additive: bool = False) -> tuple[Optional[dict], int]:
     in all five slots, so a pass on generator tuples is a pass everywhere;
     without it, or on a failure there, every tuple is scanned.
     """
-    mu = ring.mu
+    mu, meter = ring.mu, _Meter(AXIOM_EVAL_CAP)
     m, g = ring.m_order, ring.gamma_order
-    count = m * g * m * g * m
-    _guard(count, "associativity")
     if additive:
         gm, gg = ring.m_group.generators, ring.gamma_group.generators
+        meter.charge(gm.size**3 * gg.size**2, "associativity")
         x, a, y, b, z = np.ix_(gm, gg, gm, gg, gm)
         if (mu[mu[x, a, y], b, z] == mu[x, a, mu[y, b, z]]).all():
-            return None, count
+            return None, m * g * m * g * m
     w = _scan_equal(
         lambda lo, hi: mu[mu[lo:hi]],
         lambda lo, hi: mu[lo:hi][:, :, mu],
-        m, (g, m, g, m), ("x", "alpha", "y", "beta", "z"))
-    return w, count
+        m, (g, m, g, m), ("x", "alpha", "y", "beta", "z"), meter, "associativity")
+    return w, m * g * m * g * m
 
 
 def check_barnes_axioms(ring: GammaRing) -> list[AxiomReport]:
-    """One exact report per Barnes axiom; closure holds by table construction."""
+    """One exact report per Barnes axiom; closure holds by table construction.
+
+    Each scan is gated by its own meter at AXIOM_EVAL_CAP, read at call time.
+    """
     reports = []
 
     w1, c1 = _right_distrib(ring)
@@ -318,19 +346,21 @@ def check_nobusawa(ring: GammaRing) -> list[AxiomReport]:
     if w is None:
         # x a (y b z) == x (a y b) z with the middle product taken in Gamma;
         # both sides are additive in every slot once mu and nu are
-        count = m * g * m * g * m
-        _guard(count, "nobusawa-ii")
         mg, gg, addg = ring.m_group, ring.gamma_group, ring.gamma_group.add_table
+        meter, what = _Meter(AXIOM_EVAL_CAP), "nobusawa-ii"
         holds = False
-        if (distrib.holds and gamma_distrib.holds and _additive_in(nu, 0, gg, addg)
-                and _additive_in(nu, 1, mg, addg) and _additive_in(nu, 2, gg, addg)):
+        if (distrib.holds and gamma_distrib.holds and _additive_in(nu, 0, gg, addg, meter, what)
+                and _additive_in(nu, 1, mg, addg, meter, what)
+                and _additive_in(nu, 2, gg, addg, meter, what)):
             x, a, y, b, z = np.ix_(mg.generators, gg.generators, mg.generators,
                                    gg.generators, mg.generators)
+            meter.charge(x.size * a.size * y.size * b.size * z.size, what)
             holds = bool((mu[x, a, mu[y, b, z]] == mu[x, nu[a, y, b], z]).all())
         w = None if holds else _scan_equal(lambda lo, hi: mu[lo:hi][:, :, mu],
                                            lambda lo, hi: mu[lo:hi][:, nu],
-                                           m, (g, m, g, m), ("x", "alpha", "y", "beta", "z"))
-        checked += count
+                                           m, (g, m, g, m), ("x", "alpha", "y", "beta", "z"),
+                                           meter, what)
+        checked += m * g * m * g * m
         if w is not None:
             identity = "x.a.(y.b.z) = x.(a.y.b).z"
     reports.append(AxiomReport("nobusawa-ii", identity, w is None, w, checked))

@@ -20,15 +20,16 @@ import numpy as np
 from .errors import BudgetExceededError, InternalInconsistencyError, PreconditionError
 from .groups import homomorphism_count, homomorphisms, is_group_homomorphism
 from .multmaps import (DEFAULT_BUDGET, DefectMap, DerivationTable, MapPair, SearchConfig,
-                       VerifyReport, _chain, _defect, _derivations, _grid_step,
-                       _length_k_products, _pair_group, _Work, verify_additive,
-                       verify_n_derivation, verify_n_multiplicative)
+                       VerifyReport, _chain, _defect, _derivations, _exact_chains,
+                       _grid_step, _identity, _length_k_products, _pair_group,
+                       verify_additive)
 from .peirce import (IdempotentFrame, MartindaleReport, PeirceComponents,
                      canonical_frames, check_martindale_family, peirce_decompose)
-from .rings import (GammaRing, _chunks, _first, _witness, build_matrix_ring, make_group,
-                    trivial_ring)
+from .rings import (GammaRing, _chunks, _first, _Meter, _witness, build_matrix_ring,
+                    make_group, trivial_ring)
 
 WITNESS_CAP = 8          # non-additive maps listed per hunt entry
+_PARTIAL = "hypothesis verdicts are partial; raise the budget"
 
 
 @dataclass
@@ -89,27 +90,25 @@ def check_hypotheses(defect: DefectMap, k: int, budget: int = DEFAULT_BUDGET) ->
     on gamma, as every iso and derivation defect, is scanned once per (x, y)
     on its gamma = 0 slice, and a constant defect c, as every defect on a
     qualifying ring is (c = 0), passes when each composite action fixes c,
-    one table lookup per action (_absorption_exact).  The budget gates the
-    full scan's work: past it, BudgetExceededError("hypothesis verdicts are
-    partial; raise the budget") is raised before any scan runs, so every
-    report returned is exact.  `checked` still counts the raw tuples the scan
-    covers, and a failure always runs the full scan.  Witnesses are reported
-    as raw tuples, least in the order (u1, g1, ..., uk, gk, x, gamma, y) for
-    the left identity and (g1, u1, ..., gk, uk, x, gamma, y) for the right one.
+    one table lookup per action (_absorption_exact).  Each pass is charged
+    to a meter at the budget before it runs: first the |P_k| g lookups, the
+    least pass of either side, then a side's composite scan and the m^k g^k
+    table of raw chains for its witness only when they run.  One past the
+    budget raises BudgetExceededError("hypothesis verdicts are partial;
+    raise the budget"), so every report returned is exact.  `checked` still
+    counts the raw tuples the scan covers.  Witnesses are reported as raw
+    tuples, least in the order (u1, g1, ..., uk, gk, x, gamma, y) for the
+    left identity and (g1, u1, ..., gk, uk, x, gamma, y) for the right one.
     """
     if k < 1:
         raise ValueError("chain length k must be >= 1")
     ring = defect.ring
     f = defect.f
     m, g = ring.m_order, ring.gamma_order
-
-    # the exact scan checks |P_k| g composite actions over (x, gamma, y), with
-    # gamma collapsed to one slot when f ignores it; a failing check also
-    # builds the m^k g^k table of raw chains for its witness
     pk = _length_k_products(ring, k)
     fs = _gamma_free(f)
-    if max(pk.size * g * m * fs.shape[1] * m, m**k * g**k) > budget:
-        raise BudgetExceededError("hypothesis verdicts are partial; raise the budget")
+    meter = _Meter(budget)
+    meter.charge(pk.size * g, _PARTIAL)
 
     zr = VerifyReport(True, True, 2 * m * g)
     for side, names, mask in (("right-zero", ("x", "gamma"), f[:, :, 0] != 0),
@@ -118,8 +117,8 @@ def check_hypotheses(defect: DefectMap, k: int, budget: int = DEFAULT_BUDGET) ->
         if w is not None:
             zr = VerifyReport(False, True, 2 * m * g, {"side": side, **w})
             break
-    left = _absorption_exact(ring, fs, k, pk, side="left")
-    right = _absorption_exact(ring, fs, k, pk, side="right")
+    left = _absorption_exact(ring, fs, k, pk, "left", meter)
+    right = _absorption_exact(ring, fs, k, pk, "right", meter)
     return HypothesisReport(k, zr, left, right)
 
 
@@ -144,7 +143,7 @@ def _absorption_act(ring: GammaRing, pk: np.ndarray, side: str) -> np.ndarray:
 
 
 def _absorption_exact(ring: GammaRing, f: np.ndarray, k: int, pk: np.ndarray,
-                      side: str) -> VerifyReport:
+                      side: str, meter: _Meter) -> VerifyReport:
     """The absorption identity on every composite action, decided in one table
     lookup when f is one constant c.
 
@@ -155,19 +154,21 @@ def _absorption_exact(ring: GammaRing, f: np.ndarray, k: int, pk: np.ndarray,
     c = f.flat[0]
     if (f == c).all() and (_absorption_act(ring, pk, side)[:, :, c] == c).all():
         return VerifyReport(True, True, ring.m_order**(k + 2) * ring.gamma_order**(k + 1))
-    return _absorption_scan(ring, f, k, pk, side)
+    return _absorption_scan(ring, f, k, pk, side, meter)
 
 
 def _absorption_scan(ring: GammaRing, f: np.ndarray, k: int, pk: np.ndarray,
-                     side: str) -> VerifyReport:
+                     side: str, meter: _Meter) -> VerifyReport:
     """The absorption identity scanned over every composite action and (x,
-    gamma, y), in chunks of actions."""
+    gamma, y), in chunks of actions; meter is charged the scan, and on a
+    failure the raw chain table of its witness, before each runs."""
     m, g = ring.m_order, ring.gamma_order
     gs = f.shape[1]                  # gamma slots scanned: g, or 1 for a gamma-free f
     raw_count = m**(k + 2) * g**(k + 1)
 
     act = _absorption_act(ring, pk, side)
     a, b = act.shape[0], act.shape[1]
+    meter.charge(a * b * m * gs * m, _PARTIAL)
     flat = act.reshape(a * b, m)
     fail = np.zeros((a, b), dtype=bool)
     first_xy = {}
@@ -184,6 +185,7 @@ def _absorption_scan(ring: GammaRing, f: np.ndarray, k: int, pk: np.ndarray,
     if not fail.any():
         return VerifyReport(True, True, raw_count)
 
+    meter.charge(m**k * g**k, _PARTIAL)
     witness = _absorption_witness(ring, k, side, pk, fail, first_xy)
     return VerifyReport(False, True, raw_count, witness)
 
@@ -292,9 +294,9 @@ def conclude_main_theorem(ring: GammaRing, frames, defect: DefectMap, k: int,
                           budget: int = DEFAULT_BUDGET) -> TheoremVerdict:
     """Gate on the structural conditions and hypotheses, then assert f = 0.
 
-    A gate failure raises PreconditionError.  Hypotheses past the budget
-    raise check_hypotheses' BudgetExceededError("hypothesis verdicts are
-    partial; raise the budget").  With all gates exactly passed, a nonzero f
+    A gate failure raises PreconditionError.  A hypothesis pass past the
+    budget raises check_hypotheses' BudgetExceededError("hypothesis verdicts
+    are partial; raise the budget").  With all gates exactly passed, a nonzero f
     would contradict the theorem and therefore raises an internal
     inconsistency: it cannot arise from input data.
     """
@@ -330,8 +332,9 @@ def _run_pipeline(kind: str, subject, n: int, family: MartindaleReport,
                   budget: int, k: Optional[int]) -> PipelineReport:
     """Gates in order: family, verify, defect, hypotheses, zero defect, additivity.
 
-    A partial verification, or a hypothesis check past the budget, raises
-    BudgetExceededError, so a report is returned only on exact verdicts.
+    A verification or a hypothesis check with a pass past the budget raises
+    BudgetExceededError before it draws any sample or runs that pass, so a
+    report is returned only on exact verdicts.
     family is check_martindale_family's report on the subject's ring and
     frames, computed once by the caller however many subjects share it.  The
     subject is verified once; its defect comes from the same builder the
@@ -342,10 +345,10 @@ def _run_pipeline(kind: str, subject, n: int, family: MartindaleReport,
         k = n - 1
     if not family.overall:
         raise PreconditionError(no_family)
-    verify = verify_n_multiplicative if kind == "iso" else verify_n_derivation
-    verified = verify(subject, n, budget)
-    if not verified.exact:
-        raise BudgetExceededError(partial)
+    try:
+        verified = _exact_chains(n, _Meter(budget), partial, *_identity(subject))
+    except BudgetExceededError:
+        raise BudgetExceededError(partial) from None
     if not verified.passed:
         raise PreconditionError(refused.format(n=n, witness=verified.witness))
     defect = _defect(subject)
@@ -425,7 +428,7 @@ def _pair_count(ring: GammaRing, config: SearchConfig) -> _Count:
     phi.  The budget gates the leaf search nodes plus the endomorphisms
     visited; when it runs out nothing is counted.
     """
-    work = _Work(config.budget)
+    work = _Meter(config.budget)
     grp = _pair_group(ring, config.n, work)
     if grp is None:
         return _NOTHING
@@ -453,7 +456,7 @@ def _derivation_count(ring: GammaRing, config: SearchConfig) -> _Count:
     one unit per basis map checked for additivity, as for each one verified;
     when it runs out nothing is counted.
     """
-    work = _Work(config.budget)
+    work = _Meter(config.budget)
     span = _derivations(ring, config.n, work)
     if span is None or not work.take(len(span.rows)):
         return _NOTHING

@@ -186,6 +186,6 @@ def test_a_failing_distributivity_verdict_keeps_the_full_scan(scans):
 def test_pair_chains_complete_at_n4(shape, order):
     # each strong generator is verified over 16^4 16^3 = 2^28 tuples, decided at n = 2
     ring = build_matrix_ring(2, *shape)
-    work = multmaps_mod._Work(10**8)
+    work = multmaps_mod._Meter(10**8)
     grp = multmaps_mod._pair_group(ring, 4, work)
     assert grp is not None and grp.order == order

@@ -14,6 +14,7 @@ import pytest
 import gammaring.theorem as theorem_mod
 from gammaring import DefectMap, build_matrix_ring, check_hypotheses
 from gammaring.multmaps import _length_k_products
+from gammaring.rings import _UNBOUNDED
 from gammaring.theorem import _absorption_exact, _absorption_scan, _gamma_free
 
 from test_theorem import _chain_defect
@@ -35,8 +36,8 @@ CASES = [("zero", M222, _constant(M222, 0), 1), ("zero", M222, _constant(M222, 0
                          ids=[f"{c[0]}-k{c[3]}" for c in CASES])
 def test_absorption_equals_the_chunked_scan(name, ring, defect, k, side):
     f, pk = _gamma_free(defect.f), _length_k_products(ring, k)
-    got = _absorption_exact(ring, f, k, pk, side)
-    want = _absorption_scan(ring, f, k, pk, side)
+    got = _absorption_exact(ring, f, k, pk, side, _UNBOUNDED)
+    want = _absorption_scan(ring, f, k, pk, side, _UNBOUNDED)
     assert (got.passed, got.exact, got.checked, got.witness) == \
         (want.passed, want.exact, want.checked, want.witness)
     if name in ("zero", "constant-3"):
@@ -48,9 +49,9 @@ def full_scans(monkeypatch):
     """The side of every chunked absorption scan check_hypotheses runs."""
     sides = []
 
-    def recorded(ring, f, k, pk, side):
+    def recorded(ring, f, k, pk, side, meter):
         sides.append(side)
-        return _absorption_scan(ring, f, k, pk, side)
+        return _absorption_scan(ring, f, k, pk, side, meter)
 
     monkeypatch.setattr(theorem_mod, "_absorption_scan", recorded)
     return sides

@@ -17,7 +17,7 @@ import pytest
 
 from gammaring import (MapPair, SearchConfig, build_matrix_ring, search_n_multiplicative_isos,
                        verify_n_multiplicative)
-from gammaring.multmaps import _chain, _pair_group, _PairSearch, _tuple_step, _Work
+from gammaring.multmaps import _chain, _Meter, _pair_group, _PairSearch, _tuple_step
 
 from conftest import plain_pairs
 
@@ -95,7 +95,7 @@ NODE_PINS = [((2, 2, 2), 2, 36, 112), ((2, 2, 2), 3, 36, 123), ((2, 2, 2), 4, 36
 @pytest.mark.parametrize("shape, n, order, nodes", NODE_PINS,
                          ids=[f"matrix{s}-{n}" for s, n, _, _ in NODE_PINS])
 def test_chain_node_counts(shape, n, order, nodes):
-    work = _Work(10**8)
+    work = _Meter(10**8)
     grp = _pair_group(build_matrix_ring(*shape), n, work)
     assert (grp.order, work.spent) == (order, nodes)
 

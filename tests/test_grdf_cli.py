@@ -253,16 +253,17 @@ def test_cli_bad_canonical_frame_is_usage_error(tmp_path, matrix222, capsys):
 
 
 def test_cli_theorem_keeps_other_subjects_when_one_is_partial(tmp_path, monkeypatch, capsys):
-    # at budget 10^4 the hypothesis scan of the passing subjects is sampled,
-    # while the failing ones are refused by their exact verification
+    # at n = 3 and budget 10^4 the passing subjects are decided by their
+    # 4,096 tuples of n = 2, while the failing ones fail there and their
+    # rescan (min(2 * 2 * 16^3 * 16, 16^3 * 16^2) = 262,144) is refused
     write_documents(tmp_path)
     monkeypatch.chdir(tmp_path)
-    assert main(["theorem", "--input", "m222-bad.json", "--budget", "10000",
-                 "--format", "json"]) == 1
+    assert main(["theorem", "--input", "m222-bad.json", "--n", "3", "--budget", "10000",
+                 "--format", "json"]) == 3
     report = json.loads(capsys.readouterr().out)
-    assert report["pipelines"] == []
-    assert [f["subject"] for f in report["failures"]] == ["map[1]", "derivation[1]"]
-    assert [p["subject"] for p in report["partial"]] == ["map[0]", "derivation[0]"]
+    assert [p["subject"] for p in report["pipelines"]] == ["map[0]", "derivation[0]"]
+    assert report["failures"] == []
+    assert [p["subject"] for p in report["partial"]] == ["map[1]", "derivation[1]"]
     assert all("partial" in p["error"] for p in report["partial"])
 
 

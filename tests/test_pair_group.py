@@ -18,7 +18,7 @@ from gammaring import (MapPair, SearchConfig, build_matrix_ring, build_table_rin
                        verify_additive, verify_n_multiplicative)
 from gammaring.errors import InternalInconsistencyError
 from gammaring.groups import is_group_homomorphism
-from gammaring.multmaps import _generator, _pair_group, _Work
+from gammaring.multmaps import _generator, _Meter, _pair_group
 from gammaring.theorem import _pair_count
 
 from conftest import plain_pairs
@@ -37,7 +37,7 @@ ORACLE_CASES = [(name, ring, n) for n in (2, 3) for name, ring in ORACLE_RINGS
 
 
 def _group(ring, n):
-    return _pair_group(ring, n, _Work(10**8))
+    return _pair_group(ring, n, _Meter(10**8))
 
 
 def _counts(ring, n):

@@ -142,7 +142,7 @@ def counters(monkeypatch):
     monkeypatch.setattr(peirce_mod, "validate_frame",
                         counted("validate_frame", peirce_mod.validate_frame))
     monkeypatch.setattr(rings_mod, "_scan_equal", counted("full_scan", rings_mod._scan_equal))
-    monkeypatch.setattr(peirce_mod, "_scan_frame", counted("full_scan", peirce_mod._scan_frame))
+    monkeypatch.setattr(peirce_mod, "_scan_equal", counted("full_scan", peirce_mod._scan_equal))
     return calls
 
 

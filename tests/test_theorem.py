@@ -100,8 +100,8 @@ PARTIAL = "hypothesis verdicts are partial; raise the budget"
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_hypothesis_gate_boundary(matrix222, k, monkeypatch):
-    # a gamma-free f scans one gamma slot: max(16 * 16 * 16 * 1 * 16, 16^k * 16^k) = 65,536
-    rep = check_hypotheses(zero_defect(matrix222), k, budget=65_536)
+    # a constant f is decided by one lookup per composite action: |P_k| * 16 = 256
+    rep = check_hypotheses(zero_defect(matrix222), k, budget=256)
     assert rep.all_passed and rep.all_exact
 
     def no_scan(*args, **kwargs):
@@ -110,7 +110,7 @@ def test_hypothesis_gate_boundary(matrix222, k, monkeypatch):
     monkeypatch.setattr(theorem, "_absorption_exact", no_scan)
     monkeypatch.setattr(theorem, "_first", no_scan)
     with pytest.raises(BudgetExceededError, match=PARTIAL):
-        check_hypotheses(zero_defect(matrix222), k, budget=65_535)
+        check_hypotheses(zero_defect(matrix222), k, budget=255)
 
 
 def test_hypothesis_gate_counts_gamma_slots(matrix222):
@@ -122,17 +122,19 @@ def test_hypothesis_gate_counts_gamma_slots(matrix222):
     assert rep.all_exact and not rep.all_passed
 
 
-def test_refused_hypotheses_do_no_work(matrix222, frame):
-    # at k = 4 the raw-chain term 16^4 * 16^4 exceeds the default budget
-    ident = MapPair(matrix222, matrix222, np.arange(16), np.arange(16))
+def test_refused_hypotheses_do_no_work(matrix222):
+    # f = mu fails at k = 4 on its 2^20-evaluation scan, and the 16^4 * 16^4
+    # table of raw chains its witness needs exceeds the default budget: the
+    # table is refused before it is built
+    f = DefectMap(matrix222, matrix222.mu.copy(), "user")
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError, match=PARTIAL):
-            run_additivity_pipeline(ident, 2, [frame], k=4)
+            check_hypotheses(f, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert peak < 32 * 2**20
 
 
 def test_claims_zero_defect(matrix222, frame):
