@@ -9,8 +9,7 @@ has index 0.
 
 from __future__ import annotations
 
-from itertools import product
-from math import gcd, prod
+from math import prod
 
 import numpy as np
 
@@ -165,23 +164,3 @@ def is_group_homomorphism(table, domain: FiniteAbelianGroup, codomain: FiniteAbe
     rhs = codomain.add_table[t[:, None], t[None, :]]
     return bool((lhs == rhs).all())
 
-
-def homomorphism_count(domain: FiniteAbelianGroup, codomain: FiniteAbelianGroup) -> int:
-    """|Hom(domain, codomain)|: Hom(Z_a, Z_b) is cyclic of order gcd(a, b)."""
-    return prod(gcd(a, b) for a in domain.factors for b in codomain.factors)
-
-
-def homomorphisms(domain: FiniteAbelianGroup, codomain: FiniteAbelianGroup):
-    """Yield every homomorphism domain -> codomain as an index table.
-
-    The i-th standard generator of Z_d1 x ... x Z_dk (residue 1 in slot i) may
-    go to any element v with d_i v = 0, and the generator images determine the
-    map.  Image tuples run in lexicographic order of codomain indices, first
-    generator most significant.
-    """
-    res = codomain.residues
-    mods = codomain._factors_arr
-    images = [np.flatnonzero(((res * d) % mods == 0).all(axis=1)) for d in domain.factors]
-    coords = domain.residues
-    for choice in product(*images):
-        yield ((coords @ res[list(choice)]) % mods) @ codomain._place_values

@@ -19,9 +19,11 @@ chain: the leaf search, stopped at its first solution, finds a generator or
 refutes an orbit point, so the group is counted, tested and walked in
 sorted order without a search per pair.  search_n_multiplicative_isos lists
 the pairs onto a ring by that walk, started at one pair the leaf search
-finds.  Derivations need no search: under the Barnes axioms they are the
-kernel of one linear map on M^M, solved exactly over Z/N with a Howell
-basis and listed by a walk of that basis in sorted table order.
+finds.  The phi maps of the group that are automorphisms of M form a
+second chain, over M's cyclic generators, which _aut_order counts.
+Derivations need no search: under the Barnes axioms they are the kernel of
+one linear map on M^M, solved exactly over Z/N with a Howell basis and
+listed by a walk of that basis in sorted table order.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceededError, InternalInconsistencyError
+from .groups import is_group_homomorphism
 from .rings import (_CHUNK_ELEMS, _UNBOUNDED, GammaRing, _first, _Meter, _scan_equal,
                     _witness)
 
@@ -674,8 +677,8 @@ def search_n_multiplicative_isos(source: GammaRing, target: GammaRing,
 
 
 def _compose(a: tuple, b: tuple) -> tuple:
-    """The pair a after b, both (phi, psi) tables."""
-    return a[0][b[0]], a[1][b[1]]
+    """The pair a after b, both (phi, psi) tables, or both (phi,)."""
+    return tuple(x[y] for x, y in zip(a, b))
 
 
 def _orbit(kind: int, point: int, generators: list, identity: tuple) -> dict:
@@ -715,20 +718,26 @@ class _PairGroup:
         self.ring, self.free, self.gammas = ring, free, gammas
         self.levels, self.generators = levels, generators
         sizes = [[len(orbit) for k, _, orbit in levels if k == kind] for kind in (0, 1)]
-        self.phi_order = prod(sizes[0]) * factorial(free.size)         # |pi_phi(G)|
         self.kernel_order = prod(sizes[1]) * factorial(gammas.size)    # |{psi: (id, psi) in G}|
-        self.order = self.phi_order * self.kernel_order
+        self.order = prod(sizes[0]) * factorial(free.size) * self.kernel_order
 
     def has_phi(self, h) -> bool:
-        """Whether some pair of the group has phi = h: h must map F onto F,
-        and h, reset to the identity on F, must sift through the phi levels."""
-        h = np.asarray(h, dtype=np.int64)
-        if not np.array_equal(np.sort(h[self.free]), self.free):
+        """Whether some pair of the group has a phi that agrees with h on the
+        indices of h, a prefix 0..k-1 of M (all of M for a full table).
+
+        h must map the F points of the prefix one to one into F, and h, reset
+        to the identity there, must sift to the identity through the phi
+        levels whose points lie in the prefix.  Those levels come first, and
+        the pairs fixing their points fix the whole prefix: the rest of it is
+        0, F and base points of the levels.
+        """
+        h = np.array(h, dtype=np.int64)
+        own = self.free[self.free < h.size]
+        if np.unique(h[own]).size < own.size or not np.isin(h[own], self.free).all():
             return False
-        h = h.copy()
-        h[self.free] = self.free
+        h[own] = own
         for kind, point, orbit in self.levels:
-            u = orbit.get(int(h[point])) if kind == 0 else None
+            u = orbit.get(int(h[point])) if kind == 0 and point < h.size else None
             if u is None:
                 break
             h = _inverse_table(u[0])[h]
@@ -871,6 +880,64 @@ def _pair_group(ring: GammaRing, n: int, work: _Meter) -> Optional[_PairGroup]:
                 orbit = _orbit(kind, point, generators, identity)
         levels.append((kind, point, orbit))
     return _PairGroup(ring, free, gammas, levels[::-1], generators)
+
+
+def _aut_order(grp: _PairGroup, work: _Meter) -> Optional[int]:
+    """|pi_phi(G) n Aut M| for the pair group G, from a stabilizer chain of
+    that intersection H (Leon 1991), or None when the budget runs out.
+
+    An automorphism is fixed by the images of M's cyclic generators.  The
+    base takes them least significant first, so the first j generators span
+    the indices below the next one's place value, and a choice of their
+    images fixes an additive table on that prefix, which has_phi sifts.
+    Level j is the orbit of generator j under the members of H that fix the
+    generators before it, so |H| is the product of the orbit lengths.  Levels
+    are built deepest first, as in _pair_group: the orbit closes under the
+    automorphisms found so far, and each image of the generator's order,
+    outside the span of the earlier generators and outside the orbit, starts
+    a search over the later generators' images.  The first table that covers
+    M is a new generator, and the orbit closes again.  Each table sifted
+    costs one unit of work; the search recurses once per generator, at most
+    12 deep under the dense-table limit.  Each generator must be an
+    automorphism, or InternalInconsistencyError is raised.
+    """
+    group = grp.ring.m_group
+    res, mods, m = group.residues, group._factors_arr, group.order
+    places = [int(p) for p in group.generators[::-1]] + [m]
+    orders = np.lcm.reduce(mods // np.gcd(res, mods), axis=1, initial=1)
+    identity = (np.arange(m),)
+
+    def children(t):
+        """(c, t extended by x -> c), x the next generator, for each image c
+        of x's order d outside the span that t holds: a x + y -> a c + t(y)."""
+        d = places[places.index(t.size) + 1] // t.size
+        for c in np.flatnonzero((orders == d) & ~np.isin(identity[0], t)).tolist():
+            mults = (np.arange(d)[:, None] * res[c] % mods) @ group._place_values
+            yield c, group.add_table[mults[:, None], t[None, :]].ravel()
+
+    def leaves(t):
+        """The members of H that extend t, as tables, in search order; the
+        search runs only as far as the caller reads."""
+        if not work.take(1) or not grp.has_phi(t):
+            return
+        if t.size == m:
+            yield t
+        else:
+            for _, u in children(t):
+                yield from leaves(u)
+
+    generators, order = [], 1
+    for point in places[-2::-1]:
+        orbit = _orbit(0, point, generators, identity)
+        for c, u in children(identity[0][:point]):
+            h = None if c in orbit else next(leaves(u), None)
+            if h is not None:
+                if np.unique(h).size < m or not is_group_homomorphism(h, group, group):
+                    raise InternalInconsistencyError("a searched automorphism is not one")
+                generators.append((h,))
+                orbit = _orbit(0, point, generators, identity)
+        order *= len(orbit)
+    return order if work.spent <= work.budget else None
 
 
 def _generator(ring: GammaRing, n: int, phi, psi, target: Optional[GammaRing] = None) -> tuple:

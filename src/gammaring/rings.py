@@ -145,12 +145,12 @@ class _Meter:
     """The budget of one check or search: every budget decision is made here.
 
     Searches and solves take units that add up: leaf search nodes, equation
-    tuples, basis maps verified, maps and pairs listed, endomorphisms
-    visited; running out leaves spent at budget + 1.  An exact check charges
-    each pass it runs, the evaluations that pass makes, before running it.
-    A pass must fit the budget on its own, as every exact gate has, and one
-    that does not raises BudgetExceededError.  So a check is charged for the
-    passes it needs, never for its raw tuple count.
+    tuples, basis maps verified, maps and pairs listed, tables the
+    automorphism chain sifts; running out leaves spent at budget + 1.  An
+    exact check charges each pass it runs, the evaluations that pass makes,
+    before running it.  A pass must fit the budget on its own, as every
+    exact gate has, and one that does not raises BudgetExceededError.  So a
+    check is charged for the passes it needs, never for its raw tuple count.
     """
 
     def __init__(self, budget):
@@ -408,6 +408,20 @@ def trivial_ring(m_group: FiniteAbelianGroup, gamma_group: FiniteAbelianGroup) -
     return GammaRing(m_group, gamma_group, mu, nu, {"type": "table"})
 
 
+def _triple_products(ea: np.ndarray, eb: np.ndarray, mod: int, places) -> np.ndarray:
+    """[x, g, y] = the index of the matrix product x.g.y mod `mod`, x and y
+    over the matrices ea, g over eb, the index read by `places`.  The
+    products are built in chunks of x, so no intermediate passes _CHUNK_ELEMS
+    entries by more than one x's share."""
+    na, nb = len(ea), len(eb)
+    out = np.empty((na, nb, na), dtype=np.int32)
+    for lo, hi in _chunks(na, nb * na * ea[0].size):
+        xg = ea[lo:hi, None] @ eb[None] % mod                  # (x, g) matrices
+        xgy = xg[:, :, None] @ ea[None, None] % mod           # (x, g, y) matrices
+        out[lo:hi] = (xgy.reshape(hi - lo, nb, na, -1) * places).sum(axis=3)
+    return out
+
+
 def build_matrix_ring(mod: int, rows: int, cols: int) -> GammaRing:
     """m x n matrices over Z_mod with Gamma the n x m matrices, product = matmul.
 
@@ -423,24 +437,12 @@ def build_matrix_ring(mod: int, rows: int, cols: int) -> GammaRing:
     # keeps a huge dimension from building a huge power
     if rows * cols > 9 or mod ** (3 * rows * cols) > 2**28:
         raise ValueError(f"mu table with {mod}^{3 * rows * cols} entries exceeds order budget")
-    mo = mod ** (rows * cols)
-    go = mod ** (cols * rows)
     m_group = make_group([mod] * (rows * cols))
     gamma_group = make_group([mod] * (cols * rows))
-
-    em = m_group.residues.reshape(mo, rows, cols)
-    eg = gamma_group.residues.reshape(go, cols, rows)
-    pv_m = m_group._place_values
-    pv_g = gamma_group._place_values
-
-    xg = np.einsum("xij,gjk->xgik", em, eg) % mod            # (mo, go, rows, rows)
-    xgy = np.einsum("xgij,yjk->xgyik", xg, em) % mod          # (mo, go, mo, rows, cols)
-    mu = (xgy.reshape(mo, go, mo, rows * cols) * pv_m).sum(axis=3).astype(np.int32)
-
-    gx = np.einsum("gij,xjk->gxik", eg, em) % mod             # (go, mo, cols, cols)
-    gxd = np.einsum("gxij,djk->gxdik", gx, eg) % mod          # (go, mo, go, cols, rows)
-    nu = (gxd.reshape(go, mo, go, cols * rows) * pv_g).sum(axis=3).astype(np.int32)
-
+    em = m_group.residues.reshape(-1, rows, cols)
+    eg = gamma_group.residues.reshape(-1, cols, rows)
+    mu = _triple_products(em, eg, mod, m_group.generators)
+    nu = _triple_products(eg, em, mod, gamma_group.generators)
     ring = GammaRing(m_group, gamma_group, mu, nu,
                      {"type": "matrix", "mod": mod, "rows": rows, "cols": cols})
     if not ring.barnes_verified:

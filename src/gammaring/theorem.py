@@ -18,11 +18,11 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import BudgetExceededError, InternalInconsistencyError, PreconditionError
-from .groups import homomorphism_count, homomorphisms, is_group_homomorphism
+from .groups import is_group_homomorphism
 from .multmaps import (DEFAULT_BUDGET, DefectMap, DerivationTable, MapPair, SearchConfig,
-                       VerifyReport, _chain, _defect, _derivations, _exact_chains,
-                       _grid_step, _identity, _length_k_products, _pair_group,
-                       verify_additive)
+                       VerifyReport, _aut_order, _chain, _defect, _derivations,
+                       _exact_chains, _grid_step, _identity, _length_k_products,
+                       _pair_group, verify_additive)
 from .peirce import (IdempotentFrame, MartindaleReport, PeirceComponents,
                      canonical_frames, check_martindale_family, peirce_decompose)
 from .rings import (GammaRing, _chunks, _first, _Meter, _witness, build_matrix_ring,
@@ -421,29 +421,23 @@ def _pair_count(ring: GammaRing, config: SearchConfig) -> _Count:
     """Pairs counted from the stabilizer chain of Mult_n(ring) (multmaps._PairGroup).
 
     Additivity depends on phi alone, so the additive pairs number
-    |pi_phi(G) n Aut M| times |{psi : (id, psi) in G}|.  When F has at most
-    one element and every generator's phi is additive, pi_phi(G) lies in
-    Aut M; otherwise each automorphism of M is sifted through the phi
-    levels.  Witnesses walk the group in (phi, psi) order and skip additive
-    phi.  The budget gates the leaf search nodes plus the endomorphisms
-    visited; when it runs out nothing is counted.
+    |pi_phi(G) n Aut M| times |{psi : (id, psi) in G}|; the first factor
+    comes from a stabilizer chain of that intersection over M's generators
+    (multmaps._aut_order).  Witnesses walk the group in (phi, psi) order and
+    skip additive phi.  The budget gates the leaf search nodes plus the
+    tables the automorphism search sifts; when it runs out nothing is
+    counted.
     """
     work = _Meter(config.budget)
     grp = _pair_group(ring, config.n, work)
-    if grp is None:
+    auts = None if grp is None else _aut_order(grp, work)
+    if auts is None:
         return _NOTHING
     group = ring.m_group
 
     def additive(phi):
         return is_group_homomorphism(phi, group, group)
 
-    if grp.free.size < 2 and all(additive(phi) for phi, _ in grp.generators):
-        auts = grp.phi_order
-    elif work.take(homomorphism_count(group, group)):
-        auts = sum(np.unique(h).size == group.order and grp.has_phi(h)
-                   for h in homomorphisms(group, group))
-    else:
-        return _NOTHING
     nonadditive = (MapPair(ring, ring, phi, psi) for phi, psi in grp.walk(skip=additive))
     return _Count(grp.order, auts * grp.kernel_order, True, nonadditive)
 
@@ -474,9 +468,10 @@ def hunt_counterexamples(rings, n: int = 2, budget: int = DEFAULT_BUDGET) -> Sur
     raises an internal inconsistency.  On non-qualifying rings, non-additive
     finds are recorded as evidence the failed hypothesis cannot be dropped.
 
-    Pair counts come from a stabilizer chain of the group of pairs (see
-    _pair_count), and derivation counts are the sizes of two kernels (see
-    _derivation_count); both are exact, and a subject whose budget runs out
+    Pair counts come from a stabilizer chain of the group of pairs, and
+    their additive share from a second chain over M's generators (see
+    _pair_count); derivation counts are the sizes of two kernels (see
+    _derivation_count).  All are exact, and a subject whose budget runs out
     counts nothing and is incomplete.  Witnesses are the first WITNESS_CAP
     non-additive maps, pairs in (phi, psi) order, then derivations in table
     order.

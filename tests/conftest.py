@@ -1,3 +1,6 @@
+from itertools import product
+from math import gcd, prod
+
 import numpy as np
 import pytest
 
@@ -98,3 +101,33 @@ def plain_pairs(source, target, n, budget=10**8):
     eng = _PairSearch(source, target, n, budget, None).run()
     assert eng.complete
     return sorted((tuple(p.tolist()), tuple(q.tolist())) for p, q in eng.solutions)
+
+
+def homomorphism_count(domain, codomain):
+    """|Hom(domain, codomain)|: Hom(Z_a, Z_b) is cyclic of order gcd(a, b)."""
+    return prod(gcd(a, b) for a in domain.factors for b in codomain.factors)
+
+
+def homomorphisms(domain, codomain):
+    """Yield every homomorphism domain -> codomain as an index table.
+
+    The i-th standard generator of Z_d1 x ... x Z_dk (residue 1 in slot i) may
+    go to any element v with d_i v = 0, and the generator images determine the
+    map.  Image tuples run in lexicographic order of codomain indices, first
+    generator most significant.
+    """
+    res = codomain.residues
+    mods = np.asarray(codomain.factors, dtype=np.int64)
+    images = [np.flatnonzero(((res * d) % mods == 0).all(axis=1)) for d in domain.factors]
+    coords = domain.residues
+    for choice in product(*images):
+        yield ((coords @ res[list(choice)]) % mods) @ codomain.generators
+
+
+def sifted_automorphisms(grp):
+    """|pi_phi(G) n Aut M| for a pair group G (multmaps._PairGroup) by a walk of
+    End(M): each automorphism of M is sifted through G's phi levels.  The
+    oracle for the automorphism chain, which hunt counted this way before."""
+    group = grp.ring.m_group
+    return sum(np.unique(h).size == group.order and grp.has_phi(h)
+               for h in homomorphisms(group, group))

@@ -32,6 +32,13 @@ lookups, so all six exit 0 with every subject confirmed, where they exited
 recorded before that change and pass unchanged: at budget 1,000 even the
 n = 2 pass does not fit, and the pipeline refuses without drawing a sample.
 
+The `hunt-trivial-budget` entries were recorded, by running this case list,
+when the additive pair count began to come from a stabilizer chain over the
+generators of M: trivial(Z2^4) and trivial(Z4 x Z2^3) are exact at budget
+40,000, with 40,320 and 43,008 additive pairs.  The walk of End(M) it
+replaced ran out of that budget on both, and the command exited 3.  The
+other 50 entries did not change.
+
 Run this file as a script to print the EXPECTED entries of the current code.
 
 `theorem --n 3` at the default budget is left out on purpose: its hypothesis
@@ -96,6 +103,8 @@ def write_documents(directory):
         "product.json": document_dict(product, frames=[failing], maps=[prod_ident],
                                       derivations=[prod_zero]),
         "broken.json": document_dict(build_table_ring(*_broken_ring())),
+        "triv2222.json": document_dict(trivial_ring(make_group([2, 2, 2, 2]), make_group([2]))),
+        "triv4222.json": document_dict(trivial_ring(make_group([4, 2, 2, 2]), make_group([2]))),
     }
     for name, doc in docs.items():
         (directory / name).write_text(emit_grdf(doc))
@@ -138,6 +147,8 @@ CASES = {
                               "--budget", "1000"],
     "hunt": ["hunt", "--input", "trivz4.json", "--input", "m212.json",
              "--input", "m222-good.json"],
+    "hunt-trivial-budget": ["hunt", "--input", "triv2222.json", "--input", "triv4222.json",
+                            "--budget", "40000"],
 }
 
 # "<case>/<format>": (exit code, sha256 of stdout)
@@ -148,6 +159,8 @@ EXPECTED = {
     "axioms-m222/text": (0, 'f961a6c1931af63f5bafb54a8f3eaccc7b3cc8579075f5ae527b159f1036321c'),
     "conditions-product/json": (1, 'c9c12921acaf12bd20cc5f57a671b85cf0f0df8c4b14c13703bc752d7e25f86a'),
     "conditions-product/text": (1, 'b45a37c584ababa2e052462778fc6fb9ef029c2d71aedc230f7e0d3f5c4fce60'),
+    "hunt-trivial-budget/json": (0, '2b3ae42817b83e0b0b8c0d7562d8cadbf36bea5fc590d02b29e02089a8a0a743'),
+    "hunt-trivial-budget/text": (0, '2e1f9708bfd898c0722e1d59d2c1e5d17a114d8a0b65b62761364ee1baecc20c'),
     "hunt/json": (0, 'dafe353a12987f6f25b5be5752b183325546064e656500cef2e6f0c8361330cd'),
     "hunt/text": (0, 'c4e3b8562d60f7418a9d18011a8341729cc419d1a7a77df1d17ea733cb839e60'),
     "search-derivations-budget/json": (3, 'b9b95f230d0454f11db2d32fb9be5cbe8cce8a909def7a961488702f55e7a2b2'),

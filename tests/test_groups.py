@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gammaring import is_group_homomorphism, make_group
-from gammaring.groups import homomorphism_count, homomorphisms
+
+from conftest import homomorphism_count, homomorphisms
 
 
 def test_trivial_group():

@@ -18,10 +18,10 @@ from gammaring import (MapPair, SearchConfig, build_matrix_ring, build_table_rin
                        verify_additive, verify_n_multiplicative)
 from gammaring.errors import InternalInconsistencyError
 from gammaring.groups import is_group_homomorphism
-from gammaring.multmaps import _generator, _Meter, _pair_group
+from gammaring.multmaps import _aut_order, _generator, _Meter, _pair_group, _PairGroup
 from gammaring.theorem import _pair_count
 
-from conftest import plain_pairs
+from conftest import plain_pairs, sifted_automorphisms
 from test_derivation_kernel import _scalar, _z3_diagonal
 from test_theorem import QUOTIENT_RINGS, _opposite, _with_trivial
 
@@ -220,3 +220,97 @@ def test_generator_is_checked():
     assert not verify_n_multiplicative(MapPair(ring, ring, phi, psi), 2).passed
     with pytest.raises(InternalInconsistencyError):
         _generator(ring, 2, phi, psi)
+
+
+# every subject of the hunt-trivial and hunt-matrix workloads and the quotient rings
+HUNT_SUBJECTS = list(dict(trivial_ring_family(8) + matrix_ring_family(2, 4)
+                          + QUOTIENT_RINGS).items())
+
+
+@pytest.mark.parametrize("name, ring", HUNT_SUBJECTS, ids=[nm for nm, _ in HUNT_SUBJECTS])
+def test_automorphism_chain_matches_the_end_walk(name, ring):
+    # the chain over M's generators against a walk of all of End(M), each
+    # automorphism sifted through the phi levels
+    grp = _group(ring, 2)
+    auts = sifted_automorphisms(grp)
+    assert _aut_order(grp, _Meter(10**8)) == auts
+    assert _counts(ring, 2)[1] == auts * grp.kernel_order
+
+
+def _prime_powers(d):
+    out, p = {}, 2
+    while d > 1:
+        while d % p == 0:
+            out[p] = out.get(p, 0) + 1
+            d //= p
+        p += 1
+    return out
+
+
+def _aut_closed_form(factors):
+    """|Aut| of Z_d1 x ... x Z_dk, the product over its p-parts (Hillar and
+    Rhea 2007, Thm 4.1): for Z_p^e1 x ... x Z_p^en with e1 <= ... <= en, and
+    d_k, c_k the last and first position of the exponent e_k, it is
+    prod (p^d_k - p^(k-1)) * prod (p^e_j)^(n - d_j) * prod (p^(e_i - 1))^(n - c_i + 1)."""
+    parts = {}
+    for d in factors:
+        for p, e in _prime_powers(d).items():
+            parts.setdefault(p, []).append(e)
+    total = 1
+    for p, es in parts.items():
+        es, n = sorted(es), len(es)
+        last = [max(j for j in range(1, n + 1) if es[j - 1] == e) for e in es]
+        first = [min(j for j in range(1, n + 1) if es[j - 1] == e) for e in es]
+        total *= prod(p**last[k] - p**k for k in range(n))
+        total *= prod(p**(es[j] * (n - last[j])) for j in range(n))
+        total *= prod(p**((es[i] - 1) * (n - first[i] + 1)) for i in range(n))
+    return total
+
+
+def test_closed_form_on_known_groups():
+    assert [_aut_closed_form(f) for f in ([2, 2, 2], [4, 2], [8], [6], [3, 2], [2, 2, 2, 2])] \
+        == [168, 8, 4, 2, 2, 20_160]
+
+
+def test_trivial_ring_additive_pairs_are_aut_m_times_two():
+    # on a trivial ring every pair is multiplicative and psi is free on
+    # Gamma = Z2, so the additive pairs are Aut(M) x Sym(Gamma)
+    family = trivial_ring_family(32)
+    assert len(family) == 77
+    for name, ring in family:
+        c = _pair_count(ring, SearchConfig(n=2))
+        assert c.complete
+        assert c.additive == _aut_closed_form(ring.m_group.factors) * 2, name
+
+
+@pytest.mark.parametrize("factors, additive, found", [
+    ([2, 2, 2, 2], 40_320, 2 * prod(range(1, 16))),
+    ([2] * 5, 19_998_720, 2 * prod(range(1, 32))),
+    ([4, 2, 2, 2], 43_008, 2 * prod(range(1, 32)))],
+    ids=["Z2^4", "Z2^5", "Z4xZ2^3"])
+def test_hunt_counts_large_trivial_rings_exactly(factors, additive, found):
+    # the walk of End(M) ran out of a 40k budget on all three
+    ring = trivial_ring(make_group(factors), make_group([2]))
+    e = hunt_counterexamples([("t", ring)], n=2, budget=40_000).entries[0]
+    assert (e.iso_found, e.iso_additive, e.iso_complete) == (found, additive, True)
+    assert e.deriv_complete
+
+
+def test_automorphism_chain_units_on_matrix_222():
+    # each table sifted is one unit; a search that sifted only tables of all
+    # of M would try every combination of generator images below a refuted one
+    grp = _group(build_matrix_ring(2, 2, 2), 2)
+    work = _Meter(10**8)
+    assert _aut_order(grp, work) == 36
+    assert work.spent == 64
+
+
+def test_automorphism_chain_checks_its_generators(monkeypatch):
+    # with every prefix admitted, Z4 x Z2's search reaches a table that is
+    # additive but not one to one, (0, 1) -> (2, 0) and (1, 0) -> (1, 0)
+    ring = trivial_ring(make_group([4, 2]), make_group([2]))
+    grp = _group(ring, 2)
+    assert _aut_order(grp, _Meter(10**8)) == 8
+    monkeypatch.setattr(_PairGroup, "has_phi", lambda self, h: True)
+    with pytest.raises(InternalInconsistencyError):
+        _aut_order(grp, _Meter(10**8))

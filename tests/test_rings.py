@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from gammaring import rings
 from gammaring import (build_matrix_ring, build_table_ring, check_barnes_axioms,
                        check_nobusawa, direct_product, find_idempotents, find_unities,
                        ideal_generated, is_prime, make_group)
@@ -60,6 +63,22 @@ def test_matrix_product_matches_direct_arithmetic(matrix222):
             break                           # one g-row per x keeps this quick
     full = (np.einsum("ij,jk,ykl->yikl", em[3], eg[5], em) % 2)
     assert all((em[r.mu[3, 5, y]] == full[y]).all() for y in range(16))
+
+
+def test_matrix_ring_build_is_chunked(monkeypatch):
+    # mu and nu are built in chunks of their first slot; built whole, the
+    # intermediates of matrix(3,2,2) peaked at 55 MiB, and of matrix(2,2,4)
+    # at 1 GiB each
+    whole = build_matrix_ring(3, 2, 2)                  # one chunk at the default size
+    monkeypatch.setattr(rings, "_CHUNK_ELEMS", 2**16)
+    tracemalloc.start()
+    try:
+        chunked = build_matrix_ring(3, 2, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert np.array_equal(chunked.mu, whole.mu) and np.array_equal(chunked.nu, whole.nu)
 
 
 def test_barnes_axioms_pass_on_matrix_rings(matrix222, matrix212):

@@ -381,7 +381,7 @@ def _one_sided():
 
 
 # matrix(2,1,1)xtrivial(Z2xZ2) has a chain beside |F| = 3, so its additive
-# count sifts the automorphisms of M
+# count needs the prefix sift to keep F and the other elements apart
 QUOTIENT_RINGS = trivial_ring_family(5) + [_with_trivial(1, 1, [2]), _with_trivial(1, 2, [2]),
                                            _with_trivial(1, 1, [3]), _with_trivial(1, 1, [2, 2]),
                                            _one_sided()]
@@ -439,11 +439,11 @@ def test_free_part_of_product_ring():
 
 
 @pytest.mark.parametrize("ring, budget, pairs_complete", [
-    # the additive count visits the 512 endomorphisms of Z2^3
-    (trivial_ring(make_group([2, 2, 2]), make_group([2])), 100, False),
-    # the chain needs 39 leaf nodes; F has one element and every generator
-    # is additive, so no endomorphism is visited
-    (_with_trivial(1, 2, [2])[1], 50, True),
+    # the automorphism chain of Z2^3 sifts 9 tables, and the pair chain
+    # needs no leaf node
+    (trivial_ring(make_group([2, 2, 2]), make_group([2])), 8, False),
+    # 39 leaf nodes, then 14 tables sifted for the automorphisms
+    (_with_trivial(1, 2, [2])[1], 50, False),
     (_with_trivial(1, 2, [2])[1], 600, True),
     (_with_trivial(1, 2, [2])[1], 1710, True),
     # a qualifying ring whose chain holds every psi that swaps gammas acting
@@ -469,11 +469,11 @@ def test_hunt_over_budget_is_the_plain_enumeration(ring, budget, pairs_complete)
 
 def test_hunt_quotient_budget_counts_its_work():
     for ring, threshold, counts in (
-            # 39 leaf nodes, and no endomorphism visited
-            (_with_trivial(1, 2, [2])[1], 39, (96, 96)),
-            # 14 leaf nodes, then F has three elements, so the 512 endomorphisms
-            # of Z2^3 are visited and the 24 automorphisms in the group counted
-            (_with_trivial(1, 1, [2, 2])[1], 526, (144, 24))):
+            # 39 leaf nodes, then 14 tables sifted for the automorphisms
+            (_with_trivial(1, 2, [2])[1], 53, (96, 96)),
+            # 14 leaf nodes, then 16 tables sifted for the 24 automorphisms
+            # of Z2^3 in the group; F has three elements
+            (_with_trivial(1, 1, [2, 2])[1], 30, (144, 24))):
         exact = hunt_counterexamples([("p", ring)], n=2, budget=threshold).entries[0]
         assert (exact.iso_found, exact.iso_additive, exact.iso_complete) == counts + (True,)
         short = hunt_counterexamples([("p", ring)], n=2, budget=threshold - 1).entries[0]
