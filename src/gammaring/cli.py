@@ -218,10 +218,6 @@ def _cmd_search(doc, args):
     return (EXIT_PASS if res.complete else EXIT_BUDGET), report
 
 
-cmd_verify_iso = cmd_verify_derivation = _cmd_verify
-cmd_search_iso = cmd_search_derivations = _cmd_search
-
-
 def _pipeline_entry(ring, label, rep):
     return {
         "subject": label,
@@ -263,9 +259,9 @@ def cmd_theorem(doc, args):
     return (EXIT_FAIL if failures else EXIT_BUDGET if partial else EXIT_PASS), report
 
 
-def cmd_hunt(args):
+def cmd_hunt(paths, args):
     rings = []
-    for path in args.input:
+    for path in paths:
         doc = load_grdf(path)
         rings.append((path, doc.ring))
     survey = hunt_counterexamples(rings, n=args.n, budget=args.budget)
@@ -328,55 +324,51 @@ def _render_text(report: dict, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
+# the options a command may read; a command that does not take one keeps its default
+_OPTIONS = {
+    "n": dict(type=int, default=2, help="product arity (default 2)"),
+    "k": dict(type=int, default=None, help="absorption chain length (default n-1)"),
+    "budget": dict(type=int, default=10**8, help="evaluation/node budget (default 1e8)"),
+    "seed": dict(type=int, default=0, help="seed for partial-verification sampling"),
+    "require_additive": dict(action="store_true", default=False,
+                             help="searches fail when a non-additive map is found"),
+}
+
+# name: (help, handler, options it reads); a handler takes (doc, args), hunt's (paths, args)
+_COMMANDS = {
+    "axioms": ("verify the defining product axioms", cmd_axioms, ()),
+    "idempotents": ("list idempotents and unity pairs", cmd_idempotents, ()),
+    "peirce": ("decompose along the frames and check the block relations", cmd_peirce, ()),
+    "conditions": ("check the structural conditions for the frame family", cmd_conditions, ()),
+    "verify-iso": ("verify supplied map pairs", _cmd_verify, ("n", "budget", "seed")),
+    "search-iso": ("enumerate n-multiplicative bijection pairs ring -> ring", _cmd_search,
+                   ("n", "budget", "require_additive")),
+    "verify-derivation": ("verify supplied derivation tables", _cmd_verify,
+                          ("n", "budget", "seed")),
+    "search-derivations": ("enumerate n-multiplicative derivations", _cmd_search,
+                           ("n", "budget", "require_additive")),
+    "theorem": ("run the full defect/additivity pipelines", cmd_theorem, ("n", "k", "budget")),
+    "hunt": ("sweep rings for hypothesis-necessity witnesses", cmd_hunt, ("n", "budget")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gammaring",
         description="Finite gamma-ring verification and multiplicative-map additivity tool")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "axioms": "verify the defining product axioms",
-        "idempotents": "list idempotents and unity pairs",
-        "peirce": "decompose along the frames and check the block relations",
-        "conditions": "check the structural conditions for the frame family",
-        "verify-iso": "verify supplied map pairs",
-        "search-iso": "enumerate n-multiplicative bijection pairs ring -> ring",
-        "verify-derivation": "verify supplied derivation tables",
-        "search-derivations": "enumerate n-multiplicative derivations",
-        "theorem": "run the full defect/additivity pipelines",
-        "hunt": "sweep rings for hypothesis-necessity witnesses",
-    }
-    for name, help_text in commands.items():
+    for name, (help_text, _, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if name == "hunt":
             p.add_argument("--input", action="append", required=True,
                            help="ring description path (repeatable)")
         else:
             p.add_argument("--input", required=True, help="ring description path")
-        p.add_argument("--n", type=int, default=2, help="product arity (default 2)")
-        p.add_argument("--k", type=int, default=None,
-                       help="absorption chain length (default n-1)")
-        p.add_argument("--budget", type=int, default=10**8,
-                       help="evaluation/node budget (default 1e8)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for partial-verification sampling")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--require-additive", action="store_true",
-                       help="searches fail when a non-additive map is found")
+        p.set_defaults(**{key: spec["default"] for key, spec in _OPTIONS.items()})
+        for key in options:
+            p.add_argument("--" + key.replace("_", "-"), **_OPTIONS[key])
     return parser
-
-
-_HANDLERS = {
-    "axioms": cmd_axioms,
-    "idempotents": cmd_idempotents,
-    "peirce": cmd_peirce,
-    "conditions": cmd_conditions,
-    "verify-iso": cmd_verify_iso,
-    "verify-derivation": cmd_verify_derivation,
-    "search-iso": cmd_search_iso,
-    "search-derivations": cmd_search_derivations,
-    "theorem": cmd_theorem,
-    "hunt": cmd_hunt,
-}
 
 
 def main(argv=None) -> int:
@@ -399,11 +391,8 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)
     started = time.perf_counter()
     try:
-        if args.command == "hunt":
-            code, body = cmd_hunt(args)
-        else:
-            doc = load_grdf(args.input)
-            code, body = _HANDLERS[args.command](doc, args)
+        source = args.input if args.command == "hunt" else load_grdf(args.input)
+        code, body = _COMMANDS[args.command][1](source, args)
     except GRDFError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE

@@ -717,6 +717,9 @@ class _PairGroup:
                  levels: list, generators: list):
         self.ring, self.free, self.gammas = ring, free, gammas
         self.levels, self.generators = levels, generators
+        # (point, c): the inverse phi of the transversal pair sending phi level point to c
+        self.phi_inverse = {(point, c): _inverse_table(u[0]) for kind, point, orbit in levels
+                            if kind == 0 for c, u in orbit.items()}
         sizes = [[len(orbit) for k, _, orbit in levels if k == kind] for kind in (0, 1)]
         self.kernel_order = prod(sizes[1]) * factorial(gammas.size)    # |{psi: (id, psi) in G}|
         self.order = prod(sizes[0]) * factorial(free.size) * self.kernel_order
@@ -736,11 +739,11 @@ class _PairGroup:
         if np.unique(h[own]).size < own.size or not np.isin(h[own], self.free).all():
             return False
         h[own] = own
-        for kind, point, orbit in self.levels:
-            u = orbit.get(int(h[point])) if kind == 0 and point < h.size else None
-            if u is None:
+        for kind, point, _ in self.levels:
+            key = (point, int(h[point])) if kind == 0 and point < h.size else None
+            if key not in self.phi_inverse:
                 break
-            h = _inverse_table(u[0])[h]
+            h = self.phi_inverse[key][h]
         return bool((h == np.arange(h.size)).all())
 
     def walk(self, skip=None, sigma=None):
@@ -812,7 +815,9 @@ def _free_part(ring: GammaRing, n: int) -> tuple:
     is dead for the steps that remain.
     """
     mu = ring.mu
-    pre = [None] + [_length_k_products(ring, j) for j in range(1, n + 1)]
+    pre = [None, np.arange(ring.m_order)]
+    for _ in range(n - 1):
+        pre.append(np.unique(mu[pre[-1]]))
     dead = [np.arange(ring.m_order) == 0]
     for _ in range(n - 1):
         dead.append(dead[-1][mu].all(axis=(1, 2)))
@@ -1047,6 +1052,16 @@ class _Span:
                 stack.append(iter(vals[np.argsort(vals[:, c])]))
 
 
+def _unravel(pos: np.ndarray, dims: tuple) -> np.ndarray:
+    """np.unravel_index(pos, dims) as the rows of an array, by successive
+    divmod, so exact for positions of any size held as Python ints."""
+    digits = []
+    for dim in reversed(dims):
+        digits.append((pos % dim).astype(np.int64))
+        pos = pos // dim
+    return np.array(digits[::-1])
+
+
 def _derivations(ring: GammaRing, n: int, work: _Meter) -> Optional[_Span]:
     """The n-derivations of `ring` as a span, or None when the budget runs out.
 
@@ -1069,6 +1084,7 @@ def _derivations(ring: GammaRing, n: int, work: _Meter) -> Optional[_Span]:
     stride = max(1, int(min(count, 2**31) * 0.6180339887498949))
     while gcd(stride, count) != 1:
         stride += 1
+    dtype = np.int64 if count < 2**62 else object     # past int64, positions are Python ints
 
     def defect(t):
         xs, step = t[0::2], _tuple_step(t[1::2])
@@ -1081,8 +1097,8 @@ def _derivations(ring: GammaRing, n: int, work: _Meter) -> Optional[_Span]:
             size = min(done + 1, count - done, max(1, _CHUNK_ELEMS // max(1, len(span.rows))))
             if not work.take(size):
                 return None
-            pos = (done * stride % count + stride * np.arange(size, dtype=np.int64)) % count
-            cut = span.cut(defect(np.unravel_index(pos, (m,) + (g, m) * (n - 1))))
+            pos = (done * stride % count + stride * np.arange(size, dtype=dtype)) % count
+            cut = span.cut(defect(_unravel(pos, (m,) + (g, m) * (n - 1))))
             settled, span, done = cut is span, cut, done + size
         failed = []
         for d in span.tables(span.rows):

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from gammaring import (DerivationTable, SearchConfig, build_matrix_ring, build_table_ring,
-                       direct_product, hunt_counterexamples, make_group, matrix_ring_family,
-                       search_n_derivations, trivial_ring, trivial_ring_family,
-                       verify_n_derivation)
+                       direct_product, document_dict, emit_grdf, hunt_counterexamples,
+                       make_group, matrix_ring_family, search_n_derivations, trivial_ring,
+                       trivial_ring_family, verify_n_derivation)
+from gammaring.cli import main
 
 
 def _scalar(mod):
@@ -196,3 +197,28 @@ def test_hunt_counts_every_derivation_of_a_large_trivial_ring():
     ring = trivial_ring(make_group([2, 4]), make_group([2]))
     e = hunt_counterexamples([("trivial(Z2xZ4)", ring)], n=2, budget=40_000).entries[0]
     assert (e.deriv_found, e.deriv_additive, e.deriv_complete) == (8**7, 32, True)
+
+
+@pytest.mark.parametrize("command, dims, n", [("search-derivations", (2, 2, 2), 9),
+                                              ("search-derivations", (2, 1, 1), 32),
+                                              ("hunt", (2, 2, 2), 9)],
+                         ids=["search-m222-9", "search-m211-32", "hunt-m222-9"])
+def test_tuple_positions_past_int64(command, dims, n, tmp_path, capsys):
+    # m^n g^(n-1) is 2^68 and 2^63 tuples, past int64
+    ring = build_matrix_ring(*dims)
+    assert ring.m_order**n * ring.gamma_order**(n - 1) >= 2**63
+    path = tmp_path / "ring.json"
+    path.write_text(emit_grdf(document_dict(ring)))
+    assert main([command, "--input", str(path), "--n", str(n), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    if command == "hunt":
+        assert report["survey"][0]["derivations"] == {"found": 2, "additive": 2,
+                                                      "complete": True}
+        return
+    keys = [tuple(e["d"]) for e in report["derivations"]]
+    for key in keys:
+        rep = verify_n_derivation(DerivationTable(ring, np.array(key)), n)
+        assert rep.passed and rep.exact
+    # over Z2 the identity gives n P = P at odd n and 0 at even n
+    m = ring.m_order
+    assert keys == [(0,) * m] + ([tuple(range(m))] if n % 2 else [])

@@ -7,6 +7,7 @@ enumeration cannot reach are checked against closed forms and an explicit
 construction.
 """
 
+from itertools import islice
 from math import prod
 
 import numpy as np
@@ -18,10 +19,12 @@ from gammaring import (MapPair, SearchConfig, build_matrix_ring, build_table_rin
                        verify_additive, verify_n_multiplicative)
 from gammaring.errors import InternalInconsistencyError
 from gammaring.groups import is_group_homomorphism
-from gammaring.multmaps import _aut_order, _generator, _Meter, _pair_group, _PairGroup
+from gammaring import multmaps
+from gammaring.multmaps import (_aut_order, _free_part, _generator, _length_k_products, _Meter,
+                                _pair_group, _PairGroup)
 from gammaring.theorem import _pair_count
 
-from conftest import plain_pairs, sifted_automorphisms
+from conftest import homomorphisms, plain_pairs, sifted_automorphisms
 from test_derivation_kernel import _scalar, _z3_diagonal
 from test_theorem import QUOTIENT_RINGS, _opposite, _with_trivial
 
@@ -314,3 +317,46 @@ def test_automorphism_chain_checks_its_generators(monkeypatch):
     monkeypatch.setattr(_PairGroup, "has_phi", lambda self, h: True)
     with pytest.raises(InternalInconsistencyError):
         _aut_order(grp, _Meter(10**8))
+
+
+def _free_part_from_scratch(ring, n):
+    """multmaps._free_part as it was, each length-j product set computed
+    from scratch: the oracle for the incremental one."""
+    mu = ring.mu
+    pre = [None] + [_length_k_products(ring, j) for j in range(1, n + 1)]
+    dead = [np.arange(ring.m_order) == 0]
+    for _ in range(n - 1):
+        dead.append(dead[-1][mu].all(axis=(1, 2)))
+    free = dead[n - 1].copy()
+    for i in range(2, n + 1):
+        free &= dead[n - i][mu[pre[i - 1]]].all(axis=(0, 1))
+    gam = np.ones(ring.gamma_order, dtype=bool)
+    for j in range(1, n):
+        gam &= dead[n - 1 - j][mu[pre[j]]].all(axis=(0, 2))
+    free[pre[n]] = False
+    return np.flatnonzero(free), np.flatnonzero(gam)
+
+
+@pytest.mark.parametrize("name, ring", HUNT_SUBJECTS, ids=[nm for nm, _ in HUNT_SUBJECTS])
+def test_free_part_is_built_incrementally(name, ring, monkeypatch):
+    for n in range(2, 7):
+        got, want = _free_part(ring, n), _free_part_from_scratch(ring, n)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    # one np.unique per product length: from scratch took n (n - 1) / 2
+    unique, calls = np.unique, []
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+    _free_part(ring, 40)
+    assert len(calls) <= 40
+
+
+def test_has_phi_inverts_each_transversal_once(monkeypatch):
+    ring = build_matrix_ring(2, 1, 4)
+    grp = _group(ring, 2)
+    group, rng = ring.m_group, np.random.default_rng(0)
+    auts = islice((h for h in homomorphisms(group, group) if np.unique(h).size == group.order), 50)
+    tables = list(auts) + [np.r_[0, 1 + rng.permutation(group.order - 1)] for _ in range(50)]
+    first = [grp.has_phi(h) for h in tables]
+    inverse, calls = multmaps._inverse_table, []
+    monkeypatch.setattr(multmaps, "_inverse_table", lambda t: calls.append(1) or inverse(t))
+    assert [grp.has_phi(h) for h in tables] == first and any(first) and not all(first)
+    assert not calls

@@ -7,16 +7,18 @@ out.  The five largest top-level classes and functions are listed after the
 modules.
 
 The last line counts settable values, the defaults a caller may override, in
-three parts found with `ast`: defaulted function and method parameters
-(positional and keyword-only), fields with a default in `@dataclass` classes,
-and command-line options with a default (`add_argument` calls that pass
-`default=`, or a `store_true` or `store_false` action).
+three parts: defaulted function and method parameters (positional and
+keyword-only) and fields with a default in `@dataclass` classes, both found
+with `ast`, and command-line options, counted per subcommand as the options
+that are not required (`--help` aside) of each subparser of
+`gammaring.cli.build_parser()`.
 
 Run from the repository root:
 
     python3 tools/code_lines.py
 """
 
+import argparse
 import ast
 import io
 import os
@@ -46,8 +48,8 @@ def code_lines(text: str) -> tuple:
 
 
 def settable_values(tree) -> tuple:
-    """(defaulted parameters, dataclass field defaults, CLI option defaults) of a module."""
-    params = fields = options = 0
+    """(defaulted parameters, dataclass field defaults) of a module."""
+    params = fields = 0
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             params += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
@@ -55,15 +57,20 @@ def settable_values(tree) -> tuple:
                                                      for d in node.decorator_list):
             fields += sum(isinstance(st, ast.AnnAssign) and st.value is not None
                           for st in node.body)
-        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
-            kw = {k.arg: k.value for k in node.keywords}
-            action = getattr(kw.get("action"), "value", None)
-            options += "default" in kw or action in ("store_true", "store_false")
-    return params, fields, options
+    return params, fields
+
+
+def cli_options() -> int:
+    """The options each subcommand of the CLI takes that are not required, summed."""
+    sys.path.insert(0, str(SRC.parent))
+    from gammaring.cli import build_parser
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sum(not a.required and not isinstance(a, argparse._HelpAction)
+               for parser in sub.choices.values() for a in parser._actions)
 
 
 def main():
-    total, units, settable = 0, [], (0, 0, 0)
+    total, units, settable = 0, [], (0, 0)
     for path in sorted(SRC.glob("*.py")):
         tree, lines = code_lines(path.read_text(encoding="utf-8"))
         total += len(lines)
@@ -77,9 +84,10 @@ def main():
     print("largest units:")
     for size, name in sorted(units, reverse=True)[:5]:
         print(f"{size:6d}  {name}")
-    params, fields, options = settable
-    print(f"{sum(settable):6d}  settable values: {params} defaulted parameters, "
-          f"{fields} dataclass field defaults, {options} CLI option defaults")
+    params, fields = settable
+    options = cli_options()
+    print(f"{params + fields + options:6d}  settable values: {params} defaulted parameters, "
+          f"{fields} dataclass field defaults, {options} CLI options over the subcommands")
 
 
 if __name__ == "__main__":
