@@ -36,8 +36,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, InternalInconsistencyError
 from .groups import is_group_homomorphism
-from .rings import (_CHUNK_ELEMS, _UNBOUNDED, GammaRing, _first, _Meter, _scan_equal,
-                    _witness)
+from .rings import _CHUNK_ELEMS, _UNBOUNDED, GammaRing, _first, _Meter, _witness
 
 DEFAULT_BUDGET = 10**8
 _SAMPLE_CAP = 1 << 20
@@ -125,7 +124,6 @@ class DefectMap:
 class SearchConfig:
     n: int = 2
     budget: int = DEFAULT_BUDGET
-    report_limit: Optional[int] = None
 
     def __post_init__(self):
         if self.n < 2:
@@ -151,12 +149,13 @@ def _witness_names(n: int) -> list:
 
 def _grid_step(mu, t, j, x):
     """Open grid: append a (gamma, x) axis pair; x indexes the new element axis."""
-    return mu[t][..., :, x]
+    return mu[:, :, x][t]
 
 
 def _tuple_step(gs):
-    """Aligned step: the j-th step of tuple i uses gamma gs[j][i]."""
-    return lambda mu, t, j, x: mu[t, gs[j], x]
+    """Aligned step: the j-th step of tuple i uses gamma gs[j][i]; the steps
+    past gs are open grid steps."""
+    return lambda mu, t, j, x: mu[t, gs[j], x] if j < len(gs) else _grid_step(mu, t, j, x)
 
 
 def _chain(mu, factors, step):
@@ -181,13 +180,25 @@ def _leibniz(mu, addm, d, factors, step):
 
 def _scan_chains(m: int, g: int, n: int, lhs, rhs) -> Optional[dict]:
     """Lex-least length-n tuple where lhs and rhs differ, over every tuple, or
-    None; uncharged, so the caller charges its m^n g^(n-1) evaluations."""
-    def grid(lo, hi):
-        return [np.arange(lo, hi)] + [slice(None)] * (n - 1)
+    None; uncharged, so the caller charges its m^n g^(n-1) evaluations.
 
-    return _scan_equal(lambda lo, hi: lhs(grid(lo, hi), _grid_step),
-                       lambda lo, hi: rhs(grid(lo, hi), _grid_step),
-                       m, (g, m) * (n - 1), _witness_names(n), _UNBOUNDED, "")
+    Chunks run over the leading slots x1 g1 ... xj, j the least that leaves
+    at most _CHUNK_ELEMS tuples per choice of them, and hold at most
+    _CHUNK_ELEMS tuples: the leading slots are aligned per tuple
+    (_tuple_step) and the (g, m) steps after them an open grid.  rhs, which
+    holds more arrays while it is built (a Leibniz sum holds three), is
+    built first, so a chunk never holds more than three arrays of its size.
+    """
+    j = next(j for j in range(1, n + 1) if (g * m)**(n - j) <= _CHUNK_ELEMS)
+    lead = (m,) + (g, m) * (j - 1)
+    size = max(1, _CHUNK_ELEMS // (g * m)**(n - j))
+    for lo in range(0, prod(lead), size):
+        slots = np.unravel_index(np.arange(lo, min(lo + size, prod(lead))), lead)
+        factors, step = list(slots[0::2]) + [slice(None)] * (n - j), _tuple_step(slots[1::2])
+        bad = _first(rhs(factors, step) != lhs(factors, step))
+        if bad is not None:
+            return _witness(_witness_names(n), [s[bad[0]] for s in slots] + list(bad[1:]))
+    return None
 
 
 def _fold_scan(m: int, g: int, n: int, f, step) -> Optional[dict]:
@@ -423,20 +434,19 @@ class _PairSearch:
     phi(0 g ... g x) with phi(x) = 0 collapses to a product with a zero factor
     in the target.
 
-    The DFS keeps an explicit stack of open branch points, each with its value
-    iterator and the trail length to retract to before its next value, so it
-    visits nodes in the order of the plain recursion while the depth, one
-    level per assignment, never meets the interpreter's recursion limit.
+    The search has no budget of its own: each value it tries takes one unit
+    of the caller's meter, so a search that runs out leaves the meter at
+    budget + 1, and its callers gate every other unit of their work on the
+    same meter.  The DFS keeps an explicit stack of open branch points, each
+    with its value iterator and the trail length to retract to before its
+    next value, so it visits nodes in the order of the plain recursion while
+    the depth, one level per assignment, never meets the interpreter's
+    recursion limit.
     """
 
-    def __init__(self, source, target, n, budget, report_limit):
-        self.budget = budget
-        self.report_limit = report_limit
+    def __init__(self, source, target, n, meter: _Meter):
+        self.meter = meter
         self.trail = []
-        self.nodes = 0
-        self.solutions = []
-        self.complete = True
-        self.stopped = False
         self.mu_s = source.mu
         self.mu_t = target.mu
         self.n = n
@@ -452,42 +462,41 @@ class _PairSearch:
         self.slots = ((self.mu_s, self.mu_t),
                       (self.mu_s.swapaxes(1, 2), self.mu_t.swapaxes(1, 2)))
 
-    def _open(self, stack):
-        branch = self._branch()
-        if branch is not None:
-            kind, idx, values = branch
-            stack.append((kind, idx, iter(values), len(self.trail)))
-
-    def _dfs(self):
-        stack = []
-        self._open(stack)
-        while stack and not self.stopped:
-            kind, idx, values, mark = stack[-1]
-            self._undo(mark)
-            v = next(values, None)
-            if v is None:
-                stack.pop()
-                continue
-            self.nodes += 1
-            if self.nodes > self.budget:
-                self.stopped = True
-                self.complete = False
-                return
-            self._assign(kind, idx, v)
-            if self._propagate():
-                self._open(stack)
-
     def run(self, fixed=()):
-        """Search with phi(0) = 0 and each (kind, index, value) of `fixed`
-        assigned up front; the trail is retracted on return.
+        """Yield each solution, as copies of the (phi, psi) tables, in DFS
+        order, with phi(0) = 0 and each (kind, index, value) of `fixed`
+        assigned up front.
 
+        Each value tried takes one unit of the meter.  The search ends when
+        the meter runs out or the caller stops reading, and the trail is
+        retracted either way, so the engine can run again: a generator
+        dropped after next() is closed at once, which runs the retraction.
         The fixed values must be injective: an element or gamma given twice,
         or two of them given one image, raises ValueError.
         """
-        if self._fix(fixed):
-            self._dfs()
-        self._undo(0)
-        return self
+        try:
+            stack, live = [], self._fix(fixed)
+            while True:
+                if live:
+                    branch = self._branch()
+                    if branch is None:
+                        yield self.phi.copy(), self.psi.copy()
+                    else:
+                        stack.append((*branch, len(self.trail)))
+                if not stack:
+                    return
+                kind, idx, values, mark = stack[-1]
+                self._undo(mark)
+                v, live = next(values, None), False
+                if v is None:
+                    stack.pop()
+                elif not self.meter.take(1):
+                    return
+                else:
+                    self._assign(kind, idx, v)
+                    live = self._propagate()
+        finally:
+            self._undo(0)
 
     def admits(self, fixed, kind, idx) -> np.ndarray:
         """ok[c]: whether run(fixed + [(kind, idx, c)]) survives its root.
@@ -585,15 +594,13 @@ class _PairSearch:
         return ok & free
 
     def _branch(self):
-        state = self._state()
-        am, fam, ag, fag, pw, pv = state
+        """(kind, index, iterator of its values) of the next branch variable,
+        or None at a full assignment."""
         un = [np.flatnonzero(table < 0) for table in self.tables]
         if un[0].size == 0 and un[1].size == 0:
-            self.solutions.append((self.phi.copy(), self.psi.copy()))
-            if self.report_limit is not None and len(self.solutions) >= self.report_limit:
-                self.stopped = True
-                self.complete = False
             return None
+        state = self._state()
+        am, fam, ag, fag, pw, pv = state
 
         if un[1].size and ag.size == 0 and pw.size == 0 and am.size >= 2:
             # arity > 2 bootstrap: no prefixes can form until one gamma image
@@ -603,17 +610,15 @@ class _PairSearch:
             prods = self.mu_s[np.ix_(am, un[1], am)]
             scores = (prods != 0).sum(axis=(0, 2))
             idx = int(un[1][int(np.argmax(scores))])
-            return 1, idx, self._gamma_values(idx, am, fam).tolist()
+            return 1, idx, iter(self._gamma_values(idx, am, fam).tolist())
         # minimum-remaining-values over both kinds, phi rows first: the first
-        # least count takes the lowest element index, then the lowest gamma
+        # least count takes the lowest element index, then the lowest gamma,
+        # and a dead end branches on a variable with no value left
         ok = [self._candidates(kind, state, un[kind]) for kind in (0, 1)]
-        counts = np.concatenate([rows.sum(axis=1) for rows in ok])
-        if not counts.all():
-            return None
-        j = int(np.argmin(counts))
+        j = int(np.argmin(np.concatenate([rows.sum(axis=1) for rows in ok])))
         kind = int(j >= un[0].size)
         u = j - kind * un[0].size
-        return kind, int(un[kind][u]), np.flatnonzero(ok[kind][u]).tolist()
+        return kind, int(un[kind][u]), iter(np.flatnonzero(ok[kind][u]).tolist())
 
     def _gamma_values(self, u, am, fam):
         """The free values c of psi(u) under which no chain x1 u x2 ... u xn of
@@ -646,12 +651,12 @@ def search_n_multiplicative_isos(source: GammaRing, target: GammaRing,
     stabilizer chain (_pair_group), and the pairs onto target are the coset
     sigma Mult_n(source) of any one pair sigma, or none.  sigma is the identity
     when target is source, else the first solution of the leaf search, and
-    a search that ends without one has refuted every pair.  The coset is
-    listed by a walk of the chain that starts at sigma.
+    a search that ends without one, its meter not run out, has refuted every
+    pair.  The coset is listed by a walk of the chain that starts at sigma.
 
-    The budget gates the leaf search nodes plus the pairs listed, and nodes
-    reports that count.  A run that runs out, or stops at report_limit,
-    lists the pairs reached so far: a prefix of the sorted list.
+    One meter gates the leaf search nodes plus the pairs listed, and nodes
+    reports its count.  A run that runs out lists the pairs reached so far:
+    a prefix of the sorted list.
     """
     if source.m_order != target.m_order or source.gamma_order != target.gamma_order:
         return SearchResult([], True, 0)
@@ -660,20 +665,25 @@ def search_n_multiplicative_isos(source: GammaRing, target: GammaRing,
     n, work = config.n, _Meter(config.budget)
     sigma = None                                # the identity, onto source itself
     if target is not source:
-        eng = _PairSearch(source, target, n, config.budget, 1).run()
-        if not work.take(eng.nodes):
-            return SearchResult([], False, work.spent)
-        if not eng.solutions:               # the search refuted every pair
-            return SearchResult([], True, work.spent)
-        sigma = _generator(source, n, *eng.solutions[0], target=target)
+        sol = next(_PairSearch(source, target, n, work).run(), None)
+        if sol is None:
+            return SearchResult([], work.spent <= work.budget, work.spent)
+        sigma = _generator(source, n, *sol, target=target)
     grp = _pair_group(source, n, work)
+    if grp is None:
+        return SearchResult([], False, work.spent)
+    return _listing((MapPair(source, target, *t) for t in grp.walk(sigma=sigma)), grp.order, work)
+
+
+def _listing(members, count: int, work: _Meter) -> SearchResult:
+    """The members a walk yields, each listed for one unit of work, as a
+    result that is complete when all `count` of them are listed."""
     found = []
-    if grp is not None:
-        for phi, psi in grp.walk(sigma=sigma):
-            if len(found) == config.report_limit or not work.take(1):
-                break
-            found.append(MapPair(source, target, phi, psi))
-    return SearchResult(found, grp is not None and len(found) == grp.order, work.spent)
+    for member in members:
+        if not work.take(1):
+            break
+        found.append(member)
+    return SearchResult(found, len(found) == count, work.spent)
 
 
 def _compose(a: tuple, b: tuple) -> tuple:
@@ -693,6 +703,38 @@ def _orbit(kind: int, point: int, generators: list, identity: tuple) -> dict:
                 trans[c] = _compose(s, trans[p])
                 queue.append(c)
     return trans
+
+
+def _schreier(base: list, identity: tuple, candidates, find, work: _Meter) -> Optional[tuple]:
+    """(levels, generators) of a stabilizer chain with the given base of
+    (kind, point) entries (Sims 1970), or None once work runs out.
+
+    Levels are built deepest first.  The generators found so far fix every
+    base point before the current one i; the level closes its point's orbit
+    under them, then takes each (c, arg) of candidates(i) with c outside the
+    orbit.  find(arg) returns a member that fixes the points before i and
+    sends point i to c, as a tuple of tables, or None when there is none.
+    A member is a new generator, and the orbit closes again.  So the orbit
+    is exact once every candidate is tried, and the generators found from a
+    level on generate the stabilizer of the points before it (Schreier).
+    levels[i] = (kind, point, orbit), each orbit point c with a product of
+    generators sending point to c.
+    """
+    generators, levels = [], []
+    for i in range(len(base) - 1, -1, -1):
+        kind, point = base[i]
+        orbit = _orbit(kind, point, generators, identity)
+        for c, arg in candidates(i):
+            if c in orbit:
+                continue
+            member = find(arg)
+            if work.spent > work.budget:
+                return None
+            if member is not None:
+                generators.append(member)
+                orbit = _orbit(kind, point, generators, identity)
+        levels.append((kind, point, orbit))
+    return levels[::-1], generators
 
 
 class _PairGroup:
@@ -834,17 +876,15 @@ def _free_part(ring: GammaRing, n: int) -> tuple:
 def _pair_group(ring: GammaRing, n: int, work: _Meter) -> Optional[_PairGroup]:
     """The stabilizer chain of Mult_n(ring), or None when the budget runs out.
 
-    F and A_Gamma come from _free_part.  Levels are built deepest first.
-    The generators found so far fix every base point before the current
-    one; the level closes its point's orbit under them, then runs a leaf
-    search, with F and the earlier base points fixed, for each later base
-    point of its kind outside that orbit.  A solution is a new generator,
-    and the orbit closes again.  So the orbit is exact once every candidate
-    is tried, and the generators found from a level on generate the
-    stabilizer of the points before it (Schreier).  The level propagates its
-    fixed part once and reads its point's candidate row (_PairSearch.admits);
-    a candidate outside the row would be refuted at its leaf search's root,
-    for 0 nodes, so it starts no search.
+    F and A_Gamma come from _free_part, and _schreier builds the levels over
+    the base of _PairGroup.  A candidate image c of a level's point is a
+    later base point of its kind, and its member is the first solution of
+    the leaf search with F, the earlier base points and point -> c fixed.
+    The level propagates its fixed part once and reads its point's
+    candidate row (_PairSearch.admits); a candidate outside the row would be
+    refuted at its leaf search's root, for 0 nodes, so it starts no search.
+    One engine runs every search, each leaf search node taking one unit of
+    work.
 
     The leaf search leaves psi free on A_Gamma and the solution is reset to
     the identity there, which composes it with a pair of Sym(A_Gamma).  A
@@ -855,36 +895,29 @@ def _pair_group(ring: GammaRing, n: int, work: _Meter) -> Optional[_PairGroup]:
     takes 123 without.
 
     Each generator must be a bijection pair that passes an exact, uncharged
-    verification, or InternalInconsistencyError is raised.  The budget
-    gates the leaf search nodes.
+    verification, or InternalInconsistencyError is raised.
     """
     m, g = ring.m_order, ring.gamma_order
     free, gammas = _free_part(ring, n)
-    identity = (np.arange(m), np.arange(g))
     fixed = [(0, int(x), int(x)) for x in free]
     base = ([(0, x) for x in range(1, m) if x not in set(free.tolist())]
             + [(1, a) for a in range(g) if a not in set(gammas.tolist())])
-    generators, levels = [], []
-    probe = _PairSearch(ring, ring, n, work.budget, 1)
-    for i in range(len(base) - 1, -1, -1):
+    eng = _PairSearch(ring, ring, n, work)
+
+    def candidates(i):
         kind, point = base[i]
-        above = [(k, p, p) for k, p in base[:i]]
-        orbit = _orbit(kind, point, generators, identity)
-        row = probe.admits(fixed + above, kind, point)
-        for k, c in base[i + 1:]:
-            if k != kind or c in orbit or not row[c]:
-                continue
-            eng = _PairSearch(ring, ring, n, work.budget - work.spent, 1).run(
-                fixed + above + [(kind, point, c)])
-            if not work.take(eng.nodes):
-                return None
-            if eng.solutions:
-                phi, psi = eng.solutions[0]
-                psi[gammas] = gammas
-                generators.append(_generator(ring, n, phi, psi))
-                orbit = _orbit(kind, point, generators, identity)
-        levels.append((kind, point, orbit))
-    return _PairGroup(ring, free, gammas, levels[::-1], generators)
+        above = fixed + [(k, p, p) for k, p in base[:i]]
+        row = eng.admits(above, kind, point)
+        return ((c, above + [(kind, point, c)]) for k, c in base[i + 1:] if k == kind and row[c])
+
+    def find(pinned):
+        sol = next(eng.run(pinned), None)
+        if sol is not None:
+            sol[1][gammas] = gammas
+            return _generator(ring, n, *sol)
+
+    chain = _schreier(base, (np.arange(m), np.arange(g)), candidates, find, work)
+    return None if chain is None else _PairGroup(ring, free, gammas, *chain)
 
 
 def _aut_order(grp: _PairGroup, work: _Meter) -> Optional[int]:
@@ -896,27 +929,25 @@ def _aut_order(grp: _PairGroup, work: _Meter) -> Optional[int]:
     the indices below the next one's place value, and a choice of their
     images fixes an additive table on that prefix, which has_phi sifts.
     Level j is the orbit of generator j under the members of H that fix the
-    generators before it, so |H| is the product of the orbit lengths.  Levels
-    are built deepest first, as in _pair_group: the orbit closes under the
-    automorphisms found so far, and each image of the generator's order,
-    outside the span of the earlier generators and outside the orbit, starts
-    a search over the later generators' images.  The first table that covers
-    M is a new generator, and the orbit closes again.  Each table sifted
-    costs one unit of work; the search recurses once per generator, at most
-    12 deep under the dense-table limit.  Each generator must be an
-    automorphism, or InternalInconsistencyError is raised.
+    generators before it, so |H| is the product of the orbit lengths.
+    _schreier builds the levels: each candidate image of a generator is an
+    image of its order outside the span of the earlier generators (children),
+    and its member is the first table that covers M in a search over the
+    later generators' images (leaves).  Each table sifted costs one unit of
+    work; the search recurses once per generator, at most 12 deep under the
+    dense-table limit.  Each generator must be an automorphism, or
+    InternalInconsistencyError is raised.
     """
     group = grp.ring.m_group
     res, mods, m = group.residues, group._factors_arr, group.order
     places = [int(p) for p in group.generators[::-1]] + [m]
     orders = np.lcm.reduce(mods // np.gcd(res, mods), axis=1, initial=1)
-    identity = (np.arange(m),)
 
     def children(t):
         """(c, t extended by x -> c), x the next generator, for each image c
         of x's order d outside the span that t holds: a x + y -> a c + t(y)."""
         d = places[places.index(t.size) + 1] // t.size
-        for c in np.flatnonzero((orders == d) & ~np.isin(identity[0], t)).tolist():
+        for c in np.flatnonzero((orders == d) & ~np.isin(np.arange(m), t)).tolist():
             mults = (np.arange(d)[:, None] * res[c] % mods) @ group._place_values
             yield c, group.add_table[mults[:, None], t[None, :]].ravel()
 
@@ -931,18 +962,15 @@ def _aut_order(grp: _PairGroup, work: _Meter) -> Optional[int]:
             for _, u in children(t):
                 yield from leaves(u)
 
-    generators, order = [], 1
-    for point in places[-2::-1]:
-        orbit = _orbit(0, point, generators, identity)
-        for c, u in children(identity[0][:point]):
-            h = None if c in orbit else next(leaves(u), None)
-            if h is not None:
-                if np.unique(h).size < m or not is_group_homomorphism(h, group, group):
-                    raise InternalInconsistencyError("a searched automorphism is not one")
-                generators.append((h,))
-                orbit = _orbit(0, point, generators, identity)
-        order *= len(orbit)
-    return order if work.spent <= work.budget else None
+    def find(u):
+        h = next(leaves(u), None)
+        if h is not None and (np.unique(h).size < m or not is_group_homomorphism(h, group, group)):
+            raise InternalInconsistencyError("a searched automorphism is not one")
+        return None if h is None else (h,)
+
+    base = [(0, point) for point in places[:-1]]
+    chain = _schreier(base, (np.arange(m),), lambda i: children(np.arange(base[i][1])), find, work)
+    return None if chain is None else prod(len(orbit) for _, _, orbit in chain[0])
 
 
 def _generator(ring: GammaRing, n: int, phi, psi, target: Optional[GammaRing] = None) -> tuple:
@@ -1118,20 +1146,16 @@ def _derivations(ring: GammaRing, n: int, work: _Meter) -> Optional[_Span]:
 def search_n_derivations(ring: GammaRing, config: SearchConfig) -> SearchResult:
     """Every map satisfying the n-derivation identity, in sorted table order.
 
-    The maps are a walk of the exact kernel from _derivations.  The budget
+    The maps are a walk of the exact kernel from _derivations.  One meter
     gates the equation tuples evaluated, the generators verified and the maps
-    listed, and nodes reports that count.
+    listed, and nodes reports its count.
     """
     ring.require_barnes()
     work = _Meter(config.budget)
     span = _derivations(ring, config.n, work)
-    found = []
-    if span is not None:
-        for d in span.walk():
-            if len(found) == config.report_limit or not work.take(1):
-                break
-            found.append(DerivationTable(ring, d))
-    return SearchResult(found, span is not None and len(found) == span.count, work.spent)
+    if span is None:
+        return SearchResult([], False, work.spent)
+    return _listing((DerivationTable(ring, d) for d in span.walk()), span.count, work)
 
 
 def _inverse_table(t: np.ndarray) -> np.ndarray:

@@ -328,8 +328,12 @@ def check_condition_iv(frame: IdempotentFrame) -> ConditionReport:
 
 
 def check_martindale_family(ring: GammaRing, frames) -> MartindaleReport:
-    """Aggregate frame validity plus the three annihilation conditions."""
+    """Aggregate frame validity plus the three annihilation conditions.
+
+    Every frame must be built on `ring`, or ValueError is raised."""
     frames = list(frames)
+    if any(fr.ring is not ring for fr in frames):
+        raise ValueError("a frame is built on another ring than the one checked")
     cond_ii = check_condition_ii(ring)
     if not frames:
         return MartindaleReport(False, [], cond_ii, None, [],

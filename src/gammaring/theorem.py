@@ -298,8 +298,11 @@ def conclude_main_theorem(ring: GammaRing, frames, defect: DefectMap, k: int,
     budget raises check_hypotheses' BudgetExceededError("hypothesis verdicts
     are partial; raise the budget").  With all gates exactly passed, a nonzero f
     would contradict the theorem and therefore raises an internal
-    inconsistency: it cannot arise from input data.
+    inconsistency: it cannot arise from input data.  A defect or frame of
+    another ring raises ValueError.
     """
+    if defect.ring is not ring:
+        raise ValueError("the defect is a map of another ring than the one checked")
     family = check_martindale_family(ring, frames)
     if not family.overall:
         raise PreconditionError("ring/frame family fails the structural conditions; "
@@ -373,7 +376,11 @@ def run_additivity_pipeline(pair: MapPair, n: int, frames,
 
 def run_derivation_pipeline(ring: GammaRing, deriv: DerivationTable, n: int, frames,
                             budget: int = DEFAULT_BUDGET, k: Optional[int] = None) -> PipelineReport:
-    """Defect route vs direct additivity scan for an n-multiplicative derivation."""
+    """Defect route vs direct additivity scan for an n-multiplicative derivation.
+
+    deriv must be a derivation of `ring`, or ValueError is raised."""
+    if deriv.ring is not ring:
+        raise ValueError("the derivation is a map of another ring than the one checked")
     family = check_martindale_family(ring, frames)
     return _run_pipeline("derivation", deriv, n, family, budget, k)
 

@@ -6,7 +6,7 @@ import pytest
 
 from gammaring import (build_matrix_ring, build_table_ring, direct_product,
                        make_group, trivial_ring)
-from gammaring.multmaps import _PairSearch
+from gammaring.multmaps import _Meter, _PairSearch
 
 
 def f4_ring():
@@ -98,9 +98,10 @@ def gidx(ring, *rows):
 def plain_pairs(source, target, n, budget=10**8):
     """(phi, psi) keys of every pair source -> target, sorted, as listed by the
     complete plain DFS: the oracle for the stabilizer-chain listings."""
-    eng = _PairSearch(source, target, n, budget, None).run()
-    assert eng.complete
-    return sorted((tuple(p.tolist()), tuple(q.tolist())) for p, q in eng.solutions)
+    meter = _Meter(budget)
+    solutions = list(_PairSearch(source, target, n, meter).run())
+    assert meter.spent <= meter.budget
+    return sorted((tuple(p.tolist()), tuple(q.tolist())) for p, q in solutions)
 
 
 def homomorphism_count(domain, codomain):

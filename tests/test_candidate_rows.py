@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from gammaring import build_matrix_ring, direct_product, make_group, trivial_ring
-from gammaring.multmaps import _chain, _free_part, _PairSearch, _tuple_step
+from gammaring.multmaps import _chain, _free_part, _Meter, _PairSearch, _tuple_step
 
 RINGS = {
     "matrix(2,2,2)": lambda: build_matrix_ring(2, 2, 2),
@@ -88,7 +88,7 @@ class _Recorder(_PairSearch):
         self.states = []
 
     def _branch(self):
-        if self.nodes and len(self.states) < DFS_STATES:
+        if self.meter.spent and len(self.states) < DFS_STATES:
             self.states.append((self.phi.copy(), self.psi.copy()))
         return super()._branch()
 
@@ -99,14 +99,15 @@ CASES = [(name, n) for name in RINGS for n in (2, 3)]
 @pytest.mark.parametrize("name, n", CASES, ids=[f"{name}-n{n}" for name, n in CASES])
 def test_candidate_rows_match_instance_loop(name, n):
     ring = RINGS[name]()
-    eng = _PairSearch(ring, ring, n, 10**8, None)
+    eng = _PairSearch(ring, ring, n, _Meter(10**8))
     lists = _chain_fixed_lists(ring, n)
     for fixed in lists[::max(1, len(lists) // 6)]:
         if eng._fix(fixed):
             _check_state(eng)
         eng._undo(0)
 
-    rec = _Recorder(ring, ring, n, 10**8, 1).run()
+    rec = _Recorder(ring, ring, n, _Meter(10**8))
+    next(rec.run(), None)
     assert len(rec.states) == DFS_STATES
     for tables in rec.states:
         for kind, table in enumerate(tables):

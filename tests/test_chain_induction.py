@@ -11,6 +11,7 @@ length-n scan, called directly.
 """
 
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -18,8 +19,7 @@ import pytest
 import gammaring.multmaps as multmaps_mod
 from gammaring import (DerivationTable, MapPair, SearchConfig, build_matrix_ring,
                        build_table_ring, make_group, matrix_ring_family, search_n_derivations,
-                       search_n_multiplicative_isos, verify_n_derivation,
-                       verify_n_multiplicative)
+                       verify_n_derivation, verify_n_multiplicative)
 from gammaring.multmaps import _leibniz_sides, _pair_sides, _scan_chains
 
 from test_theorem import QUOTIENT_RINGS, _one_sided, _with_trivial
@@ -88,8 +88,11 @@ def _planted_derivation(deriv):
 
 
 def _subjects(ring):
-    pairs = search_n_multiplicative_isos(ring, ring, SearchConfig(n=2, report_limit=2)).found
-    derivs = search_n_derivations(ring, SearchConfig(n=2, report_limit=2)).found
+    # the first two of each sorted listing, read off the walks that list them
+    grp = multmaps_mod._pair_group(ring, 2, multmaps_mod._Meter(10**8))
+    pairs = [MapPair(ring, ring, *t) for t in islice(grp.walk(), 2)]
+    span = multmaps_mod._derivations(ring, 2, multmaps_mod._Meter(10**8))
+    derivs = [DerivationTable(ring, d) for d in islice(span.walk(), 2)]
     planted = [_planted_pair(p) for p in pairs if ring.m_order > 2]
     planted += [_planted_derivation(d) for d in derivs]
     return pairs + derivs, planted
@@ -133,12 +136,17 @@ def test_derivation_solve_scans_no_length_n_tuple(n, count, nodes, scans):
     assert scans and set(scans) == {2}
 
 
+def _three_derivation(ring):
+    """The first 3-derivation of ring that is no 2-derivation."""
+    two = {d.key() for d in search_n_derivations(ring, SearchConfig(n=2)).found}
+    return next(d for d in search_n_derivations(ring, SearchConfig(n=3)).found
+                if d.key() not in two)
+
+
 def test_failing_rescan_memory_stays_small(matrix222):
     # the 3-derivation that is no 2-derivation fails at n = 4: the full scan
     # of its 2^28 tuples peaked at 336 MiB
-    two = {d.key() for d in search_n_derivations(matrix222, SearchConfig(n=2)).found}
-    d = next(d for d in search_n_derivations(matrix222, SearchConfig(n=3)).found
-             if d.key() not in two)
+    d = _three_derivation(matrix222)
     tracemalloc.start()
     try:
         rep = verify_n_derivation(d, 4, 10**9)
@@ -148,6 +156,20 @@ def test_failing_rescan_memory_stays_small(matrix222):
     assert (rep.passed, rep.exact, rep.checked) == (False, True, 16**4 * 16**3)
     assert rep.witness == {"x1": 1, "g1": 1, "x2": 1, "g2": 1, "x3": 1, "g3": 1, "x4": 1}
     assert peak < 8 << 20
+
+
+def test_full_scan_memory_stays_small(matrix222):
+    # the same 2^28 tuples through the full scan: chunked on x1 alone, a
+    # chunk held 2^24 tuples and the scan peaked at 336 MiB
+    d = _three_derivation(matrix222)
+    tracemalloc.start()
+    try:
+        w = _scan_chains(16, 16, 4, *_leibniz_sides(d))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w == {"x1": 1, "g1": 1, "x2": 1, "g2": 1, "x3": 1, "g3": 1, "x4": 1}
+    assert peak < 64 << 20
 
 
 def test_derivations_need_a_held_distributivity_verdict(scans):

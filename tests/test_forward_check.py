@@ -68,7 +68,7 @@ def _chain_values(eng, u):
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("point, image", [(8, 9), (8, 10), (3, 5), (2, 2)])
 def test_bootstrap_drops_only_refuted_values(matrix222, n, point, image):
-    eng = _PairSearch(matrix222, matrix222, n, 10**8, None)
+    eng = _PairSearch(matrix222, matrix222, n, _Meter(10**8))
     fixed = [(0, x, x) for x in range(1, point)] + [(0, point, image)]
     if eng._fix(fixed):
         assert not (eng.psi >= 0).any()          # the bootstrap state

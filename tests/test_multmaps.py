@@ -12,7 +12,7 @@ from gammaring import (DerivationTable, MapPair, SearchConfig, build_matrix_ring
                        document_dict, emit_grdf, inverse_pair, make_group,
                        search_n_derivations, search_n_multiplicative_isos, trivial_ring,
                        verify_additive, verify_n_derivation, verify_n_multiplicative)
-from gammaring.multmaps import _PairSearch
+from gammaring.multmaps import _Meter, _PairSearch
 
 from conftest import gidx, midx
 
@@ -202,12 +202,6 @@ def test_search_budget_exhaustion_flagged(trivial_z4):
     assert not res.complete
 
 
-def test_search_report_limit(trivial_z4):
-    res = search_n_multiplicative_isos(trivial_z4, trivial_z4,
-                                       SearchConfig(n=2, report_limit=3))
-    assert len(res.found) == 3 and not res.complete
-
-
 def test_search_results_sorted(trivial_z4):
     res = search_n_multiplicative_isos(trivial_z4, trivial_z4, SearchConfig(n=2))
     keys = [p.key() for p in res.found]
@@ -256,16 +250,52 @@ def test_derivation_search_matches_brute_force(name, n):
 
 
 def test_pair_search_refuses_a_non_injective_pre_assignment(matrix212):
-    eng = _PairSearch(matrix212, matrix212, 2, 10**6, None)
+    eng = _PairSearch(matrix212, matrix212, 2, _Meter(10**6))
     for fixed in ([(0, 1, 2), (0, 2, 2)],           # two elements, one image
                   [(1, 1, 3), (1, 2, 3)],           # two gammas, one image
                   [(0, 3, 0)],                      # the image of 0 again
                   [(0, 1, 1), (0, 1, 2)]):          # one element, two images
         with pytest.raises(ValueError):
-            eng.run(fixed)
+            next(eng.run(fixed))
     # each refusal retracted its assignments: a plain run finds every pair
     want = search_n_multiplicative_isos(matrix212, matrix212, SearchConfig(n=2)).found
-    assert len(eng.run().solutions) == len(want)
+    assert len(list(eng.run())) == len(want)
+
+
+def test_pair_search_stopped_early_retracts_its_trail(matrix212):
+    eng = _PairSearch(matrix212, matrix212, 2, _Meter(10**6))
+
+    def retracted():
+        return eng.trail == [] and all((table == -1).all() and not used.any()
+                                       for table, used in zip(eng.tables, eng.used))
+
+    fixed = [(0, 1, 1)]
+    row = eng.admits(fixed, 0, 2)
+    first = next(eng.run(), None)           # read one solution, drop the search
+    assert retracted()
+    reads = eng.run()
+    for _ in range(3):                      # stop at a deeper solution
+        next(reads)
+    assert not retracted()
+    reads.close()
+    assert retracted()
+    assert eng.admits(fixed, 0, 2).tolist() == row.tolist()
+    assert [t.tolist() for t in next(eng.run())] == [t.tolist() for t in first]
+
+
+def test_pair_search_stops_on_a_partly_spent_meter(matrix212):
+    def listed(meter):
+        return [p.tolist() + q.tolist() for p, q in _PairSearch(matrix212, matrix212, 2, meter).run()]
+
+    full = _Meter(10**6)
+    want = listed(full)
+    assert len(want) == 6
+    for budget in range(5, full.spent):         # 4 units spent, fewer than the search needs left
+        meter = _Meter(budget)
+        meter.take(4)
+        got = listed(meter)
+        assert meter.spent == meter.budget + 1
+        assert got == want[:len(got)]
 
 
 def test_derivation_search_matrix_ring(matrix222):

@@ -5,8 +5,9 @@ from math import factorial
 import numpy as np
 import pytest
 
-from gammaring import (DefectMap, MapPair, SearchConfig, build_matrix_ring, build_table_ring,
-                       canonical_frame, check_claims, check_hypotheses,
+from gammaring import (DefectMap, DerivationTable, MapPair, SearchConfig, build_matrix_ring,
+                       build_table_ring, canonical_frame, check_claims, check_hypotheses,
+                       check_martindale_family,
                        conclude_main_theorem, defect_of_iso, direct_product,
                        hunt_counterexamples, make_group, matrix_ring_family,
                        run_additivity_pipeline, run_derivation_pipeline,
@@ -478,3 +479,20 @@ def test_hunt_quotient_budget_counts_its_work():
         assert (exact.iso_found, exact.iso_additive, exact.iso_complete) == counts + (True,)
         short = hunt_counterexamples([("p", ring)], n=2, budget=threshold - 1).entries[0]
         assert (short.iso_found, short.iso_additive, short.iso_complete) == (0, 0, False)
+
+
+def test_pipeline_and_family_refuse_a_ring_mismatch(matrix222, matrix212, frame):
+    # a subject or frame of another ring is an input error: the family of one
+    # ring says nothing of a map of another, and an internal inconsistency
+    # is reserved for bugs
+    klein = trivial_ring(make_group([2, 2]), make_group([2]))
+    for ring, d in ((matrix212, np.zeros(matrix212.m_order)), (klein, np.array([0, 1, 1, 1]))):
+        deriv = DerivationTable(ring, d)
+        with pytest.raises(ValueError, match="another ring"):
+            run_derivation_pipeline(matrix222, deriv, 2, [frame])
+        with pytest.raises(ValueError, match="another ring"):
+            check_martindale_family(ring, [frame])
+        with pytest.raises(ValueError, match="another ring"):
+            conclude_main_theorem(matrix222, [frame], zero_defect(ring), 1)
+    assert run_derivation_pipeline(matrix222, DerivationTable(matrix222, np.zeros(16)), 2,
+                                   [frame]).agreement
