@@ -80,10 +80,10 @@ def _verdict(ring, check: str, passed: bool, exact: bool, checked: int,
             "gating": gating}
 
 
-def _status(verdicts, complete: bool = True) -> int:
+def _status(verdicts) -> int:
     if any(not v["passed"] for v in verdicts if v["gating"]):
         return EXIT_FAIL
-    if not complete or any(not v["exact"] for v in verdicts if v["gating"]):
+    if any(not v["exact"] for v in verdicts if v["gating"]):
         return EXIT_BUDGET
     return EXIT_PASS
 
@@ -283,9 +283,8 @@ def cmd_hunt(paths, args):
     return (EXIT_PASS if survey.complete else EXIT_BUDGET), report
 
 
-def _render_text(report: dict, indent: int = 0) -> str:
+def _render_text(report: dict) -> str:
     lines = []
-    pad = "  " * indent
 
     def fmt_witness(w):
         if w is None:
@@ -305,22 +304,22 @@ def _render_text(report: dict, indent: int = 0) -> str:
                 mark = "PASS" if v["passed"] else "FAIL"
                 exact = "" if v["exact"] else " (partial)"
                 info = "" if v.get("gating", True) else " [info]"
-                lines.append(f"{pad}{mark:4s} {v['check']:32s} checked={v['checked']}"
+                lines.append(f"{mark:4s} {v['check']:32s} checked={v['checked']}"
                              f"{exact}{info}{fmt_witness(v.get('witness'))}")
         elif key in ("pairs", "derivations") and isinstance(val, list) and len(val) > 20:
-            lines.append(f"{pad}{key}: {len(val)} entries (full list in json format)")
+            lines.append(f"{key}: {len(val)} entries (full list in json format)")
         elif isinstance(val, list):
-            lines.append(f"{pad}{key}:")
+            lines.append(f"{key}:")
             for item in val:
                 if isinstance(item, dict):
                     flat = json.dumps(item, sort_keys=True)
-                    lines.append(f"{pad}  {flat}")
+                    lines.append(f"  {flat}")
                 else:
-                    lines.append(f"{pad}  {item}")
+                    lines.append(f"  {item}")
         elif isinstance(val, dict):
-            lines.append(f"{pad}{key}: {json.dumps(val, sort_keys=True)}")
+            lines.append(f"{key}: {json.dumps(val, sort_keys=True)}")
         else:
-            lines.append(f"{pad}{key}: {val}")
+            lines.append(f"{key}: {val}")
     return "\n".join(lines)
 
 

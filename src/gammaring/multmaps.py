@@ -475,10 +475,10 @@ class _PairSearch:
         or two of them given one image, raises ValueError.
         """
         try:
-            stack, live = [], self._fix(fixed)
+            stack, state = [], self._fix(fixed)
             while True:
-                if live:
-                    branch = self._branch()
+                if state is not None:
+                    branch = self._branch(state)
                     if branch is None:
                         yield self.phi.copy(), self.psi.copy()
                     else:
@@ -487,14 +487,14 @@ class _PairSearch:
                     return
                 kind, idx, values, mark = stack[-1]
                 self._undo(mark)
-                v, live = next(values, None), False
+                v, state = next(values, None), None
                 if v is None:
                     stack.pop()
                 elif not self.meter.take(1):
                     return
                 else:
                     self._assign(kind, idx, v)
-                    live = self._propagate()
+                    state = self._propagate()
         finally:
             self._undo(0)
 
@@ -506,17 +506,19 @@ class _PairSearch:
         would be refuted by the root propagation, for 0 nodes.
         """
         ok = np.zeros(self.used[kind].size, dtype=bool)
-        if self._fix(fixed):
+        state = self._fix(fixed)
+        if state is not None:
             table = self.tables[kind]
             if table[idx] >= 0:
                 ok[table[idx]] = True
             else:
-                ok = self._candidates(kind, self._state(), np.array([idx]))[0]
+                ok = self._candidates(kind, state, np.array([idx]))[0]
         self._undo(0)
         return ok
 
-    def _fix(self, fixed) -> bool:
-        """Assign phi(0) = 0 and each (kind, index, value) of `fixed`, then propagate."""
+    def _fix(self, fixed):
+        """Assign phi(0) = 0 and each (kind, index, value) of `fixed`, then
+        propagate; the state _propagate returns."""
         self._assign(0, 0, 0)
         for kind, idx, v in fixed:
             if self.tables[kind][idx] >= 0 or self.used[kind][v]:
@@ -557,23 +559,25 @@ class _PairSearch:
             pw, pv = self._extend(pw, pv, am, fam, ag, fag)
         return am, fam, ag, fag, pw, pv
 
-    def _propagate(self) -> bool:
+    def _propagate(self):
+        """Assign the phi values the fired instances force, to a fixed point,
+        and return the _state() there, or None on a conflict."""
         while True:
-            am, fam, ag, fag, pw, pv = self._state()
+            state = am, fam, ag, fag, pw, pv = self._state()
             ow, ov = self._extend(pw, pv, am, fam, ag, fag)
             cur = self.phi[ow]
             if ((cur >= 0) & (cur != ov)).any():
-                return False
+                return None
             new = cur < 0
             if not new.any():
-                return True
+                return state
             nw, nv = ow[new], ov[new]
             if np.unique(nw).size != nw.size:     # one element, two forced images
-                return False
+                return None
             if self.phi_used[nv].any():           # image already taken
-                return False
+                return None
             if np.unique(nv).size != nv.size:     # two elements, one image
-                return False
+                return None
             for x, v in zip(nw.tolist(), nv.tolist()):
                 self._assign(0, x, v)
 
@@ -593,13 +597,13 @@ class _PairSearch:
         ok = ((vals[:, :, None, :] == outs[..., None]) | (outs < 0)[..., None]).all(axis=(0, 1))
         return ok & free
 
-    def _branch(self):
-        """(kind, index, iterator of its values) of the next branch variable,
-        or None at a full assignment."""
+    def _branch(self, state):
+        """(kind, index, iterator of its values) of the next branch variable
+        in `state`, the _state() after propagation, or None at a full
+        assignment."""
         un = [np.flatnonzero(table < 0) for table in self.tables]
         if un[0].size == 0 and un[1].size == 0:
             return None
-        state = self._state()
         am, fam, ag, fag, pw, pv = state
 
         if un[1].size and ag.size == 0 and pw.size == 0 and am.size >= 2:
@@ -793,47 +797,52 @@ class _PairGroup:
         psi) order, leaving out the pairs whose phi satisfies skip(phi).
 
         sigma, a pair of tables from the ring to another, defaults to the
-        identity.  Positions are visited in table order, phi then psi, on an
-        explicit stack, one level per position.  A base point takes the
+        identity.  Only the branching positions are visited, in table order,
+        on an explicit stack: the base points whose orbit has more than one
+        point, and the F and A_Gamma positions.  A base point takes the
         images of its orbit under the pair chosen so far, in increasing
-        order, and extends that pair by the orbit's pair; F and A_Gamma
-        positions take the unused values of sigma(F) and sigma(A_Gamma) in
-        increasing order; phi(0) is 0.
+        order, and composes that pair with the orbit's pair.  An F or
+        A_Gamma position takes the unused values of sigma(F) or
+        sigma(A_Gamma) in increasing order and writes that value into the
+        pair, which every later core pair leaves alone, as core pairs fix F
+        and A_Gamma pointwise.  Every other position already holds its
+        value: phi(0) = 0 and the base points that no core pair moves.
+        skip(phi) is asked once the last phi position is set, or at the root
+        when no phi position branches.
         """
         m, g = self.ring.m_order, self.ring.gamma_order
-        if sigma is None:
-            sigma = (np.arange(m), np.arange(g))
-        at = {(kind, point): orbit for kind, point, orbit in self.levels}
-        free = (set(self.free.tolist()), set(self.gammas.tolist()))
-        pools = tuple({int(sigma[kind][x]) for x in free[kind]} for kind in (0, 1))
-        steps = [(0, x) for x in range(m)] + [(1, a) for a in range(g)]
-        tables = (np.zeros(m, dtype=np.int64), np.zeros(g, dtype=np.int64))
+        pair = (np.arange(m), np.arange(g)) if sigma is None else tuple(t.copy() for t in sigma)
+        free = (self.free.tolist(), self.gammas.tolist())
+        pools = tuple(sorted(int(pair[kind][x]) for x in free[kind]) for kind in (0, 1))
+        steps = sorted([(kind, x, None) for kind in (0, 1) for x in free[kind]]
+                       + [level for level in self.levels if len(level[2]) > 1], key=lambda s: s[:2])
+        phis = sum(kind == 0 for kind, _, _ in steps)
+        chosen = (set(), set())       # the values of the F and A_Gamma positions on the stack
 
-        def options(j, prefix):
-            kind, x = steps[j]
-            if x in free[kind]:
-                taken = {int(tables[k][y]) for k, y in steps[:j] if k == kind and y in free[k]}
-                return iter([(v, prefix) for v in sorted(pools[kind] - taken)])
-            if (kind, x) not in at:
-                return iter([(0, prefix)])
-            return iter(sorted(((int(prefix[kind][c]), _compose(prefix, u))
-                                for c, u in at[(kind, x)].items()), key=lambda o: o[0]))
+        def options(kind, x, orbit, pair):
+            if orbit is not None:
+                for c in sorted(orbit, key=lambda c: pair[kind][c]):
+                    yield _compose(pair, orbit[c])
+                return
+            for v in pools[kind]:
+                if v not in chosen[kind]:
+                    chosen[kind].add(v)
+                    pair[kind][x] = v
+                    yield pair
+                    chosen[kind].remove(v)
 
-        stack = [options(0, sigma)]
-        while stack:
-            j = len(stack) - 1
-            kind, x = steps[j]
-            v, prefix = next(stack[-1], (None, None))
-            if v is None:
+        stack = []
+        while True:
+            if pair is not None and not (len(stack) == phis and skip is not None and skip(pair[0])):
+                if len(stack) == len(steps):
+                    yield pair[0].copy(), pair[1].copy()
+                else:
+                    stack.append(options(*steps[len(stack)], pair))
+            if not stack:
+                return
+            pair = next(stack[-1], None)
+            if pair is None:
                 stack.pop()
-                continue
-            tables[kind][x] = v
-            if j + 1 == m and skip is not None and skip(tables[0]):
-                continue
-            if j + 1 == len(steps):
-                yield tables[0].copy(), tables[1].copy()
-            else:
-                stack.append(options(j + 1, prefix))
 
 
 def _length_k_products(ring: GammaRing, k: int) -> np.ndarray:
@@ -997,7 +1006,7 @@ def _howell(a, N: int) -> tuple:
     while len(a := a[a.any(axis=1)]):
         c = int(np.argmax(a.any(axis=0)))         # every row is zero before c
         col = a[:, c]
-        piv = a[np.argmin(np.gcd(col, N))]
+        piv = a[np.argmin(np.gcd(col, N))].copy()     # a view would keep the pool alive
         while (off := np.flatnonzero(col % gcd(int(piv[c]), N))).size:
             x, e = int(piv[c]), int(col[off[0]])    # some x + t e has gcd(x, e, N)
             t = next(t for t in range(N) if gcd(x + t * e, N) == gcd(x, e, N))

@@ -4,9 +4,12 @@ The main result being exercised: if the ring carries a qualifying idempotent
 family and a three-slot map f satisfies the zero-argument, left-absorption
 and right-absorption hypotheses, then f vanishes identically.  Pipelines
 build f as the additivity defect of a verified multiplicative map, replay the
-hypothesis checks, conclude f = 0, and cross-check against the direct
-additivity scan; the two routes agreeing is a hard invariant, so divergence
-raises InternalInconsistencyError rather than reporting a failure.
+hypothesis checks, conclude f = 0, check that the defect is zero, and run the
+direct additivity scan.  Hypotheses that hold on a qualifying ring with a
+nonzero defect raise InternalInconsistencyError rather than reporting a
+failure.  The defect and the direct scan read the same sums
+(multmaps._additivity_sides), so they agree by construction; the independent
+additivity oracle is groups.is_group_homomorphism, which the tests use.
 """
 
 from __future__ import annotations

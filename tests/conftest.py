@@ -6,7 +6,7 @@ import pytest
 
 from gammaring import (build_matrix_ring, build_table_ring, direct_product,
                        make_group, trivial_ring)
-from gammaring.multmaps import _Meter, _PairSearch
+from gammaring.multmaps import _compose, _Meter, _PairSearch
 
 
 def f4_ring():
@@ -132,3 +132,51 @@ def sifted_automorphisms(grp):
     group = grp.ring.m_group
     return sum(np.unique(h).size == group.order and grp.has_phi(h)
                for h in homomorphisms(group, group))
+
+
+def position_walk(grp, skip=None, sigma=None):
+    """The pairs sigma h, h in a pair group G (multmaps._PairGroup), as
+    _PairGroup.walk lists them, by a walk over every table position: the
+    oracle for that walk, which stepped this way before it visited only the
+    branching positions.
+
+    Positions are visited in table order, phi then psi, on an explicit stack,
+    one level per position.  A base point takes the images of its orbit under
+    the pair chosen so far, in increasing order, and extends that pair by the
+    orbit's pair; F and A_Gamma positions take the unused values of sigma(F)
+    and sigma(A_Gamma) in increasing order; phi(0) is 0.
+    """
+    m, g = grp.ring.m_order, grp.ring.gamma_order
+    if sigma is None:
+        sigma = (np.arange(m), np.arange(g))
+    at = {(kind, point): orbit for kind, point, orbit in grp.levels}
+    free = (set(grp.free.tolist()), set(grp.gammas.tolist()))
+    pools = tuple({int(sigma[kind][x]) for x in free[kind]} for kind in (0, 1))
+    steps = [(0, x) for x in range(m)] + [(1, a) for a in range(g)]
+    tables = (np.zeros(m, dtype=np.int64), np.zeros(g, dtype=np.int64))
+
+    def options(j, prefix):
+        kind, x = steps[j]
+        if x in free[kind]:
+            taken = {int(tables[k][y]) for k, y in steps[:j] if k == kind and y in free[k]}
+            return iter([(v, prefix) for v in sorted(pools[kind] - taken)])
+        if (kind, x) not in at:
+            return iter([(0, prefix)])
+        return iter(sorted(((int(prefix[kind][c]), _compose(prefix, u))
+                            for c, u in at[(kind, x)].items()), key=lambda o: o[0]))
+
+    stack = [options(0, sigma)]
+    while stack:
+        j = len(stack) - 1
+        kind, x = steps[j]
+        v, prefix = next(stack[-1], (None, None))
+        if v is None:
+            stack.pop()
+            continue
+        tables[kind][x] = v
+        if j + 1 == m and skip is not None and skip(tables[0]):
+            continue
+        if j + 1 == len(steps):
+            yield tables[0].copy(), tables[1].copy()
+        else:
+            stack.append(options(j + 1, prefix))

@@ -87,10 +87,10 @@ class _Recorder(_PairSearch):
         super().__init__(*args)
         self.states = []
 
-    def _branch(self):
+    def _branch(self, state):
         if self.meter.spent and len(self.states) < DFS_STATES:
             self.states.append((self.phi.copy(), self.psi.copy()))
-        return super()._branch()
+        return super()._branch(state)
 
 
 CASES = [(name, n) for name in RINGS for n in (2, 3)]

@@ -39,6 +39,11 @@ generators of M: trivial(Z2^4) and trivial(Z4 x Z2^3) are exact at budget
 replaced ran out of that budget on both, and the command exited 3.  The
 other 50 entries did not change.
 
+The `search-iso-m213-n3` entries were recorded, by running this case list,
+before the walk of the pair chain began to visit only its branching
+positions: the 168 pairs of matrix(2,1,3) at n = 3 pin a listing whose walk
+passes several base levels.  The other 52 entries did not change.
+
 Run this file as a script to print the EXPECTED entries of the current code.
 
 `theorem --n 3` at the default budget is left out on purpose: its hypothesis
@@ -100,6 +105,7 @@ def write_documents(directory):
                                        derivations=[zero, not_derivation]),
         "trivz4.json": document_dict(trivial_ring(make_group([4]), make_group([2]))),
         "m212.json": document_dict(build_matrix_ring(2, 1, 2)),
+        "m213.json": document_dict(build_matrix_ring(2, 1, 3)),
         "product.json": document_dict(product, frames=[failing], maps=[prod_ident],
                                       derivations=[prod_zero]),
         "broken.json": document_dict(build_table_ring(*_broken_ring())),
@@ -128,6 +134,7 @@ CASES = {
     "search-iso-require-additive": ["search-iso", "--input", "trivz4.json",
                                     "--require-additive"],
     "search-iso-budget": ["search-iso", "--input", "trivz4.json", "--budget", "5"],
+    "search-iso-m213-n3": ["search-iso", "--input", "m213.json", "--n", "3"],
     "search-derivations": ["search-derivations", "--input", "trivz4.json"],
     "search-derivations-m222-n3": ["search-derivations", "--input", "m222-good.json",
                                    "--n", "3"],
@@ -173,6 +180,8 @@ EXPECTED = {
     "search-derivations/text": (0, '649480d1c8e3d0a7a2fd55d16a2fc7bb123ddfba4e4a212203aadfa947c5ca2d'),
     "search-iso-budget/json": (3, '936680cfe00c50a292837838b220e666295d8ca5b96b0633f588faed90222456'),
     "search-iso-budget/text": (3, '3c5aa343cebbebc99216fc1d40b22e3002638d8c2fe71af3d06cbd50ec4b9a69'),
+    "search-iso-m213-n3/json": (0, 'e80c54143c085311d9bf488d0816c6120f7a9be41ee85e0fcd2379cf4c393596'),
+    "search-iso-m213-n3/text": (0, '5f7724ea9d8d20785739677cf203390b306073440454731cd2e910b5e9d6db31'),
     "search-iso-m222/json": (0, '41e2f70ab2d55b670b75cd9ef7a5e36cdb920c29f1d0920caef2525035002bab'),
     "search-iso-m222/text": (0, 'eb5be468c9590a64a490217b3d6683da7b0d41311a9a35d5a3c9d34b685559e4'),
     "search-iso-require-additive/json": (1, 'f0178e1bd572a3ef028a5ac69133fba0c6266208083fb57461343bac1456a672'),

@@ -7,7 +7,7 @@ enumeration cannot reach are checked against closed forms and an explicit
 construction.
 """
 
-from itertools import islice
+from itertools import islice, zip_longest
 from math import prod
 
 import numpy as np
@@ -21,10 +21,10 @@ from gammaring.errors import InternalInconsistencyError
 from gammaring.groups import is_group_homomorphism
 from gammaring import multmaps
 from gammaring.multmaps import (_aut_order, _free_part, _generator, _length_k_products, _Meter,
-                                _pair_group, _PairGroup)
+                                _pair_group, _PairGroup, _PairSearch)
 from gammaring.theorem import _pair_count
 
-from conftest import homomorphisms, plain_pairs, sifted_automorphisms
+from conftest import homomorphisms, plain_pairs, position_walk, sifted_automorphisms
 from test_derivation_kernel import _scalar, _z3_diagonal
 from test_theorem import QUOTIENT_RINGS, _opposite, _with_trivial
 
@@ -224,6 +224,55 @@ def test_generator_is_checked():
 # every subject of the hunt-trivial and hunt-matrix workloads and the quotient rings
 HUNT_SUBJECTS = list(dict(trivial_ring_family(8) + matrix_ring_family(2, 4)
                           + QUOTIENT_RINGS).items())
+
+
+def _same_walks(walk, oracle):
+    for got, want in zip_longest(walk, oracle):
+        assert got is not None and want is not None
+        assert [t.tolist() for t in got] == [t.tolist() for t in want]
+
+
+WALK_RINGS = list(dict(ORACLE_RINGS + INVARIANT_RINGS + HUNT_SUBJECTS).items())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name, ring", WALK_RINGS, ids=[nm for nm, _ in WALK_RINGS])
+def test_walk_matches_the_position_walk(name, ring, n):
+    # the walk over the branching positions lists, in order, what the walk
+    # over every table position lists, in full and with the additive phi skipped
+    grp = _group(ring, n)
+    group = ring.m_group
+
+    def additive(phi):
+        return is_group_homomorphism(phi, group, group)
+
+    for skip in (None, additive):
+        _same_walks(grp.walk(skip=skip), position_walk(grp, skip=skip))
+
+
+# the between cases with a pair: matrix(2,1,2) has none onto its opposite or matrix(2,2,1)
+ONTO = [case for case in BETWEEN if case[0] not in ("m212-opposite", "m212-m221")]
+
+
+@pytest.mark.parametrize("name, source, target, n", ONTO,
+                         ids=[f"{name}-{n}" for name, _, _, n in ONTO])
+def test_walk_from_a_pair_onto_another_ring_matches_the_position_walk(name, source, target, n):
+    sol = next(_PairSearch(source, target, n, _Meter(10**8)).run())
+    sigma = _generator(source, n, *sol, target=target)
+    kept = [t.copy() for t in sigma]
+    grp = _group(source, n)
+    _same_walks(grp.walk(sigma=sigma), position_walk(grp, sigma=sigma))
+    assert all(np.array_equal(a, b) for a, b in zip(sigma, kept))
+
+
+def test_walk_composes_at_most_twice_per_pair(monkeypatch):
+    # one composition per base point branch taken; the walk over every table
+    # position composed at every position, 23.5 times per pair here
+    grp = _group(build_matrix_ring(2, 1, 4), 3)
+    compose, calls = multmaps._compose, []
+    monkeypatch.setattr(multmaps, "_compose", lambda a, b: calls.append(1) or compose(a, b))
+    assert sum(1 for _ in grp.walk()) == grp.order == 20_160
+    assert len(calls) <= 2 * grp.order
 
 
 @pytest.mark.parametrize("name, ring", HUNT_SUBJECTS, ids=[nm for nm, _ in HUNT_SUBJECTS])
