@@ -22,7 +22,7 @@ import traceback
 from .errors import (BudgetExceededError, FrameValidationError, GRDFError,
                      InternalInconsistencyError, PreconditionError)
 from .grdf import load_grdf
-from .multmaps import (MapPair, SearchConfig, search_n_derivations,
+from .multmaps import (DEFAULT_BUDGET, MapPair, SearchConfig, search_n_derivations,
                        search_n_multiplicative_isos, verify_additive, verify_n_derivation,
                        verify_n_multiplicative)
 from .peirce import check_martindale_family, check_peirce_relations, peirce_decompose
@@ -327,7 +327,7 @@ def _render_text(report: dict) -> str:
 _OPTIONS = {
     "n": dict(type=int, default=2, help="product arity (default 2)"),
     "k": dict(type=int, default=None, help="absorption chain length (default n-1)"),
-    "budget": dict(type=int, default=10**8, help="evaluation/node budget (default 1e8)"),
+    "budget": dict(type=int, default=DEFAULT_BUDGET, help="evaluation/node budget (default 1e8)"),
     "seed": dict(type=int, default=0, help="seed for partial-verification sampling"),
     "require_additive": dict(action="store_true", default=False,
                              help="searches fail when a non-additive map is found"),

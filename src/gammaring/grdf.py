@@ -216,7 +216,7 @@ def document_dict(ring: GammaRing, frames=None, maps=None, derivations=None) -> 
     if frames:
         out = []
         for fr in frames:
-            if fr.provenance == "canonical-from-unity" and fr.unity is not None:
+            if fr.unity is not None:
                 out.append({"mode": "canonical", "e": fr.e, "gamma1": fr.gamma1,
                             "unity": fr.unity})
             else:

@@ -4,11 +4,12 @@ Verification is exact whenever each pass it runs fits the budget (see
 rings._Meter), and a seeded pseudorandom sample flagged "partial" otherwise;
 the theorem pipelines refuse instead of sampling.  Chains fold left to
 right, so an exact check at n >= 3 scans the m^2 g tuples of n = 2 first: a
-pair that passes there passes at every n, and so does a derivation once the
-ring holds a passing distributivity verdict.  A failure there is rescanned
-over the distinct fold states of each length, at most m^2 of them, for the
-same lex-least witness; a derivation without that verdict scans every
-length-n tuple.  So a pass is charged m^2 g evaluations, however large n.
+pair that passes there passes at every n, and so does a derivation on a
+ring whose barnes-ii verdict (distributivity) holds.  A failure there is
+rescanned over the distinct fold states of each length, at most m^2 of
+them, for the same lex-least witness; a derivation on a ring where
+barnes-ii fails scans every length-n tuple.  So a pass is charged m^2 g
+evaluations, however large n.
 
 The leaf search is a backtracking enumeration over image tables with
 vectorized constraint propagation: every fully-assigned product instance
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, InternalInconsistencyError
 from .groups import is_group_homomorphism
-from .rings import _CHUNK_ELEMS, _UNBOUNDED, GammaRing, _first, _Meter, _witness
+from .rings import _CHUNK_ELEMS, _UNBOUNDED, GammaRing, _chunks, _first, _Meter, _witness
 
 DEFAULT_BUDGET = 10**8
 _SAMPLE_CAP = 1 << 20
@@ -191,9 +192,8 @@ def _scan_chains(m: int, g: int, n: int, lhs, rhs) -> Optional[dict]:
     """
     j = next(j for j in range(1, n + 1) if (g * m)**(n - j) <= _CHUNK_ELEMS)
     lead = (m,) + (g, m) * (j - 1)
-    size = max(1, _CHUNK_ELEMS // (g * m)**(n - j))
-    for lo in range(0, prod(lead), size):
-        slots = np.unravel_index(np.arange(lo, min(lo + size, prod(lead))), lead)
+    for lo, hi in _chunks(prod(lead), (g * m)**(n - j)):
+        slots = np.unravel_index(np.arange(lo, hi), lead)
         factors, step = list(slots[0::2]) + [slice(None)] * (n - j), _tuple_step(slots[1::2])
         bad = _first(rhs(factors, step) != lhs(factors, step))
         if bad is not None:
@@ -219,9 +219,8 @@ def _fold_scan(m: int, g: int, n: int, f, step) -> Optional[dict]:
 
     def moves(keys):
         """(lo, successor keys of keys[lo:lo + k] by every (gamma, x)) per chunk."""
-        size = max(1, _CHUNK_ELEMS // (g * m))
-        for lo in range(0, keys.size, size):
-            p, t = step(*np.divmod(keys[lo:lo + size, None, None], m), gs, xs)
+        for lo, hi in _chunks(keys.size, g * m):
+            p, t = step(*np.divmod(keys[lo:hi, None, None], m), gs, xs)
             yield lo, p.astype(np.int64) * m + t
 
     firsts = xs.astype(np.int64) * m + f[xs]
@@ -296,16 +295,15 @@ def _verify_chains(m: int, g: int, n: int, budget: int, seed: int, lhs, rhs,
         pass
     rng = np.random.default_rng(seed)
     samples = int(min(budget, _SAMPLE_CAP))
-    size = max(1, _CHUNK_ELEMS // (2 * n - 1))
-    for lo in range(0, samples, size):
-        xs = rng.integers(0, m, size=(n, min(size, samples - lo)))
-        gs = rng.integers(0, g, size=(n - 1, xs.shape[1]))
+    for lo, hi in _chunks(samples, 2 * n - 1):
+        xs = rng.integers(0, m, size=(n, hi - lo))
+        gs = rng.integers(0, g, size=(n - 1, hi - lo))
         step = _tuple_step(gs)
         bad = _first(lhs(list(xs), step) != rhs(list(xs), step))
         if bad is not None:
             j = bad[0]
             tup = [xs[0, j]] + [v for i in range(1, n) for v in (gs[i - 1, j], xs[i, j])]
-            return VerifyReport(False, False, lo + xs.shape[1], _witness(_witness_names(n), tup))
+            return VerifyReport(False, False, hi, _witness(_witness_names(n), tup))
     return VerifyReport(True, False, samples)
 
 
@@ -380,12 +378,14 @@ def verify_n_derivation(deriv: DerivationTable, n: int,
                         budget: int = DEFAULT_BUDGET, seed: int = 0) -> VerifyReport:
     """Check the Leibniz expansion of d over every length-n product.
 
-    When the ring already holds a passing barnes-ii verdict, the product is
-    additive in its first slot, so d(P g xn) = d(P) g xn + P g d(xn) expands
-    d(P) term by term and the identity folds (_leibniz_fold): an exact pass
-    at n = 2 then decides any n, and a failure there is rescanned over the
-    distinct fold states.  The verdict is read, never computed; without it
-    every length-n tuple is scanned.
+    When barnes-ii holds, the product is additive in its first slot, so
+    d(P g xn) = d(P) g xn + P g d(xn) expands d(P) term by term and the
+    identity folds (_leibniz_fold): an exact pass at n = 2 then decides any
+    n, and a failure there is rescanned over the distinct fold states.  The
+    verdict comes from the ring's Barnes scans, run on first use, so it does
+    not depend on which checks ran before; where barnes-ii fails every
+    length-n tuple is scanned, and a Barnes scan past rings.AXIOM_EVAL_CAP
+    raises BudgetExceededError.
     """
     m, g, lhs, rhs, fold = _identity(deriv)
     return _verify_chains(m, g, n, budget, seed, lhs, rhs, fold)
@@ -394,14 +394,15 @@ def verify_n_derivation(deriv: DerivationTable, n: int,
 def _identity(subject) -> tuple:
     """(m, g, lhs, rhs, fold) of the identity a map pair or a derivation
     satisfies, for _exact_chains and _verify_chains; a pair needs
-    Barnes-verified rings."""
+    Barnes-verified rings, and a derivation folds where barnes-ii holds.
+    Either runs the ring's Barnes scans if they have not run yet."""
     if isinstance(subject, MapPair):
         subject.source.require_barnes()
         subject.target.require_barnes()
         ring, fold = subject.source, _pair_fold(subject)
         return ring.m_order, ring.gamma_order, *_pair_sides(subject), fold
     ring = subject.ring
-    fold = _leibniz_fold(subject) if ring.known_distributive else None
+    fold = _leibniz_fold(subject) if ring.barnes_reports()[0].holds else None
     return ring.m_order, ring.gamma_order, *_leibniz_sides(subject), fold
 
 

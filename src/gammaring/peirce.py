@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import FrameValidationError, InternalInconsistencyError
 from . import rings
-from .rings import GammaRing, _additive_in, _first, _Meter, _scan_equal, _witness, find_unities
+from .rings import (GammaRing, _additivity_witness, _first, _holds_on, _Meter, _scan_equal,
+                    _witness, find_unities)
 
 
 @dataclass
@@ -35,14 +36,14 @@ class IdempotentFrame:
 
     left_f[beta, a] realizes "complement beta a", right_f[a, beta] realizes
     "a beta complement"; together with e they realize the formal unity
-    1 = e + complement.  Build through canonical_frame or custom_frame only.
+    1 = e + complement.  Build through canonical_frame or custom_frame only;
+    `unity` is the unity a canonical frame comes from, None on a custom one.
     """
     ring: GammaRing
     e: int
     gamma1: int
     left_f: np.ndarray
     right_f: np.ndarray
-    provenance: str = "user-supplied"
     unity: Optional[int] = None
 
     def __post_init__(self):
@@ -142,29 +143,19 @@ def validate_frame(frame: IdempotentFrame) -> list[FrameViolation]:
         out.append(FrameViolation("right-specialization", {"a": int(bad[0])}))
 
     addm, meter = mg.add_table, _Meter(rings.AXIOM_EVAL_CAP)
-    left_ok = _additive_in(lf, 1, mg, addm, meter, "left-additivity")
-    right_ok = _additive_in(rf, 0, mg, addm, meter, "right-additivity")
-    assoc_ok = False
-    if left_ok and right_ok and ring.known_distributive:
-        gidx = np.arange(g)
-        a, beta, gamma, b = np.ix_(mg.generators, gidx, gidx, mg.generators)
-        meter.charge(a.size * g * g * b.size, "frame-associativity")
-        assoc_ok = bool((mu[rf[a, beta], gamma, b] == mu[a, beta, lf[gamma, b]]).all())
-    checks = (
-        ("left-additivity", ("beta", "x", "y"), left_ok, g, (m, m),           # [b, x, y]
-         lambda lo, hi: lf[lo:hi][:, addm],
-         lambda lo, hi: addm[lf[lo:hi, :, None], lf[lo:hi, None, :]]),
-        ("right-additivity", ("x", "y", "beta"), right_ok, m, (m, g),         # [x, y, b]
-         lambda lo, hi: rf[addm[lo:hi]],
-         lambda lo, hi: addm[rf[lo:hi, None, :], rf[None, :, :]]),
-        # (a beta complement) gamma b == a beta (complement gamma b)
-        ("frame-associativity", ("a", "beta", "gamma", "b"), assoc_ok, m, (g, g, m),
-         lambda lo, hi: mu[rf[lo:hi]],                                       # [a, beta, gamma, b]
-         lambda lo, hi: mu[lo:hi][:, :, lf]),
-    )
-    for invariant, names, holds, outer, inner_shape, lhs_fn, rhs_fn in checks:
-        witness = None if holds else _scan_equal(lhs_fn, rhs_fn, outer, inner_shape, names,
-                                                 meter, invariant)
+    left = _additivity_witness(lf, 1, mg, addm, ("beta", "x", "y"), meter, "left-additivity")
+    right = _additivity_witness(rf, 0, mg, addm, ("x", "y", "beta"), meter, "right-additivity")
+    gidx = np.arange(g)
+    # (a beta complement) gamma b == a beta (complement gamma b)
+    assoc_ok = left is None and right is None and ring.known_distributive and _holds_on(
+        (mg.generators, gidx, gidx, mg.generators),
+        lambda a, beta, gamma, b: mu[rf[a, beta], gamma, b],
+        lambda a, beta, gamma, b: mu[a, beta, lf[gamma, b]], meter, "frame-associativity")
+    assoc = None if assoc_ok else _scan_equal(
+        lambda lo, hi: mu[rf[lo:hi]], lambda lo, hi: mu[lo:hi][:, :, lf],   # [a, beta, gamma, b]
+        m, (g, g, m), ("a", "beta", "gamma", "b"), meter, "frame-associativity")
+    for invariant, witness in (("left-additivity", left), ("right-additivity", right),
+                               ("frame-associativity", assoc)):
         if witness is not None:
             out.append(FrameViolation(invariant, witness))
     return out
@@ -181,7 +172,7 @@ def canonical_frame(ring: GammaRing, e: int, gamma1: int, unity: int) -> Idempot
     mu = ring.mu
     left_f = mg.sub_index_array(mu[unity], mu[e])            # [b, a]
     right_f = mg.sub_index_array(mu[:, :, unity], mu[:, :, e])  # [a, b]
-    frame = IdempotentFrame(ring, e, gamma1, left_f, right_f, "canonical-from-unity", unity)
+    frame = IdempotentFrame(ring, e, gamma1, left_f, right_f, unity)
     bad = frame.violations
     if bad:
         # ring associativity + distributivity make these identities theorems
@@ -193,7 +184,7 @@ def canonical_frame(ring: GammaRing, e: int, gamma1: int, unity: int) -> Idempot
 def custom_frame(ring: GammaRing, e: int, gamma1: int, left_f, right_f) -> IdempotentFrame:
     """Validate user-supplied complement tables; reject with all violations."""
     ring.require_barnes()
-    frame = IdempotentFrame(ring, e, gamma1, left_f, right_f, "user-supplied")
+    frame = IdempotentFrame(ring, e, gamma1, left_f, right_f)
     bad = frame.violations
     if bad:
         raise FrameValidationError(bad)

@@ -5,14 +5,18 @@ triple-product table mu: M x Gamma x M -> M stored as element indices, plus an
 optional Gamma-valued product nu: Gamma x M x Gamma -> Gamma for structures in
 the stronger (Nobusawa) sense.  Rings are immutable once built.
 
-The axiom checks are exact.  A pass is decided on generator tuples: a map is
-additive when it respects adding each cyclic generator, and two maps additive
-in every slot agree everywhere when they agree on tuples of generators.  A
-failure there is rescanned in full, so every witness is the lexicographically
-least one.  `checked` reports the raw tuple coverage.  Every budget decision
-of the package goes through one _Meter.  Here each scan charges its
-generator check, and its full rescan only when that runs, against
-AXIOM_EVAL_CAP, so a ring is refused only when a pass it needs is oversized.
+The axiom checks are exact.  A pass is decided on generator tuples.  A map t
+is additive when t(0) = 0, t(x) = t(x - e(x)) + t(e(x)) for each x != 0,
+e(x) the generator of x's least significant nonzero residue, and d t(e) = 0
+for each generator e of order d (_additive_in): about one evaluation per
+entry.  Two maps additive in every slot agree everywhere when they agree on
+the r^k tuples of generators, r the number of cyclic factors, which decides
+associativity, the nu identity and frame-associativity.  A failure there is
+rescanned in full, so every witness is the lexicographically least one.
+`checked` reports the raw tuple coverage.  Every budget decision of the
+package goes through one _Meter.  Here each scan charges its generator
+check, and its full rescan only when that runs, against AXIOM_EVAL_CAP, so
+a ring is refused only when a pass it needs is oversized.
 """
 
 from __future__ import annotations
@@ -215,59 +219,60 @@ def _additive_in(table: np.ndarray, axis: int, domain: FiniteAbelianGroup,
                  add: np.ndarray, meter: _Meter, what: str) -> bool:
     """Whether table is additive in its slot `axis`, which ranges over `domain`.
 
-    `add` is the addition table of the values.  A map t is additive exactly
-    when t(0) = 0 and t(x + e_i) = t(x) + t(e_i) for every x and every
-    generator e_i: adding generators one at a time then gives t(x + y) =
-    t(x) + t(y).  That is n·r evaluations per map instead of n², r the number
-    of cyclic factors, and meter is charged for them.
+    `add` is the addition table of the values.  Let e(x) be the generator of
+    x's least significant nonzero residue.  A map t is additive exactly when
+    t(0) = 0, t(x) = t(x - e(x)) + t(e(x)) for every x != 0, and
+    t((d - 1)e) + t(e) = 0 for each generator e of order d: the first two
+    give t(x) = sum_i x_i t(e_i) by induction, and the third makes d t(e) = 0,
+    so that sum is a homomorphism.  That is about one evaluation per map
+    entry plus r per map, r the number of cyclic factors, and meter is
+    charged for them.  The group of order 1 has no nonzero residue, so there
+    t(0) = 0 alone decides.
     """
     t = np.moveaxis(table, axis, 0)
     gens = domain.generators
-    meter.charge(t.size * gens.size, what)
-    if (t[0] != 0).any():
+    meter.charge(t.size + gens.size * t[0].size, what)
+    x = np.arange(1, domain.order)
+    # e(x): the largest generator index dividing x is that of its least
+    # significant nonzero residue; x is empty when the order is 1
+    e = np.where(x[:, None] % gens == 0, gens, 0).max(axis=1, initial=0)
+    last = (np.asarray(domain.factors, dtype=np.int64) - 1) * gens        # (d - 1)e
+    if (t[0] != 0).any() or (add[t[last], t[gens]] != 0).any():
         return False
-    shifted = domain.add_table[:, gens]              # [x, i] = x + e_i
-    images = t[gens]
-    for lo, hi in _chunks(t.shape[0], gens.size * t[0].size):
-        if (t[shifted[lo:hi]] != add[t[lo:hi, None], images[None]]).any():
+    for lo, hi in _chunks(x.size, t[0].size):
+        if (t[lo + 1:hi + 1] != add[t[x[lo:hi] - e[lo:hi]], t[e[lo:hi]]]).any():
             return False
     return True
 
 
-def _distributive(ring, axis: int, what: str, lhs_fn, rhs_fn, names):
-    """(lex-least failing tuple or None, raw count) of mu's additivity in slot
-    axis: the generator check, then the full scan only when that fails.  The
-    scan's tuples are mu's slots with slot axis doubled, the first outermost."""
-    meter, shape = _Meter(AXIOM_EVAL_CAP), ring.mu.shape
-    inner = shape[1:axis + 1] + shape[axis:]
-    domain = ring.gamma_group if axis == 1 else ring.m_group
-    w = None if _additive_in(ring.mu, axis, domain, ring.m_group.add_table, meter, what) \
-        else _scan_equal(lhs_fn, rhs_fn, ring.m_order, inner, names, meter, what)
-    return w, ring.m_order * prod(inner)
+def _additivity_witness(table: np.ndarray, axis: int, domain: FiniteAbelianGroup,
+                        add: np.ndarray, names, meter: _Meter, what: str) -> Optional[dict]:
+    """Lex-least tuple where table is not additive in its slot `axis`, or None.
+
+    The tuple is table's slots with slot `axis` doubled in place:
+    (..., x, y, ...) stands for t(..., x + y, ...) = t(..., x, ...) +
+    t(..., y, ...).  _additive_in decides a pass; only a failure is rescanned
+    in full, in chunks of first-slot values, each pass charged to meter.
+    """
+    if _additive_in(table, axis, domain, add, meter, what):
+        return None
+
+    def cut(lo, hi):        # (the table the y slot reads, the sums) for first slots [lo, hi)
+        return (table, domain.add_table[lo:hi]) if axis == 0 else (table[lo:hi], domain.add_table)
+
+    return _scan_equal(lambda lo, hi: np.take(*cut(lo, hi), axis=axis),
+                       lambda lo, hi: add[np.expand_dims(table[lo:hi], axis + 1),
+                                          np.expand_dims(cut(lo, hi)[0], axis)],
+                       table.shape[0], table.shape[1:axis + 1] + table.shape[axis:],
+                       names, meter, what)
 
 
-def _right_distrib(ring) -> tuple[Optional[dict], int]:
-    # (x+y) a z == x a z + y a z
-    mu, addm = ring.mu, ring.m_group.add_table
-    return _distributive(ring, 0, "distributivity", lambda lo, hi: mu[addm[lo:hi]],
-                         lambda lo, hi: addm[mu[lo:hi, None], mu[None, :]],
-                         ("x", "y", "alpha", "z"))
-
-
-def _left_distrib(ring) -> tuple[Optional[dict], int]:
-    # x a (y+z) == x a y + x a z
-    mu, addm = ring.mu, ring.m_group.add_table
-    return _distributive(ring, 2, "distributivity", lambda lo, hi: mu[lo:hi][:, :, addm],
-                         lambda lo, hi: addm[mu[lo:hi][:, :, :, None], mu[lo:hi][:, :, None, :]],
-                         ("x", "alpha", "y", "z"))
-
-
-def _gamma_distrib(ring) -> tuple[Optional[dict], int]:
-    # x (a+b) y == x a y + x b y
-    mu, addm, addg = ring.mu, ring.m_group.add_table, ring.gamma_group.add_table
-    return _distributive(ring, 1, "gamma-distributivity", lambda lo, hi: mu[lo:hi][:, addg, :],
-                         lambda lo, hi: addm[mu[lo:hi][:, :, None, :], mu[lo:hi][:, None, :, :]],
-                         ("x", "alpha", "beta", "y"))
+def _holds_on(grid, lhs, rhs, meter: _Meter, what: str) -> bool:
+    """Whether lhs(*slots) == rhs(*slots) on the open grid of the index arrays
+    in `grid`, one per slot; the grid's tuples are charged to meter first."""
+    meter.charge(prod(len(s) for s in grid), what)
+    slots = np.ix_(*grid)
+    return bool((lhs(*slots) == rhs(*slots)).all())
 
 
 def _associativity(ring, additive: bool = False) -> tuple[Optional[dict], int]:
@@ -279,12 +284,10 @@ def _associativity(ring, additive: bool = False) -> tuple[Optional[dict], int]:
     """
     mu, meter = ring.mu, _Meter(AXIOM_EVAL_CAP)
     m, g = ring.m_order, ring.gamma_order
-    if additive:
-        gm, gg = ring.m_group.generators, ring.gamma_group.generators
-        meter.charge(gm.size**3 * gg.size**2, "associativity")
-        x, a, y, b, z = np.ix_(gm, gg, gm, gg, gm)
-        if (mu[mu[x, a, y], b, z] == mu[x, a, mu[y, b, z]]).all():
-            return None, m * g * m * g * m
+    gm, gg = ring.m_group.generators, ring.gamma_group.generators
+    if additive and _holds_on((gm, gg, gm, gg, gm), lambda x, a, y, b, z: mu[mu[x, a, y], b, z],
+                              lambda x, a, y, b, z: mu[x, a, mu[y, b, z]], meter, "associativity"):
+        return None, m * g * m * g * m
     w = _scan_equal(
         lambda lo, hi: mu[mu[lo:hi]],
         lambda lo, hi: mu[lo:hi][:, :, mu],
@@ -295,23 +298,26 @@ def _associativity(ring, additive: bool = False) -> tuple[Optional[dict], int]:
 def check_barnes_axioms(ring: GammaRing) -> list[AxiomReport]:
     """One exact report per Barnes axiom; closure holds by table construction.
 
-    Each scan is gated by its own meter at AXIOM_EVAL_CAP, read at call time.
+    Each scan is gated by a meter at AXIOM_EVAL_CAP, read at call time.
     """
-    reports = []
+    mu, mg, meter = ring.mu, ring.m_group, _Meter(AXIOM_EVAL_CAP)
+    count = mu.size * ring.m_order                  # the tuples of either element slot
 
-    w1, c1 = _right_distrib(ring)
-    if w1 is None:
-        w2, c2 = _left_distrib(ring)
-        witness = w2
-        identity = "x.a.(y+z) = x.a.y + x.a.z" if w2 else "m-distributivity"
-    else:
-        witness, c2 = w1, 0
-        identity = "(x+y).a.z = x.a.z + y.a.z"
-    reports.append(AxiomReport("barnes-ii", identity, witness is None, witness, c1 + c2))
+    def additivity(axis, names, what):
+        domain = ring.gamma_group if axis == 1 else mg
+        return _additivity_witness(mu, axis, domain, mg.add_table, names, meter, what)
 
-    w, c = _gamma_distrib(ring)
+    w = additivity(0, ("x", "y", "alpha", "z"), "distributivity")
+    identity, checked = "(x+y).a.z = x.a.z + y.a.z", count
+    if w is None:
+        w = additivity(2, ("x", "alpha", "y", "z"), "distributivity")
+        identity = "x.a.(y+z) = x.a.y + x.a.z" if w else "m-distributivity"
+        checked += count
+    reports = [AxiomReport("barnes-ii", identity, w is None, w, checked)]
+
+    w = additivity(1, ("x", "alpha", "beta", "y"), "gamma-distributivity")
     reports.append(AxiomReport(
-        "barnes-iii", "x.(a+b).y = x.a.y + x.b.y", w is None, w, c))
+        "barnes-iii", "x.(a+b).y = x.a.y + x.b.y", w is None, w, mu.size * ring.gamma_order))
 
     w, c = _associativity(ring, reports[0].holds and w is None)
     reports.append(AxiomReport(
@@ -346,16 +352,15 @@ def check_nobusawa(ring: GammaRing) -> list[AxiomReport]:
     if w is None:
         # x a (y b z) == x (a y b) z with the middle product taken in Gamma;
         # both sides are additive in every slot once mu and nu are
-        mg, gg, addg = ring.m_group, ring.gamma_group, ring.gamma_group.add_table
+        mg, gg = ring.m_group, ring.gamma_group
+        gm, ga = mg.generators, gg.generators
         meter, what = _Meter(AXIOM_EVAL_CAP), "nobusawa-ii"
-        holds = False
-        if (distrib.holds and gamma_distrib.holds and _additive_in(nu, 0, gg, addg, meter, what)
-                and _additive_in(nu, 1, mg, addg, meter, what)
-                and _additive_in(nu, 2, gg, addg, meter, what)):
-            x, a, y, b, z = np.ix_(mg.generators, gg.generators, mg.generators,
-                                   gg.generators, mg.generators)
-            meter.charge(x.size * a.size * y.size * b.size * z.size, what)
-            holds = bool((mu[x, a, mu[y, b, z]] == mu[x, nu[a, y, b], z]).all())
+        holds = (distrib.holds and gamma_distrib.holds
+                 and all(_additive_in(nu, axis, mg if axis == 1 else gg, gg.add_table, meter,
+                                      what) for axis in range(3))
+                 and _holds_on((gm, ga, gm, ga, gm),
+                               lambda x, a, y, b, z: mu[x, a, mu[y, b, z]],
+                               lambda x, a, y, b, z: mu[x, nu[a, y, b], z], meter, what))
         w = None if holds else _scan_equal(lambda lo, hi: mu[lo:hi][:, :, mu],
                                            lambda lo, hi: mu[lo:hi][:, nu],
                                            m, (g, m, g, m), ("x", "alpha", "y", "beta", "z"),

@@ -7,6 +7,7 @@ import pytest
 from gammaring import (build_matrix_ring, build_table_ring, direct_product,
                        make_group, trivial_ring)
 from gammaring.multmaps import _compose, _Meter, _PairSearch
+from gammaring.rings import AXIOM_EVAL_CAP, _additivity_witness
 
 
 def f4_ring():
@@ -93,6 +94,22 @@ def midx(ring, *rows):
 def gidx(ring, *rows):
     flat = [v for row in rows for v in row]
     return ring.gamma_group.index_of(tuple(flat))
+
+
+def _slot_scan(axis, names):
+    """The scan check_barnes_axioms runs for mu's additivity in slot axis, as a
+    function of the ring giving (lex-least witness or None, raw tuple count)."""
+    def scan(ring):
+        domain = ring.gamma_group if axis == 1 else ring.m_group
+        w = _additivity_witness(ring.mu, axis, domain, ring.m_group.add_table, names,
+                                _Meter(AXIOM_EVAL_CAP), "distributivity")
+        return w, ring.mu.size * domain.order
+    return scan
+
+
+_right_distrib = _slot_scan(0, ("x", "y", "alpha", "z"))      # (x+y) a z == x a z + y a z
+_left_distrib = _slot_scan(2, ("x", "alpha", "y", "z"))       # x a (y+z) == x a y + x a z
+_gamma_distrib = _slot_scan(1, ("x", "alpha", "beta", "y"))   # x (a+b) y == x a y + x b y
 
 
 def plain_pairs(source, target, n, budget=10**8):

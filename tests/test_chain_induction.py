@@ -10,6 +10,9 @@ Each verdict, witness and `checked` count here must equal the exhaustive
 length-n scan, called directly.
 """
 
+import contextlib
+import io
+import json
 import tracemalloc
 from itertools import islice
 
@@ -18,8 +21,10 @@ import pytest
 
 import gammaring.multmaps as multmaps_mod
 from gammaring import (DerivationTable, MapPair, SearchConfig, build_matrix_ring,
-                       build_table_ring, make_group, matrix_ring_family, search_n_derivations,
-                       verify_n_derivation, verify_n_multiplicative)
+                       build_table_ring, document_dict, emit_grdf, make_group,
+                       matrix_ring_family, search_n_derivations, verify_n_derivation,
+                       verify_n_multiplicative)
+from gammaring.cli import main
 from gammaring.multmaps import _leibniz_sides, _pair_sides, _scan_chains
 
 from test_theorem import QUOTIENT_RINGS, _one_sided, _with_trivial
@@ -173,18 +178,42 @@ def test_full_scan_memory_stays_small(matrix222):
 
 
 def test_derivations_need_a_held_distributivity_verdict(scans):
-    # the same tables in a fresh ring hold no Barnes verdict, and verifying
-    # a derivation must not start one: every length-3 tuple is scanned
+    # the same tables in a fresh ring hold no Barnes verdict yet; verifying a
+    # derivation runs the ring's Barnes scans, so both rings pre-scan n = 2
+    # and reach the same verdict
     _, held = _one_sided()
     fresh = build_table_ring(held.m_group, held.gamma_group, held.mu)
     d = search_n_derivations(held, SearchConfig(n=2)).found[-1]
     assert d.d.any()
-    for ring, arity in ((fresh, 3), (held, 2)):
+    verdicts = []
+    for ring in (fresh, held):
         scans.clear()
         deriv = DerivationTable(ring, d.d)
-        assert _verify(deriv, 3) == _full(deriv, 3)
-        assert scans == [arity]
-    assert fresh._barnes_reports is None
+        verdicts.append(_verify(deriv, 3))
+        assert verdicts[-1] == _full(deriv, 3)
+        assert scans == [2]
+    assert verdicts[0] == verdicts[1]
+    assert fresh._barnes_reports is not None and fresh.barnes_reports()[0].holds
+
+
+def test_a_derivation_verdict_does_not_depend_on_the_document_form(tmp_path):
+    # a matrix document is Barnes-checked while it loads, a table document is
+    # not; the zero derivation of matrix(2,2,2) at n = 5 is an exact pass in both
+    m222 = build_matrix_ring(2, 2, 2)
+    table = build_table_ring(m222.m_group, m222.gamma_group, m222.mu, m222.nu)
+    got = []
+    for name, ring in (("matrix.json", m222), ("table.json", table)):
+        zero = DerivationTable(ring, np.zeros(16, dtype=np.int32))
+        path = tmp_path / name
+        path.write_text(emit_grdf(document_dict(ring, derivations=[zero])))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["verify-derivation", "--input", str(path), "--n", "5",
+                         "--format", "json"])
+        got.append((code, json.loads(out.getvalue())["verdicts"]))
+    assert got[0] == got[1]
+    assert got[0][0] == 0
+    assert (got[0][1][0]["exact"], got[0][1][0]["checked"]) == (True, 16**5 * 16**4)
 
 
 def test_a_failing_distributivity_verdict_keeps_the_full_scan(scans):

@@ -44,6 +44,12 @@ before the walk of the pair chain began to visit only its branching
 positions: the 168 pairs of matrix(2,1,3) at n = 3 pin a listing whose walk
 passes several base levels.  The other 52 entries did not change.
 
+The `-m0`, `-g0` and `-zero` entries were recorded, by running this case
+list, before the additivity check began to add generators one residue at a
+time: `axioms`, `hunt` and `search-derivations` on rings where M, Gamma or
+both are the group of order 1, which has no nonzero residue.  The other 54
+entries did not change.
+
 Run this file as a script to print the EXPECTED entries of the current code.
 
 `theorem --n 3` at the default budget is left out on purpose: its hypothesis
@@ -111,6 +117,11 @@ def write_documents(directory):
         "broken.json": document_dict(build_table_ring(*_broken_ring())),
         "triv2222.json": document_dict(trivial_ring(make_group([2, 2, 2, 2]), make_group([2]))),
         "triv4222.json": document_dict(trivial_ring(make_group([4, 2, 2, 2]), make_group([2]))),
+        # M = 0; Gamma = 0 with 1.0.1 = 1, which fails barnes-iii; both 0
+        "m0.json": document_dict(trivial_ring(make_group([]), make_group([2]))),
+        "g0.json": document_dict(build_table_ring(make_group([2]), make_group([]),
+                                                  [[[0, 0]], [[0, 1]]])),
+        "zero.json": document_dict(trivial_ring(make_group([]), make_group([]))),
     }
     for name, doc in docs.items():
         (directory / name).write_text(emit_grdf(doc))
@@ -157,25 +168,47 @@ CASES = {
     "hunt-trivial-budget": ["hunt", "--input", "triv2222.json", "--input", "triv4222.json",
                             "--budget", "40000"],
 }
+for _doc in ("m0", "g0", "zero"):
+    for _command in ("axioms", "hunt", "search-derivations"):
+        CASES[f"{_command}-{_doc}"] = [_command, "--input", f"{_doc}.json"]
+
 
 # "<case>/<format>": (exit code, sha256 of stdout)
 EXPECTED = {
     "axioms-broken/json": (1, '08bb7d086961d452f046bd6eda3e16acf6946749b0b293d453a9eb7889a2bc27'),
     "axioms-broken/text": (1, '4cf1ed59924afd46b17097453981ef898126bf8e1dca73ebdc2a27df2ff9dbdd'),
+    "axioms-g0/json": (1, '4a1b794bdc81750e5bdb2fd705af037f75b04baf4c159d139a4a11842ae7cece'),
+    "axioms-g0/text": (1, 'e80b0cc237e3d71cc10027a80426c4178b307504559ca998bbc22c13fb6f0d41'),
+    "axioms-m0/json": (0, '5cb7d131acc93a53d9595127c87783c31075a015c34a73538caf8bbb973d0e1c'),
+    "axioms-m0/text": (0, '42d95135fa59b1b64beea57484897dad68c179a0db1036841b9831b99a59b4c2'),
     "axioms-m222/json": (0, 'efe178f414942c46559c46645130f85030754e8b29562292a42c00d09cba49ff'),
     "axioms-m222/text": (0, 'f961a6c1931af63f5bafb54a8f3eaccc7b3cc8579075f5ae527b159f1036321c'),
+    "axioms-zero/json": (0, 'f0699c963ab22489a793a4209d449d2fad609e8707662ba9e4a1466d09b0de92'),
+    "axioms-zero/text": (0, '2c6faf6d1d9d23b601195ccbd206708979bd1cebe07b7c127e3c5a042e88f7ac'),
     "conditions-product/json": (1, 'c9c12921acaf12bd20cc5f57a671b85cf0f0df8c4b14c13703bc752d7e25f86a'),
     "conditions-product/text": (1, 'b45a37c584ababa2e052462778fc6fb9ef029c2d71aedc230f7e0d3f5c4fce60'),
+    "hunt-g0/json": (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    "hunt-g0/text": (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    "hunt-m0/json": (0, 'adb6fcd1b9be41ebe3fde6fc961cb8ad8d7c22a907aaad15a2d09d5bc5f1c5e9'),
+    "hunt-m0/text": (0, '48752b0e38c91f0a4d246d1fe190600be70000f527415a771a2765ff3a7085ed'),
     "hunt-trivial-budget/json": (0, '2b3ae42817b83e0b0b8c0d7562d8cadbf36bea5fc590d02b29e02089a8a0a743'),
     "hunt-trivial-budget/text": (0, '2e1f9708bfd898c0722e1d59d2c1e5d17a114d8a0b65b62761364ee1baecc20c'),
+    "hunt-zero/json": (0, 'e9165da8e3c37219aa041757fa07ba22f83ab6159e4e45b2d31a7ecb7b65750d'),
+    "hunt-zero/text": (0, '0b6b5af952c8d511f63aadc7b496ad233d628b36cdf0980a1dff15998c54db91'),
     "hunt/json": (0, 'dafe353a12987f6f25b5be5752b183325546064e656500cef2e6f0c8361330cd'),
     "hunt/text": (0, 'c4e3b8562d60f7418a9d18011a8341729cc419d1a7a77df1d17ea733cb839e60'),
     "search-derivations-budget/json": (3, 'b9b95f230d0454f11db2d32fb9be5cbe8cce8a909def7a961488702f55e7a2b2'),
     "search-derivations-budget/text": (3, '6be8d4566a7812a461d1bc9cf639c469c6d5b1a1fba15241c669ebe084b0238c'),
+    "search-derivations-g0/json": (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    "search-derivations-g0/text": (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    "search-derivations-m0/json": (0, 'cae7cab27d9d67d167bb4bfbfcc51be4e62464ae05bc385a1912fa219eb500ff'),
+    "search-derivations-m0/text": (0, '229f8947a1c822f873985f763748f227c3342cdf77624619b38cc9cf574c2da1'),
     "search-derivations-m222-n3/json": (0, '33500a522a1444e9c4229cee38a40940b93039ee1fbd26c01736581a501a5ac0'),
     "search-derivations-m222-n3/text": (0, '17cea492d165e1f96302dcd5549ad8a11e68eae3a0c19a6b31e5cef0749b25d8'),
     "search-derivations-require-additive/json": (1, 'a53e8e9c1735c89edd3523b56d90dc040979bcc2c7f58ab9da63c0ffa3a3106f'),
     "search-derivations-require-additive/text": (1, '486ea6094ed887660d6b492adb770bf6790ad767272f597035de0e1d12d4d4be'),
+    "search-derivations-zero/json": (0, 'fb00d940052a04431d2146a870aa1308e1022010e467e88e5022038c81f1e07b'),
+    "search-derivations-zero/text": (0, '83aa3c33298ad3be1f3afed502363bb0a57532b9a64f2849ad5fe585a82f4b63'),
     "search-derivations/json": (0, 'ac397b93585601875efe0fefc55231c004243419c76557d5bc18ab569191dc25'),
     "search-derivations/text": (0, '649480d1c8e3d0a7a2fd55d16a2fc7bb123ddfba4e4a212203aadfa947c5ca2d'),
     "search-iso-budget/json": (3, '936680cfe00c50a292837838b220e666295d8ca5b96b0633f588faed90222456'),

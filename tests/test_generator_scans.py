@@ -15,9 +15,10 @@ import gammaring.rings as rings_mod
 from gammaring import (build_matrix_ring, build_table_ring, canonical_frames,
                        check_barnes_axioms, check_nobusawa, direct_product, make_group,
                        matrix_ring_family, trivial_ring, trivial_ring_family, validate_frame)
+from gammaring.groups import is_group_homomorphism
 from gammaring.peirce import IdempotentFrame
-from gammaring.rings import (_associativity, _first, _gamma_distrib, _left_distrib,
-                             _right_distrib, _witness)
+from gammaring.rings import _associativity, _first, _witness
+from conftest import _gamma_distrib, _left_distrib, _right_distrib
 from test_derivation_kernel import _scalar, _z3_diagonal
 from test_theorem import QUOTIENT_RINGS
 
@@ -216,3 +217,50 @@ def test_planted_frame_entry_fails_its_scans(table, at):
     additivity = "left-additivity" if table == "left_f" else "right-additivity"
     assert [name for name, _ in want] == [additivity, "frame-associativity"]
     assert [(v.invariant, v.witness) for v in validate_frame(bad)] == want
+
+
+def _linear_map(rng, dom, cod, wrong_order):
+    """x -> sum_i x_i v_i as an index table, each v_i of order dividing that of
+    the i-th generator of dom, or any element of cod when wrong_order."""
+    res, mods = cod.residues, np.asarray(cod.factors, dtype=np.int64)
+    images = [rng.integers(cod.order) if wrong_order
+              else rng.choice(np.flatnonzero(((res * d) % mods == 0).all(axis=1)))
+              for d in dom.factors]
+    return ((dom.residues @ res[np.array(images, dtype=np.int64)]) % mods) @ cod.generators
+
+
+@pytest.mark.parametrize("cod", [[2], [4], [6]], ids=str)
+@pytest.mark.parametrize("dom", [[], [2, 2], [4, 2], [3], [2, 2, 2]], ids=str)
+def test_additive_in_matches_the_homomorphism_oracle(dom, cod):
+    """Random (2, 3)-families of maps dom -> cod, stacked in each slot of a
+    three-slot table: additive in that slot exactly when every map is a
+    homomorphism.  The maps are homomorphisms, the same with one entry
+    replaced, sums of generator images of the wrong order (x -> x v on
+    Z2 -> Z4 with v of order 4 respects adding generators up to the last
+    residue, and fails only 2 v = 0), or random tables."""
+    dom, cod = make_group(dom), make_group(cod)
+    rng = np.random.default_rng(len(dom.factors) * 10 + cod.order)
+    seen = set()
+    for trial in range(96):
+        axis, kind = trial % 3, trial // 3 % 4
+        maps = []
+        for _ in range(6):
+            t = _linear_map(rng, dom, cod, wrong_order=kind == 2)
+            if kind == 1:
+                t[rng.integers(dom.order)] = rng.integers(cod.order)
+            elif kind == 3:
+                t = rng.integers(0, cod.order, size=dom.order)
+            maps.append(t)
+        table = np.moveaxis(np.array(maps).reshape(2, 3, dom.order), 2, axis)
+        want = all(is_group_homomorphism(t, dom, cod) for t in maps)
+        got = rings_mod._additive_in(table, axis, dom, cod.add_table,
+                                     rings_mod._Meter(float("inf")), "oracle")
+        assert got == want, (axis, kind, maps)
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_a_generator_image_of_the_wrong_order_is_not_additive():
+    z2, z4 = make_group([2]), make_group([4])
+    assert not rings_mod._additive_in(np.array([0, 1]), 0, z2, z4.add_table,
+                                      rings_mod._Meter(float("inf")), "oracle")

@@ -20,8 +20,8 @@ from gammaring import (build_matrix_ring, build_table_ring, canonical_frames,
 from gammaring.cli import main
 from gammaring.errors import BudgetExceededError
 from gammaring.peirce import IdempotentFrame
-from gammaring.rings import (_associativity, _first, _gamma_distrib, _left_distrib,
-                             _right_distrib, _witness)
+from gammaring.rings import _associativity, _first, _witness
+from conftest import _gamma_distrib, _left_distrib, _right_distrib
 
 NAMES5 = ("x", "alpha", "y", "beta", "z")
 
