@@ -41,6 +41,9 @@ from .rings import _CHUNK_ELEMS, _UNBOUNDED, GammaRing, _chunks, _first, _Meter,
 
 DEFAULT_BUDGET = 10**8
 _SAMPLE_CAP = 1 << 20
+# the most words (8 bytes each) a leaf search's word table of one kind may
+# take, so that the tables of both kinds hold at most _CHUNK_ELEMS words
+_WORD_CAP = _CHUNK_ELEMS // 2
 
 
 @dataclass
@@ -406,6 +409,37 @@ def _identity(subject) -> tuple:
     return ring.m_order, ring.gamma_order, *_leibniz_sides(subject), fold
 
 
+def _pack(ok: np.ndarray) -> np.ndarray:
+    """The boolean rows ok (..., C) as words (..., ceil(C / 64)), bit c of a
+    row in word c // 64 at place c % 64."""
+    words = np.zeros((*ok.shape[:-1], -(-ok.shape[-1] // 64)), dtype="<u8")
+    packed = np.packbits(ok, axis=-1, bitorder="little")
+    words.view(np.uint8)[..., :packed.shape[-1]] = packed
+    return words
+
+
+def _unpack(words: np.ndarray) -> np.ndarray:
+    """The words (..., W) as boolean rows (..., 64 W); the inverse of _pack."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little").view(bool)
+
+
+def _word_table(tgt: np.ndarray) -> Optional[np.ndarray]:
+    """inv[w, y, 1 + o]: the words of the images c with tgt[w, y, c] = o, for
+    a target table tgt (m_t, Y, C) with values below m_t; inv[w, y, 0], read
+    for an unassigned output o = -1, has every bit set.  None when the table
+    would pass _WORD_CAP words.  Built in chunks of w by a one-hot compare,
+    and returned flat, one row of words per (w, y, 1 + o)."""
+    m_t, Y, C = tgt.shape
+    words = -(-C // 64)
+    if (m_t + 1) * m_t * Y * words > _WORD_CAP:
+        return None
+    inv = np.empty((m_t, Y, m_t + 1, words), dtype="<u8")
+    inv[:, :, 0] = np.iinfo(np.uint64).max
+    for lo, hi in _chunks(m_t, Y * m_t * C):
+        inv[lo:hi, :, 1:] = _pack(tgt[lo:hi, :, None, :] == np.arange(m_t)[:, None])
+    return inv.reshape(-1, words)
+
+
 class _PairSearch:
     """DFS over (phi, psi) image assignments with product-instance propagation.
 
@@ -417,19 +451,22 @@ class _PairSearch:
     verification.
 
     Both kinds share one path: the image tables, their used marks and the
-    products are held by kind, kind 0 for phi and kind 1 for psi.  A
-    candidate row (_candidates) compares, for each unassigned index u, the
-    outputs phi(p g x) of the fired instances with the target values under
-    each image c; the gamma kind is the element kind with the last two
-    product slots swapped.  Branch variables: minimum-remaining-values over
-    the rows of both kinds, every candidate forward-checked against the
-    already-fired instances (Haralick and Elliott 1980), so only locally
-    consistent values are ever tried; ties take phi before psi and the
-    lowest index first.  At n >= 3 no instance fires until a gamma is
-    assigned, so the search first branches on the gamma u with the most
-    nonzero products over the assigned elements, and it tries only the
-    values c under which no chain x1 u x2 ... u xn of assigned factors, its
-    source product assigned, contradicts phi (_gamma_values).
+    products are held by kind, kind 0 for phi and kind 1 for psi; the gamma
+    kind is the element kind with the last two product slots swapped.  A
+    candidate row (_rows) holds, for an unassigned index u, one bit per
+    image c, in uint64 words: the AND, over the fired instances p g u, of
+    the images under which the target product matches the output phi(p g u),
+    read from a word table built once per engine and kind (_word_table),
+    and of the free images, whose words _assign and _undo keep.  Branch
+    variables: minimum-remaining-values over the rows of both kinds, every
+    candidate forward-checked against the already-fired instances (Haralick
+    and Elliott 1980), so only locally consistent values are ever tried;
+    ties take phi before psi and the lowest index first.  At n >= 3 no
+    instance fires until a gamma is assigned, so the search first branches
+    on the gamma u with the most nonzero products over the assigned
+    elements, and it tries only the values c under which no chain
+    x1 u x2 ... u xn of assigned factors, its source product assigned,
+    contradicts phi (_gamma_values).
 
     phi(0) = 0 holds in every solution, so run() fixes it: phi(0) =
     phi(0 g ... g x) with phi(x) = 0 collapses to a product with a zero factor
@@ -462,6 +499,8 @@ class _PairSearch:
         # products with the candidate slot last: (prefix, other kind, kind)
         self.slots = ((self.mu_s, self.mu_t),
                       (self.mu_s.swapaxes(1, 2), self.mu_t.swapaxes(1, 2)))
+        self.free = [_pack(~used) for used in self.used]
+        self.inv = None             # the word tables, built by the first _rows
 
     def run(self, fixed=()):
         """Yield each solution, as copies of the (phi, psi) tables, in DFS
@@ -508,12 +547,10 @@ class _PairSearch:
         """
         ok = np.zeros(self.used[kind].size, dtype=bool)
         state = self._fix(fixed)
-        if state is not None:
-            table = self.tables[kind]
-            if table[idx] >= 0:
-                ok[table[idx]] = True
-            else:
-                ok = self._candidates(kind, state, np.array([idx]))[0]
+        if state is not None and self.tables[kind][idx] >= 0:
+            ok[self.tables[kind][idx]] = True
+        elif state is not None:
+            ok = self._candidates(kind, state, np.array([idx]))[0]
         self._undo(0)
         return ok
 
@@ -531,78 +568,105 @@ class _PairSearch:
     def _assign(self, kind, idx, v):
         self.tables[kind][idx] = v
         self.used[kind][v] = True
+        self.free[kind][v >> 6] ^= 1 << (v & 63)
         self.trail.append((kind, idx))
 
     def _undo(self, mark):
         while len(self.trail) > mark:
             kind, i = self.trail.pop()
-            table = self.tables[kind]
-            self.used[kind][table[i]] = False
-            table[i] = -1
+            v, self.tables[kind][i] = int(self.tables[kind][i]), -1
+            self.used[kind][v] = False
+            self.free[kind][v >> 6] ^= 1 << (v & 63)
 
     def _extend(self, pw, pv, am, fam, ag, fag):
-        """The distinct (source, target) values of the products p g x, each
-        prefix pair (pw, pv) extended by an assigned gamma and element."""
-        w = self.mu_s[pw[:, None, None], ag[None, :, None], am[None, None, :]]
-        v = self.mu_t[pv[:, None, None], fag[None, :, None], fam[None, None, :]]
-        keys = np.unique(w.ravel().astype(np.int64) * self.mt + v.ravel())
-        return keys // self.mt, keys % self.mt
+        """The (source, target) values of the products p g x, each prefix pair
+        (pw, pv) extended by an assigned gamma and element, as flat arrays."""
+        w = self.mu_s[pw[:, None], ag][..., am]
+        return w.ravel(), self.mu_t[pv[:, None], fag][..., fam].ravel()
 
     def _state(self):
-        """Assigned elements and gammas with their images, and the prefix
-        pairs (pw, pv) of the length-(n-1) products of assigned factors."""
-        am = np.flatnonzero(self.phi >= 0)
-        ag = np.flatnonzero(self.psi >= 0)
+        """Assigned elements and gammas with their images, and the distinct
+        prefix pairs (pw, pv) of the length-(n-1) products of assigned
+        factors."""
+        am = (self.phi >= 0).nonzero()[0]
+        ag = (self.psi >= 0).nonzero()[0]
         fam = self.phi[am]
         fag = self.psi[ag]
         pw, pv = am, fam
         for _ in range(self.n - 2):
-            pw, pv = self._extend(pw, pv, am, fam, ag, fag)
+            w, v = self._extend(pw, pv, am, fam, ag, fag)
+            keys = np.unique(w.astype(np.int64) * self.mt + v)
+            pw, pv = keys // self.mt, keys % self.mt
         return am, fam, ag, fag, pw, pv
 
     def _propagate(self):
         """Assign the phi values the fired instances force, to a fixed point,
-        and return the _state() there, or None on a conflict."""
+        and return the _state() there, or None on a conflict.
+
+        The outputs of the last extension are read undeduplicated.  An
+        unassigned output (-1) differs from its forced value, so more
+        differences than unassigned outputs mean a contradicted one; forcing
+        one element twice shows as a scatter that does not read back, and
+        one image twice as a bincount above 1.  The new values are assigned
+        in element order."""
         while True:
             state = am, fam, ag, fag, pw, pv = self._state()
             ow, ov = self._extend(pw, pv, am, fam, ag, fag)
             cur = self.phi[ow]
-            if ((cur >= 0) & (cur != ov)).any():
-                return None
             new = cur < 0
-            if not new.any():
+            fresh = np.count_nonzero(new)
+            if np.count_nonzero(cur != ov) > fresh:
+                return None
+            if not fresh:
                 return state
-            nw, nv = ow[new], ov[new]
-            if np.unique(nw).size != nw.size:     # one element, two forced images
+            ow, ov = ow[new], ov[new]
+            forced = np.full(self.m, -1, dtype=np.int64)
+            forced[ow] = ov
+            if np.count_nonzero(forced[ow] != ov):      # one element, two forced images
                 return None
-            if self.phi_used[nv].any():           # image already taken
-                return None
-            if np.unique(nv).size != nv.size:     # two elements, one image
+            nw = (forced >= 0).nonzero()[0]
+            nv = forced[nw]
+            # an image already taken, or forced on two elements
+            if np.count_nonzero(self.phi_used[nv]) or np.bincount(nv).max() > 1:
                 return None
             for x, v in zip(nw.tolist(), nv.tolist()):
                 self._assign(0, x, v)
 
-    def _candidates(self, kind, state, un):
-        """ok[u, c]: image c of index un[u] of `kind` survives the fired instances.
+    def _rows(self, kind, state, un):
+        """Candidate words (U, W): bit c of row u is set when the free image c
+        of index un[u] of `kind` survives the fired instances.
 
         outs (P, X, U) holds phi of each source product of a prefix, an
-        assigned index X of the other kind and un[u]; vals (P, X, C) the
-        target product under image c.  An unassigned output constrains nothing.
+        assigned index X of the other kind and un[u]; an unassigned output
+        (-1) constrains nothing.  A row is the AND of the word table rows
+        inv[target prefix, image of X, 1 + output], gathered by one take of
+        their flat row numbers, with the free-image words.  A kind with no
+        word table, past _WORD_CAP, compares the target products vals
+        (P, X, C) under each image c instead, and packs the result.
         """
         am, fam, ag, fag, pw, pv = state
         x, fx = (ag, fag) if kind == 0 else (am, fam)
         src, tgt = self.slots[kind]
-        free = ~self.used[kind]
-        outs = self.phi[src[np.ix_(pw, x, un)]]
-        vals = tgt[pv[:, None, None], fx[None, :, None], np.arange(free.size)[None, None, :]]
+        outs = self.phi[src[pw[:, None], x][..., un]]
+        self.inv = self.inv or [_word_table(t) for _, t in self.slots]
+        inv = self.inv[kind]
+        if inv is not None:
+            flat = ((pv[:, None] * tgt.shape[1] + fx) * (self.mt + 1) + 1)[:, :, None] + outs
+            return np.bitwise_and.reduce(inv.take(flat, axis=0), axis=(0, 1)) & self.free[kind]
+        vals = tgt[pv[:, None], fx[None, :]]
         ok = ((vals[:, :, None, :] == outs[..., None]) | (outs < 0)[..., None]).all(axis=(0, 1))
-        return ok & free
+        return _pack(ok) & self.free[kind]
+
+    def _candidates(self, kind, state, un):
+        """ok[u, c]: image c of index un[u] of `kind` survives the fired
+        instances and is free; the rows of _rows as booleans."""
+        return _unpack(self._rows(kind, state, un))[:, :self.used[kind].size]
 
     def _branch(self, state):
         """(kind, index, iterator of its values) of the next branch variable
         in `state`, the _state() after propagation, or None at a full
         assignment."""
-        un = [np.flatnonzero(table < 0) for table in self.tables]
+        un = [(table < 0).nonzero()[0] for table in self.tables]
         if un[0].size == 0 and un[1].size == 0:
             return None
         am, fam, ag, fag, pw, pv = state
@@ -612,18 +676,17 @@ class _PairSearch:
             # exists, so nothing discriminates; branch the gamma variable with
             # the most nonzero products over the assigned elements (a zero
             # slot would leave every downstream instance vacuous)
-            prods = self.mu_s[np.ix_(am, un[1], am)]
-            scores = (prods != 0).sum(axis=(0, 2))
+            scores = np.count_nonzero(self.mu_s[np.ix_(am, un[1], am)], axis=(0, 2))
             idx = int(un[1][int(np.argmax(scores))])
             return 1, idx, iter(self._gamma_values(idx, am, fam).tolist())
         # minimum-remaining-values over both kinds, phi rows first: the first
         # least count takes the lowest element index, then the lowest gamma,
         # and a dead end branches on a variable with no value left
-        ok = [self._candidates(kind, state, un[kind]) for kind in (0, 1)]
-        j = int(np.argmin(np.concatenate([rows.sum(axis=1) for rows in ok])))
+        rows = [self._rows(kind, state, un[kind]) for kind in (0, 1)]
+        j = int(np.concatenate([np.bitwise_count(r).sum(axis=1) for r in rows]).argmin())
         kind = int(j >= un[0].size)
         u = j - kind * un[0].size
-        return kind, int(un[kind][u]), iter(np.flatnonzero(ok[kind][u]).tolist())
+        return kind, int(un[kind][u]), iter(_unpack(rows[kind][u]).nonzero()[0].tolist())
 
     def _gamma_values(self, u, am, fam):
         """The free values c of psi(u) under which no chain x1 u x2 ... u xn of
@@ -631,7 +694,7 @@ class _PairSearch:
 
         Rows (value position, source value, target value) extend the chains
         one (u, x) step at a time, each depth's rows deduplicated as in
-        _extend, so a value keeps at most m * m_t rows.
+        _state, so a value keeps at most m * m_t rows.
         """
         cs = np.flatnonzero(~self.psi_used)
         k = np.repeat(np.arange(cs.size), am.size)

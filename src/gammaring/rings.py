@@ -415,16 +415,28 @@ def trivial_ring(m_group: FiniteAbelianGroup, gamma_group: FiniteAbelianGroup) -
 
 def _triple_products(ea: np.ndarray, eb: np.ndarray, mod: int, places) -> np.ndarray:
     """[x, g, y] = the index of the matrix product x.g.y mod `mod`, x and y
-    over the matrices ea, g over eb, the index read by `places`.  The
-    products are built in chunks of x, so no intermediate passes _CHUNK_ELEMS
-    entries by more than one x's share."""
-    na, nb = len(ea), len(eb)
-    out = np.empty((na, nb, na), dtype=np.int32)
-    for lo, hi in _chunks(na, nb * na * ea[0].size):
-        xg = ea[lo:hi, None] @ eb[None] % mod                  # (x, g) matrices
-        xgy = xg[:, :, None] @ ea[None, None] % mod           # (x, g, y) matrices
-        out[lo:hi] = (xgy.reshape(hi - lo, nb, na, -1) * places).sum(axis=3)
-    return out
+    over the matrices ea, g over eb, the index read by `places`.
+
+    The middle product is square, k x k with k = min(rows, cols) of x: x.g
+    when x has no more rows than columns, so x.g.y = (x.g).y, else g.y, so
+    x.g.y = x.(g.y).  The ends s.y (or x.s) are indexed once for each of the
+    mod^(k^2) square matrices s, and the table is one gather of them by the
+    index of each middle product.  Under build_matrix_ring's order budget
+    no intermediate reaches _CHUNK_ELEMS entries (the most are
+    matrix(2,3,3)'s 2^18 * 9), far fewer than the table's."""
+    rows, cols = ea.shape[1:]
+    k = min(rows, cols)
+    squares = np.indices((mod,) * (k * k)).reshape(k * k, -1).T.reshape(-1, k, k)
+    square_places = mod ** np.arange(k * k)[::-1]
+
+    def index(mats, at):
+        return (mats.reshape(*mats.shape[:-2], -1) % mod * at).sum(axis=-1)
+
+    if rows <= cols:
+        ends = index(squares[:, None] @ ea[None], places).astype(np.int32)     # [s, y]
+        return ends[index(ea[:, None] @ eb[None], square_places)]
+    ends = index(ea[:, None] @ squares[None], places).astype(np.int32)         # [x, s]
+    return ends[:, index(eb[:, None] @ ea[None], square_places)]
 
 
 def build_matrix_ring(mod: int, rows: int, cols: int) -> GammaRing:

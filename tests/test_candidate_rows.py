@@ -13,8 +13,8 @@ import itertools
 import numpy as np
 import pytest
 
-from gammaring import build_matrix_ring, direct_product, make_group, trivial_ring
-from gammaring.multmaps import _chain, _free_part, _Meter, _PairSearch, _tuple_step
+from gammaring import build_matrix_ring, direct_product, make_group, multmaps, trivial_ring
+from gammaring.multmaps import _chain, _free_part, _Meter, _pair_group, _PairSearch, _tuple_step
 
 RINGS = {
     "matrix(2,2,2)": lambda: build_matrix_ring(2, 2, 2),
@@ -115,3 +115,72 @@ def test_candidate_rows_match_instance_loop(name, n):
                 eng._assign(kind, idx, int(table[idx]))
         _check_state(eng)
         eng._undo(0)
+
+
+# 64 elements and 64 gammas, so a row fills exactly one word; 81 need two
+WORD_RINGS = {"matrix(2,2,3)": lambda: build_matrix_ring(2, 2, 3),
+              "matrix(3,2,2)": lambda: build_matrix_ring(3, 2, 2)}
+
+
+def _check_some_rows(eng, state):
+    """About four rows of each kind equal to the oracle; how many were checked."""
+    checked = 0
+    for kind, table in enumerate(eng.tables):
+        un = np.flatnonzero(table < 0)
+        pick = un[::max(1, un.size // 3)]
+        for u, row in zip(pick.tolist(), eng._candidates(kind, state, pick)):
+            assert row.tolist() == _row_oracle(eng, kind, u).tolist(), (kind, u)
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("name", WORD_RINGS)
+def test_candidate_rows_across_word_boundaries(name):
+    # three levels of the pair chain at n = 2, then the first branch points
+    # of a leaf search, where rows of both kinds are partly cut
+    ring = WORD_RINGS[name]()
+    eng = _PairSearch(ring, ring, 2, _Meter(10**8))
+    lists = _chain_fixed_lists(ring, 2)
+    checked = 0
+    for fixed in lists[1:4]:
+        checked += _check_some_rows(eng, eng._fix(fixed))
+        eng._undo(0)
+    rec = _Recorder(ring, ring, 2, _Meter(6))
+    next(rec.run(lists[1]), None)
+    assert len(rec.states) == DFS_STATES
+    for tables in rec.states:
+        for kind, table in enumerate(tables):
+            for idx in np.flatnonzero(table >= 0).tolist():
+                eng._assign(kind, idx, int(table[idx]))
+        checked += _check_some_rows(eng, eng._state())
+        eng._undo(0)
+    assert checked >= 50
+
+
+@pytest.mark.parametrize("name", WORD_RINGS)
+def test_word_table_holds_the_images_of_each_output(name):
+    ring = WORD_RINGS[name]()
+    rng = np.random.default_rng(0)
+    for tgt in (ring.mu, ring.mu.swapaxes(1, 2)):       # the candidate slot last
+        m_t, ys, _ = tgt.shape
+        inv = multmaps._word_table(tgt).reshape(m_t, ys, m_t + 1, -1)
+        assert (inv[:, :, 0] == np.iinfo(np.uint64).max).all()      # o = -1: no constraint
+        for w, y, o in zip(*(rng.integers(0, k, 200) for k in (m_t, ys, m_t))):
+            bits = np.flatnonzero(multmaps._unpack(inv[w, y, 1 + o])).tolist()
+            assert bits == np.flatnonzero(tgt[w, y] == o).tolist()
+
+
+def _chain_run(ring, n):
+    work = _Meter(10**8)
+    grp = _pair_group(ring, n, work)
+    return grp.order, work.spent, [[t.tolist() for t in s] for s in grp.generators]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_rows_without_word_tables_give_the_same_chain(n, monkeypatch):
+    # past the word cap a kind compares the target products under each image
+    ring = build_matrix_ring(2, 2, 2)
+    want = _chain_run(ring, n)
+    monkeypatch.setattr(multmaps, "_WORD_CAP", 0)
+    assert multmaps._word_table(ring.mu) is None
+    assert _chain_run(ring, n) == want

@@ -171,6 +171,14 @@ def test_hunt_matrix_family_is_exact():
             assert e.iso_found == prod(2**k - 2**i for i in range(k))
 
 
+def test_pair_chain_on_a_64_element_ring():
+    # matrix(2,2,3): |GL(2,2)| |GL(3,2)| / (2 - 1) = 6 * 168 pairs, and the
+    # leaf searches' node count, pinned
+    work = _Meter(10**8)
+    assert _pair_group(build_matrix_ring(2, 2, 3), 2, work).order == 1_008
+    assert work.spent == 1_692
+
+
 def _inverse_mod2(a):
     det = round(np.linalg.det(a))
     return np.rint(det * np.linalg.inv(a)).astype(np.int64) % 2
