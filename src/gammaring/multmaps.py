@@ -171,8 +171,9 @@ def _chain(mu, factors, step):
 
 
 def _leibniz(mu, addm, d, factors, step):
-    """Sum over i of the chain with d applied to the i-th factor (d[slice(None)] is d)."""
-    dfactors = [d[x] for x in factors]
+    """Sum over i of the chain with d applied to the i-th factor (d[..., slice(None)] is
+    d).  A (k, m) d, k tables at once, gives k sums along a leading axis."""
+    dfactors = [d[..., x] for x in factors]
     rhs = None
     for i in range(len(factors)):
         t = dfactors[0] if i == 0 else factors[0]
@@ -1064,10 +1065,20 @@ def _howell(a, N: int) -> tuple:
     joins the rows still to reduce.  So a span vector that is zero before
     column c is a combination of the rows pivoting at c or later, and the
     span vectors are the sums of lambda_i row_i, 0 <= lambda_i < N / gcd(v_i, N).
+
+    The pivot column is the leftmost column any row still to reduce reaches,
+    and the pivot row the first of them with the least gcd(v, N) there.  Only
+    the rows nonzero in the pivot column are reduced, and the multiple, zero
+    unless gcd(v, N) > 1, goes last; rows keep their order otherwise.  Over
+    Z/2 a row is one integer, column 0 its top bit, and reducing is an XOR
+    (as in M4RI: Albrecht, Bard and Hart 2010); the rows come out the same.
     """
     a = np.asarray(a, dtype=np.int64) % N
+    if N == 2:
+        return _howell_z2(a)
     width, rows, pivots = a.shape[1], [], []
-    while len(a := a[a.any(axis=1)]):
+    a = a[a.any(axis=1)]
+    while len(a):
         c = int(np.argmax(a.any(axis=0)))         # every row is zero before c
         col = a[:, c]
         piv = a[np.argmin(np.gcd(col, N))].copy()     # a view would keep the pool alive
@@ -1076,11 +1087,34 @@ def _howell(a, N: int) -> tuple:
             t = next(t for t in range(N) if gcd(x + t * e, N) == gcd(x, e, N))
             piv = (piv + t * a[off[0]]) % N
         g = gcd(int(piv[c]), N)
-        q = col // g * pow(int(piv[c]) // g, -1, N // g)
-        a = np.vstack([(a - q[:, None] * piv) % N, N // g * piv % N])
+        hit = np.flatnonzero(col)
+        a[hit] = (a[hit] - (col[hit] // g * pow(int(piv[c]) // g, -1, N // g))[:, None] * piv) % N
+        a = np.delete(a, hit[~a[hit].any(axis=1)], axis=0)
+        if (multiple := N // g * piv % N).any():
+            a = np.vstack([a, multiple])
         rows.append(piv)
         pivots.append(c)
     return np.array(rows, dtype=np.int64).reshape(-1, width), pivots
+
+
+def _howell_z2(a) -> tuple:
+    """_howell over Z/2 of a 0/1 array, each row held as one integer."""
+    width, size = a.shape[1], -(-a.shape[1] // 8)
+    packed = np.packbits(a.astype(bool), axis=1).tobytes()
+    pool = [int.from_bytes(packed[i * size:(i + 1) * size], "big") for i in range(len(a))]
+    pool = [r for r in pool if r]
+    rows, pivots = [], []
+    while pool:
+        top = max(pool).bit_length()
+        bit = 1 << (top - 1)                        # no row reaches past it
+        i = next(i for i, r in enumerate(pool) if r >= bit)
+        piv = pool[i]
+        pool = pool[:i] + [x for r in pool[i + 1:] if (x := r ^ piv if r >= bit else r)]
+        rows.append(piv)
+        pivots.append(8 * size - top)
+    packed = np.frombuffer(b"".join(r.to_bytes(size, "big") for r in rows), dtype=np.uint8)
+    rows = np.unpackbits(packed.reshape(len(rows), size), axis=1, count=width)
+    return rows.astype(np.int64), pivots
 
 
 class _Span:
@@ -1115,15 +1149,24 @@ class _Span:
         when it vanishes everywhere; defect(d) gives an element per tuple.
 
         Basis row i becomes [w_i | row_i], w_i its defects over the distinct
-        tuples.  These rows span the pairs (sum lambda_i w_i, sum lambda_i
-        row_i), so by the Howell property the rows of their Howell form that
-        pivot past w are a Howell basis of the maps with zero defect.
+        tuples, a tuple being the column of its defects under each row, taken
+        in lex order of those columns.  These rows span the pairs (sum
+        lambda_i w_i, sum lambda_i row_i), so by the Howell property the rows
+        of their Howell form that pivot past w are a Howell basis of the maps
+        with zero defect.
+
+        defect is evaluated once, on the (k, m) tables of all k basis rows,
+        and gives a (k, ...) array; a span with no rows is returned without
+        evaluating it.
         """
-        values = np.array([defect(d).ravel() for d in self.tables(self.rows)])
+        if not len(self.rows):
+            return self
+        values = defect(self.tables(self.rows)).reshape(len(self.rows), -1)
         if not values.any():
             return self
-        keys = np.unique(values.T, axis=0)          # each tuple's defects, once
-        w = (self.group.residues[keys] * self.scale).transpose(1, 0, 2).reshape(len(self.rows), -1)
+        values = values[:, np.lexsort(values[::-1])]    # tuples in lex order of their defects
+        fresh = np.r_[True, (values[:, 1:] != values[:, :-1]).any(axis=0)]     # each once
+        w = (self.group.residues[values[:, fresh]] * self.scale).reshape(len(self.rows), -1)
         rows, pivots = _howell(np.hstack([w, self.rows]), self.N)
         keep = [i for i, c in enumerate(pivots) if c >= w.shape[1]]
         return _Span(self.group, rows[keep, w.shape[1]:], [pivots[i] - w.shape[1] for i in keep])
@@ -1131,7 +1174,10 @@ class _Span:
     def additive(self) -> "_Span":
         """The maps of the span that are endomorphisms of M."""
         add, sub = self.group.add_table, self.group.sub_index_array
-        return self.cut(lambda d: sub(d[add], add[d[:, None], d[None, :]]))
+        step = max(1, _CHUNK_ELEMS // add.size)     # rows per block of m^2 defects each
+        return self.cut(lambda d: np.concatenate([
+            sub(b[..., add], add[b[..., :, None], b[..., None, :]])
+            for b in (d[lo:lo + step] for lo in range(0, len(d), step))]))
 
     def walk(self):
         """Every map of the span as an index table, in lex table order.
@@ -1190,7 +1236,8 @@ def _derivations(ring: GammaRing, n: int, work: _Meter) -> Optional[_Span]:
     def defect(t):
         xs, step = t[0::2], _tuple_step(t[1::2])
         out = _chain(ring.mu, xs, step)
-        return lambda d: ring.m_group.sub_index_array(d[out], _leibniz(ring.mu, addm, d, xs, step))
+        return lambda d: ring.m_group.sub_index_array(d[..., out],
+                                                      _leibniz(ring.mu, addm, d, xs, step))
 
     span, done, settled = _Span(ring.m_group, None, None), 0, False
     while True:

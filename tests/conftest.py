@@ -6,7 +6,7 @@ import pytest
 
 from gammaring import (build_matrix_ring, build_table_ring, direct_product,
                        make_group, trivial_ring)
-from gammaring.multmaps import _compose, _Meter, _PairSearch
+from gammaring.multmaps import _compose, _Meter, _PairSearch, _Span
 from gammaring.rings import AXIOM_EVAL_CAP, _additivity_witness
 
 
@@ -83,6 +83,49 @@ def barnes_corpus(matrix222, matrix212, trivial_z4, f4ring, z2scalar):
         ("trivialZ2 x matrix(2,1,1)", direct_product(
             trivial_ring(make_group([2]), make_group([2])), build_matrix_ring(2, 1, 1))),
     ]
+
+
+def reference_howell(a, N: int) -> tuple:
+    """The oracle for multmaps._howell: the elimination it replaced, which
+    rewrites the whole row pool at every pivot.  Its docstring follows.
+
+    (rows, pivots): a Howell basis of the row span of `a` over Z/N (Howell 1986).
+
+    Each pivot row's (N / gcd(v, N)) multiple, zero at its pivot entry v,
+    joins the rows still to reduce.  So a span vector that is zero before
+    column c is a combination of the rows pivoting at c or later, and the
+    span vectors are the sums of lambda_i row_i, 0 <= lambda_i < N / gcd(v_i, N).
+    """
+    a = np.asarray(a, dtype=np.int64) % N
+    width, rows, pivots = a.shape[1], [], []
+    while len(a := a[a.any(axis=1)]):
+        c = int(np.argmax(a.any(axis=0)))         # every row is zero before c
+        col = a[:, c]
+        piv = a[np.argmin(np.gcd(col, N))].copy()     # a view would keep the pool alive
+        while (off := np.flatnonzero(col % gcd(int(piv[c]), N))).size:
+            x, e = int(piv[c]), int(col[off[0]])    # some x + t e has gcd(x, e, N)
+            t = next(t for t in range(N) if gcd(x + t * e, N) == gcd(x, e, N))
+            piv = (piv + t * a[off[0]]) % N
+        g = gcd(int(piv[c]), N)
+        q = col // g * pow(int(piv[c]) // g, -1, N // g)
+        a = np.vstack([(a - q[:, None] * piv) % N, N // g * piv % N])
+        rows.append(piv)
+        pivots.append(c)
+    return np.array(rows, dtype=np.int64).reshape(-1, width), pivots
+
+
+def reference_cut(span, defect):
+    """The oracle for multmaps._Span.cut: the cut it replaced, which evaluates
+    defect on one basis table at a time and takes the distinct tuples from
+    np.unique, with the Howell form of reference_howell."""
+    values = np.array([defect(d).ravel() for d in span.tables(span.rows)])
+    if not values.any():
+        return span
+    keys = np.unique(values.T, axis=0)          # each tuple's defects, once
+    w = (span.group.residues[keys] * span.scale).transpose(1, 0, 2).reshape(len(span.rows), -1)
+    rows, pivots = reference_howell(np.hstack([w, span.rows]), span.N)
+    keep = [i for i, c in enumerate(pivots) if c >= w.shape[1]]
+    return _Span(span.group, rows[keep, w.shape[1]:], [pivots[i] - w.shape[1] for i in keep])
 
 
 def midx(ring, *rows):
