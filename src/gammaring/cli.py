@@ -21,8 +21,8 @@ import traceback
 
 from .errors import (BudgetExceededError, FrameValidationError, GRDFError,
                      InternalInconsistencyError, PreconditionError)
-from .grdf import load_grdf
-from .multmaps import (DEFAULT_BUDGET, MapPair, SearchConfig, search_n_derivations,
+from .grdf import load_grdf, subject_tables
+from .multmaps import (DEFAULT_BUDGET, SearchConfig, search_n_derivations,
                        search_n_multiplicative_isos, verify_additive, verify_n_derivation,
                        verify_n_multiplicative)
 from .peirce import check_martindale_family, check_peirce_relations, peirce_decompose
@@ -90,13 +90,6 @@ def _status(verdicts) -> int:
 
 def _subject_kind(command: str) -> str:
     return "iso" if command.endswith("-iso") else "derivation"
-
-
-def _tables(obj) -> dict:
-    """The tables that identify a map pair or a derivation in a report."""
-    if isinstance(obj, MapPair):
-        return {"phi": [int(v) for v in obj.phi], "psi": [int(v) for v in obj.psi]}
-    return {"d": list(obj.key())}
 
 
 def cmd_axioms(doc, args):
@@ -205,11 +198,11 @@ def _cmd_search(doc, args):
         "additive": len(found) - len(non_additive),
         "complete": res.complete,
         "nodes": res.nodes,
-        listing: [dict(_tables(obj), additive=ar.passed) for obj, ar in found],
+        listing: [dict(subject_tables(obj), additive=ar.passed) for obj, ar in found],
     }
     if args.require_additive and non_additive:
         obj, ar = non_additive[0]
-        witness = _tables(obj)
+        witness = subject_tables(obj)
         if kind == "iso":               # pair witnesses also carry their additive flag
             witness["additive"] = False
         witness["additivity_witness"] = _render_witness(ring, ar.witness)
@@ -267,7 +260,7 @@ def cmd_hunt(paths, args):
     survey = hunt_counterexamples(rings, n=args.n, budget=args.budget)
     entries = []
     for e in survey.entries:
-        witnesses = [{"kind": kind, **_tables(obj)} for kind, obj in e.witnesses]
+        witnesses = [{"kind": kind, **subject_tables(obj)} for kind, obj in e.witnesses]
         entries.append({
             "ring": e.name,
             "conditions": e.conditions,

@@ -224,11 +224,18 @@ def document_dict(ring: GammaRing, frames=None, maps=None, derivations=None) -> 
                             "left_f": fr.left_f.tolist(), "right_f": fr.right_f.tolist()})
         doc["frames"] = out
     if maps:
-        doc["maps"] = [{"phi": [int(v) for v in p.phi], "psi": [int(v) for v in p.psi]}
-                       for p in maps]
+        doc["maps"] = [subject_tables(p) for p in maps]
     if derivations:
-        doc["derivations"] = [{"d": [int(v) for v in d.d]} for d in derivations]
+        doc["derivations"] = [subject_tables(d) for d in derivations]
     return doc
+
+
+def subject_tables(subject) -> dict:
+    """The tables that identify a map pair, {"phi", "psi"}, or a derivation,
+    {"d"}: its entry in a document, and in a report."""
+    if isinstance(subject, MapPair):
+        return {"phi": [int(v) for v in subject.phi], "psi": [int(v) for v in subject.psi]}
+    return {"d": [int(v) for v in subject.d]}
 
 
 def emit_grdf(doc: dict) -> str:

@@ -1174,10 +1174,9 @@ class _Span:
     def additive(self) -> "_Span":
         """The maps of the span that are endomorphisms of M."""
         add, sub = self.group.add_table, self.group.sub_index_array
-        step = max(1, _CHUNK_ELEMS // add.size)     # rows per block of m^2 defects each
-        return self.cut(lambda d: np.concatenate([
+        return self.cut(lambda d: np.concatenate([     # blocks of rows, m^2 defects each
             sub(b[..., add], add[b[..., :, None], b[..., None, :]])
-            for b in (d[lo:lo + step] for lo in range(0, len(d), step))]))
+            for b in (d[lo:hi] for lo, hi in _chunks(len(d), add.size))]))
 
     def walk(self):
         """Every map of the span as an index table, in lex table order.

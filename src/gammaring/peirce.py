@@ -84,12 +84,29 @@ class PeirceRelationsReport:
 
 @dataclass
 class MartindaleReport:
-    overall: bool
+    """The structural conditions on a ring and its frames, one verdict each.
+
+    frame_violations and cond_iv hold one entry per frame; with no frame,
+    cond_iii is None and every condition but ii fails.  A ring qualifies
+    (overall) when all of `conditions` hold: this is the only statement of
+    that rule.
+    """
     frame_violations: list
     cond_ii: ConditionReport
     cond_iii: Optional[ConditionReport]
     cond_iv: list
     reason: Optional[str] = None
+
+    @property
+    def conditions(self) -> dict:
+        return {"frame-family": bool(self.frame_violations) and not any(self.frame_violations),
+                "ii": self.cond_ii.holds,
+                "iii": self.cond_iii is not None and self.cond_iii.holds,
+                "iv": bool(self.cond_iv) and all(r.holds for r in self.cond_iv)}
+
+    @property
+    def overall(self) -> bool:
+        return all(self.conditions.values())
 
 
 def _is_unity(ring: GammaRing, e: int, gamma: int) -> bool:
@@ -327,14 +344,10 @@ def check_martindale_family(ring: GammaRing, frames) -> MartindaleReport:
         raise ValueError("a frame is built on another ring than the one checked")
     cond_ii = check_condition_ii(ring)
     if not frames:
-        return MartindaleReport(False, [], cond_ii, None, [],
-                                reason="empty idempotent family")
-    frame_violations = [fr.violations for fr in frames]
-    cond_iii = check_condition_iii(ring, frames)
-    cond_iv = [check_condition_iv(fr) for fr in frames]
-    overall = (cond_ii.holds and cond_iii.holds and all(r.holds for r in cond_iv)
-               and all(not v for v in frame_violations))
-    return MartindaleReport(overall, frame_violations, cond_ii, cond_iii, cond_iv)
+        return MartindaleReport([], cond_ii, None, [], reason="empty idempotent family")
+    return MartindaleReport([fr.violations for fr in frames], cond_ii,
+                            check_condition_iii(ring, frames),
+                            [check_condition_iv(fr) for fr in frames])
 
 
 def canonical_frames(ring: GammaRing) -> list[IdempotentFrame]:

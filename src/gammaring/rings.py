@@ -388,7 +388,7 @@ def check_nobusawa(ring: GammaRing) -> list[AxiomReport]:
 
 
 def build_table_ring(m_group: FiniteAbelianGroup, gamma_group: FiniteAbelianGroup,
-                     mu, nu=None, descriptor: Optional[dict] = None) -> GammaRing:
+                     mu, nu=None) -> GammaRing:
     """Wrap an explicit product table; axioms are NOT checked here."""
     mo, go = m_group.order, gamma_group.order
     mu = np.ascontiguousarray(np.asarray(mu, dtype=np.int32))
@@ -402,7 +402,7 @@ def build_table_ring(m_group: FiniteAbelianGroup, gamma_group: FiniteAbelianGrou
             raise ValueError(f"nu shape {nu.shape} != {(go, mo, go)}")
         if nu.size and (nu.min() < 0 or nu.max() >= go):
             raise ValueError("nu entries out of Gamma index range")
-    return GammaRing(m_group, gamma_group, mu, nu, descriptor)
+    return GammaRing(m_group, gamma_group, mu, nu)
 
 
 def trivial_ring(m_group: FiniteAbelianGroup, gamma_group: FiniteAbelianGroup) -> GammaRing:

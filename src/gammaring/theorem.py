@@ -26,8 +26,8 @@ from .multmaps import (DEFAULT_BUDGET, DefectMap, DerivationTable, MapPair, Sear
                        VerifyReport, _aut_order, _chain, _defect, _derivations,
                        _exact_chains, _grid_step, _identity, _length_k_products,
                        _pair_group, verify_additive)
-from .peirce import (IdempotentFrame, MartindaleReport, PeirceComponents,
-                     canonical_frames, check_martindale_family, peirce_decompose)
+from .peirce import (IdempotentFrame, MartindaleReport, canonical_frames,
+                     check_martindale_family, peirce_decompose)
 from .rings import (GammaRing, _chunks, _first, _Meter, _witness, build_matrix_ring,
                     make_group, trivial_ring)
 
@@ -215,22 +215,21 @@ def _absorption_witness(ring, k, side, pk, fail, first_xy) -> dict:
     return w
 
 
-def check_claims(defect: DefectMap, frame: IdempotentFrame,
-                 components: Optional[PeirceComponents] = None) -> ClaimTrace:
+def check_claims(defect: DefectMap, frame: IdempotentFrame) -> ClaimTrace:
     """Exhaustively evaluate the five staged vanishing identities for f.
 
     claim1: products scale through f from either side.  claim2: f kills
     (diagonal, off-diagonal) block pairs.  claim3/claim4: f kills the (1,2)
     and (1,1) blocks against themselves.  claim5: f kills corner products
-    e.gamma.x in both arguments.
+    e.gamma.x in both arguments.  Claims 2-5 each scan f on a list of blocks
+    A x Gamma x B, in order; the witness is the first nonzero (a, gamma, b),
+    and claim2's also names its blocks.
     """
     ring = defect.ring
     f = defect.f
     mu = ring.mu
     m, g = ring.m_order, ring.gamma_order
-    if components is None:
-        components = peirce_decompose(frame)
-    comps = components.components
+    comps = {ij: np.asarray(c) for ij, c in peirce_decompose(frame).components.items()}
     gam = np.arange(g)
     claims = {}
 
@@ -255,41 +254,27 @@ def check_claims(defect: DefectMap, frame: IdempotentFrame,
                        "y": int(y), "beta": int(b), "u": int(u)}
     claims["claim1"] = VerifyReport(witness is None, True, 2 * m**3 * g**2, witness)
 
-    witness = None
-    checked = 0
+    def vanishes(blocks) -> VerifyReport:
+        """f = 0 on each ((a name, A), (b name, B), extra keys) block A x Gamma x B."""
+        checked, witness = 0, None
+        for (an, a), (bn, b), extra in blocks:
+            checked += a.size * g * b.size
+            if witness is None and (bad := _first(f[np.ix_(a, gam, b)] != 0)) is not None:
+                p, q, r = bad
+                witness = {an: int(a[p]), "gamma": q, bn: int(b[r]), **extra}
+        return VerifyReport(witness is None, True, checked, witness)
+
+    claim2 = []
     for i in (1, 2):
         for jk in ((1, 2), (2, 1)):
-            diag = np.asarray(comps[(i, i)])
-            off = np.asarray(comps[jk])
-            checked += 2 * diag.size * g * off.size
-            for a, b_, names in ((diag, off, ("x_ii", "gamma", "x_jk")),
-                                 (off, diag, ("x_jk", "gamma", "x_ii"))):
-                bad = _first(f[np.ix_(a, gam, b_)] != 0)
-                if bad is not None and witness is None:
-                    p, q, r = bad
-                    witness = {names[0]: int(a[p]), "gamma": int(q), names[2]: int(b_[r]),
-                               "blocks": ((i, i), jk)}
-    claims["claim2"] = VerifyReport(witness is None, True, checked, witness)
-
+            diag, off = ("x_ii", comps[(i, i)]), ("x_jk", comps[jk])
+            tag = {"blocks": ((i, i), jk)}
+            claim2 += [(diag, off, tag), (off, diag, tag)]
+    claims["claim2"] = vanishes(claim2)
     for name, ij in (("claim3", (1, 2)), ("claim4", (1, 1))):
-        blk = np.asarray(comps[ij])
-        block = f[np.ix_(blk, gam, blk)]
-        witness = None
-        bad = _first(block != 0)
-        if bad is not None:
-            p, q, r = bad
-            witness = {"x": int(blk[p]), "gamma": int(q), "u": int(blk[r])}
-        claims[name] = VerifyReport(witness is None, True, block.size, witness)
-
+        claims[name] = vanishes([(("x", comps[ij]), ("u", comps[ij]), {})])
     corner = np.unique(mu[frame.e])          # e.lambda.x values
-    block = f[np.ix_(corner, gam, corner)]
-    witness = None
-    bad = _first(block != 0)
-    if bad is not None:
-        p, q, r = bad
-        witness = {"x": int(corner[p]), "gamma": int(q), "y": int(corner[r])}
-    claims["claim5"] = VerifyReport(witness is None, True, block.size, witness)
-
+    claims["claim5"] = vanishes([(("x", corner), ("y", corner), {})])
     return ClaimTrace(frame, claims)
 
 
@@ -491,14 +476,6 @@ def hunt_counterexamples(rings, n: int = 2, budget: int = DEFAULT_BUDGET) -> Sur
     for name, ring in rings:
         frames = canonical_frames(ring)
         fam = check_martindale_family(ring, frames)
-        conditions = {
-            "frame-family": bool(frames) and all(not v for v in fam.frame_violations),
-            "ii": fam.cond_ii.holds,
-            "iii": fam.cond_iii.holds if fam.cond_iii is not None else False,
-            "iv": all(r.holds for r in fam.cond_iv) if fam.cond_iv else False,
-        }
-        qualifying = fam.overall
-
         config = SearchConfig(n=n, budget=budget)
         ring.require_barnes()
         isos = _pair_count(ring, config)
@@ -506,7 +483,7 @@ def hunt_counterexamples(rings, n: int = 2, budget: int = DEFAULT_BUDGET) -> Sur
         complete = complete and isos.complete and derivs.complete
 
         nonadd = (isos.found - isos.additive) + (derivs.found - derivs.additive)
-        if qualifying and nonadd:
+        if fam.overall and nonadd:
             raise InternalInconsistencyError(
                 f"ring {name!r} satisfies all conditions yet carries "
                 f"{nonadd} non-additive multiplicative maps")
@@ -515,7 +492,7 @@ def hunt_counterexamples(rings, n: int = 2, budget: int = DEFAULT_BUDGET) -> Sur
                       for d in derivs.first_nonadditive(WITNESS_CAP - len(witnesses))]
 
         entries.append(RingSurvey(
-            name, conditions, qualifying, len(frames),
+            name, fam.conditions, fam.overall, len(frames),
             isos.found, isos.additive, isos.complete,
             derivs.found, derivs.additive, derivs.complete,
             witnesses))

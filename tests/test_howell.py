@@ -151,7 +151,7 @@ def test_a_batched_cut_matches_per_row_evaluation(name, n, monkeypatch):
     # additive in blocks of one and of three rows gives the same span
     span = cuts[0][0]
     for rows in (1, 3):
-        monkeypatch.setattr(multmaps, "_CHUNK_ELEMS", rows * ring.m_order**2)
+        monkeypatch.setattr("gammaring.rings._CHUNK_ELEMS", rows * ring.m_order**2)
         _same_span(span.additive(), reference_cut(span, _row_additivity(ring.m_group)), span)
 
 
