@@ -10,7 +10,7 @@ parse -> emit round-trips byte-identically on canonical documents.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -25,9 +25,9 @@ from .rings import GammaRing, build_matrix_ring, build_table_ring
 @dataclass
 class GRDFDocument:
     ring: GammaRing
-    frame_specs: list = field(default_factory=list)
-    maps: list = field(default_factory=list)
-    derivations: list = field(default_factory=list)
+    frame_specs: list
+    maps: list
+    derivations: list
 
     def build_frames(self) -> list:
         """Materialize frame specs; canonical specs are verified on the spot."""
@@ -91,9 +91,13 @@ def _int_table(val, where: str) -> np.ndarray:
     return arr
 
 
-def _section(doc: dict, key: str) -> list:
-    """An optional list section of the document; absent means empty."""
-    return _need(doc, key, list, "document") if key in doc else []
+def _entries(doc: dict, key: str):
+    """(where, entry) for each object of an optional list section; absent means empty."""
+    for i, entry in enumerate(_need(doc, key, list, "document") if key in doc else []):
+        where = f"{key}[{i}]"
+        if not isinstance(entry, dict):
+            raise GRDFError(f"{where}: must be an object")
+        yield where, entry
 
 
 def parse_grdf(text: str) -> GRDFDocument:
@@ -135,10 +139,7 @@ def parse_grdf(text: str) -> GRDFDocument:
         raise GRDFError(f"unknown product type {ptype!r}")
 
     frame_specs = []
-    for i, fr in enumerate(_section(doc, "frames")):
-        where = f"frames[{i}]"
-        if not isinstance(fr, dict):
-            raise GRDFError(f"{where}: must be an object")
+    for where, fr in _entries(doc, "frames"):
         mode = _need(fr, "mode", str, where)
         e = _need(fr, "e", int, where)
         g1 = _need(fr, "gamma1", int, where)
@@ -166,10 +167,7 @@ def parse_grdf(text: str) -> GRDFDocument:
             raise GRDFError(f"{where}: unknown mode {mode!r}")
 
     maps = []
-    for i, mp in enumerate(_section(doc, "maps")):
-        where = f"maps[{i}]"
-        if not isinstance(mp, dict):
-            raise GRDFError(f"{where}: must be an object")
+    for where, mp in _entries(doc, "maps"):
         phi = _int_list(_need(mp, "phi", list, where), where)
         psi = _int_list(_need(mp, "psi", list, where), where)
         try:
@@ -178,10 +176,7 @@ def parse_grdf(text: str) -> GRDFDocument:
             raise GRDFError(f"{where}: {ex}") from None
 
     derivations = []
-    for i, dv in enumerate(_section(doc, "derivations")):
-        where = f"derivations[{i}]"
-        if not isinstance(dv, dict):
-            raise GRDFError(f"{where}: must be an object")
+    for where, dv in _entries(doc, "derivations"):
         d = _int_list(_need(dv, "d", list, where), where)
         try:
             derivations.append(DerivationTable(ring, _int_table(d, "d")))

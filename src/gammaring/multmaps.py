@@ -117,6 +117,8 @@ class DefectMap:
         m, g = self.ring.m_order, self.ring.gamma_order
         if self.f.shape != (m, g, m):
             raise ValueError(f"defect table shape {self.f.shape} != {(m, g, m)}")
+        if self.f.size and (self.f.min() < 0 or self.f.max() >= m):
+            raise ValueError("defect entries out of M index range")
         self.f.setflags(write=False)
 
     @property

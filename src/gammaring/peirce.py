@@ -149,15 +149,12 @@ def validate_frame(frame: IdempotentFrame) -> list[FrameViolation]:
         out.append(FrameViolation("nontrivial-idempotent", {"e": e, "gamma1": g1}))
 
     idx = np.arange(m)
-    want_left = mg.sub_index_array(idx, mu[e, g1])
-    bad = np.flatnonzero(lf[g1] != want_left)
-    if bad.size:
-        out.append(FrameViolation("left-specialization", {"a": int(bad[0])}))
-
-    want_right = mg.sub_index_array(idx, mu[:, g1, e])
-    bad = np.flatnonzero(rf[:, g1] != want_right)
-    if bad.size:
-        out.append(FrameViolation("right-specialization", {"a": int(bad[0])}))
+    # left_f[g1, a] = a - e.g1.a and right_f[a, g1] = a - a.g1.e
+    for invariant, table, prod in (("left-specialization", lf[g1], mu[e, g1]),
+                                   ("right-specialization", rf[:, g1], mu[:, g1, e])):
+        witness = _witness(("a",), _first(table != mg.sub_index_array(idx, prod)))
+        if witness is not None:
+            out.append(FrameViolation(invariant, witness))
 
     addm, meter = mg.add_table, _Meter(rings.AXIOM_EVAL_CAP)
     left = _additivity_witness(lf, 1, mg, addm, ("beta", "x", "y"), meter, "left-additivity")
@@ -316,6 +313,8 @@ def check_condition_iv(frame: IdempotentFrame) -> ConditionReport:
     """(e.g1.x.g1.e).Gamma.M.Gamma-complement = 0 forces the corner part to vanish.
 
     The formal right factor m.beta.(1 - e) is realized as right_f[m, beta].
+    Each distinct corner value is tested once; the witness is the least x
+    whose corner is nonzero and dead, with that corner.
     """
     ring = frame.ring
     mu = ring.mu
@@ -324,13 +323,8 @@ def check_condition_iv(frame: IdempotentFrame) -> ConditionReport:
     rvals = np.unique(frame.right_f)
     uniq = np.unique(corner)
     dead = (mu[np.ix_(uniq, np.arange(ring.gamma_order), rvals)] == 0).all(axis=(1, 2))
-    bad_p = set(int(p) for p, d in zip(uniq, dead) if d and p != 0)
-    witness = None
-    if bad_p:
-        for x in range(ring.m_order):
-            if int(corner[x]) in bad_p:
-                witness = {"x": x, "corner": int(corner[x])}
-                break
+    bad = _first(np.isin(corner, uniq[dead & (uniq != 0)]))
+    witness = None if bad is None else {"x": bad[0], "corner": int(corner[bad])}
     checked = int(uniq.size) * ring.gamma_order * int(rvals.size)
     return ConditionReport("iv", witness is None, witness, checked)
 

@@ -75,7 +75,7 @@ class PrimenessReport:
     prime: bool
     witness: Optional[tuple]
     cross_checked: bool
-    ideal_count: Optional[int] = None
+    ideal_count: Optional[int]
 
 
 class GammaRing:

@@ -14,7 +14,7 @@ additivity oracle is groups.is_group_homomorphism, which the tests use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional
 
@@ -28,8 +28,8 @@ from .multmaps import (DEFAULT_BUDGET, DefectMap, DerivationTable, MapPair, Sear
                        _pair_group, verify_additive)
 from .peirce import (IdempotentFrame, MartindaleReport, canonical_frames,
                      check_martindale_family, peirce_decompose)
-from .rings import (GammaRing, _chunks, _first, _Meter, _witness, build_matrix_ring,
-                    make_group, trivial_ring)
+from .rings import (_UNBOUNDED, GammaRing, _chunks, _first, _Meter, _scan_equal, _witness,
+                    build_matrix_ring, make_group, trivial_ring)
 
 WITNESS_CAP = 8          # non-additive maps listed per hunt entry
 _PARTIAL = "hypothesis verdicts are partial; raise the budget"
@@ -221,9 +221,13 @@ def check_claims(defect: DefectMap, frame: IdempotentFrame) -> ClaimTrace:
     claim1: products scale through f from either side.  claim2: f kills
     (diagonal, off-diagonal) block pairs.  claim3/claim4: f kills the (1,2)
     and (1,1) blocks against themselves.  claim5: f kills corner products
-    e.gamma.x in both arguments.  Claims 2-5 each scan f on a list of blocks
-    A x Gamma x B, in order; the witness is the first nonzero (a, gamma, b),
-    and claim2's also names its blocks.
+    e.gamma.x in both arguments.  Claim 1's sides, u.beta.f(x, gamma, y) and
+    f(x, gamma, y).beta.u, are each one rings._scan_equal, unmetered, in chunks
+    of first-slot values (u, then x) sized by rings._chunks; the right side
+    is scanned only when the left holds, and the witness is the lex-least
+    tuple of the failing side, tagged with it.  Claims 2-5 each scan f on a
+    list of blocks A x Gamma x B, in order; the witness is the first nonzero
+    (a, gamma, b), and claim2's also names its blocks.
     """
     ring = defect.ring
     f = defect.f
@@ -234,24 +238,19 @@ def check_claims(defect: DefectMap, frame: IdempotentFrame) -> ClaimTrace:
     claims = {}
 
     fs = _gamma_free(f)
-    fgam = np.arange(fs.shape[1])
-    lhs = mu[:, :, fs.reshape(-1)].reshape(m, g, m, fgam.size, m)  # [u, b, x, gamma, y]
-    rhs = fs[mu[:, :, :, None, None], fgam[None, None, None, :, None], mu[:, :, None, None, :]]
+    gcol = np.arange(fs.shape[1])[:, None]             # the gamma slots of fs, as a column
+    sides = (("left", ("u", "beta", "x", "gamma", "y"), (g,) + fs.shape,        # u.b.f(x,gm,y)
+              lambda lo, hi: mu[lo:hi][:, :, fs],
+              lambda lo, hi: fs[mu[lo:hi, ..., None, None], gcol, mu[lo:hi, :, None, None]]),
+             ("right", ("x", "gamma", "y", "beta", "u"), fs.shape[1:] + (g, m),  # f(x,gm,y).b.u
+              lambda lo, hi: mu[fs[lo:hi]],
+              lambda lo, hi: fs[mu[lo:hi, None, None], gcol[..., None, None], mu]))
     witness = None
-    bad = _first(lhs != rhs)
-    if bad is not None:
-        u, b, x, gm_, y = bad
-        witness = {"side": "left", "u": int(u), "beta": int(b),
-                   "x": int(x), "gamma": int(gm_), "y": int(y)}
-    else:
-        lhs = mu[fs]                                           # [x, gamma, y, b, u]
-        rhs = fs[mu[:, None, None, :, :], fgam[None, :, None, None, None],
-                 mu[None, None, :, :, :]]
-        bad = _first(lhs != rhs)
-        if bad is not None:
-            x, gm_, y, b, u = bad
-            witness = {"side": "right", "x": int(x), "gamma": int(gm_),
-                       "y": int(y), "beta": int(b), "u": int(u)}
+    for side, names, inner, lhs, rhs in sides:
+        w = _scan_equal(lhs, rhs, m, inner, names, _UNBOUNDED, "claim1")
+        if w is not None:
+            witness = {"side": side, **w}
+            break
     claims["claim1"] = VerifyReport(witness is None, True, 2 * m**3 * g**2, witness)
 
     def vanishes(blocks) -> VerifyReport:
@@ -385,7 +384,7 @@ class RingSurvey:
     deriv_found: int
     deriv_additive: int
     deriv_complete: bool
-    witnesses: list = field(default_factory=list)
+    witnesses: list
 
 
 @dataclass
@@ -499,24 +498,12 @@ def hunt_counterexamples(rings, n: int = 2, budget: int = DEFAULT_BUDGET) -> Sur
     return SurveyReport(n, entries, complete)
 
 
-def _factor_sequences(order: int):
-    """Descending factor sequences with the given product, all entries >= 2."""
+def _factor_sequences(order: int, cap: int) -> list:
+    """Descending factor sequences with product `order`, all entries in [2, cap]."""
     if order == 1:
         return [()]
-    out = []
-
-    def rec(remaining, cap, acc):
-        if remaining == 1:
-            out.append(tuple(acc))
-            return
-        d = min(remaining, cap)
-        while d >= 2:
-            if remaining % d == 0:
-                rec(remaining // d, d, acc + [d])
-            d -= 1
-
-    rec(order, order, [])
-    return out
+    return [(d,) + rest for d in range(min(order, cap), 1, -1) if order % d == 0
+            for rest in _factor_sequences(order // d, d)]
 
 
 def trivial_ring_family(max_order: int) -> list:
@@ -525,7 +512,7 @@ def trivial_ring_family(max_order: int) -> list:
     out = []
     gamma = make_group([2])
     for order in range(2, max_order + 1):
-        for factors in _factor_sequences(order):
+        for factors in _factor_sequences(order, order):
             m = make_group(factors)
             label = "x".join(f"Z{d}" for d in factors)
             out.append((f"trivial({label})", trivial_ring(m, gamma)))
