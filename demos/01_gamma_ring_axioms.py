@@ -43,4 +43,4 @@ print(f"matrix ring prime? {is_prime(ring).prime}")
 trivial = trivial_ring(make_group([4]), make_group([2]))
 report = is_prime(trivial)
 print(f"all-zero-product ring on Z4 prime? {report.prime}, witness pair {report.witness}")
-print("(the elementwise test is cross-checked against the ideal-lattice definition)")
+print("(a nonzero pair a, b with a.Gamma.M.Gamma.b = 0 shows the ring is not prime)")

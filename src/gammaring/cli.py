@@ -43,7 +43,7 @@ _SUBJECTS = {
     "derivation": ("derivations", "derivation", "leibniz", "derivations"),
 }
 
-_GAMMA_KEYS = {"alpha", "beta", "gamma", "gamma1", "lambda", "mu", "delta"}
+_GAMMA_KEYS = {"alpha", "beta", "gamma", "gamma1"}
 
 
 def _is_gamma_key(key: str) -> bool:
@@ -122,7 +122,7 @@ def cmd_peirce(doc, args):
     blocks = []
     for i, frame in enumerate(doc.build_frames()):
         components = peirce_decompose(frame)
-        sizes = {f"M{a}{b}": len(components.components[(a, b)]) for a, b in components.components}
+        sizes = {f"M{a}{b}": n for (a, b), n in components.sizes().items()}
         blocks.append({"frame": i, "sizes": sizes})
         rel = check_peirce_relations(components)
         witness = None

@@ -1332,24 +1332,3 @@ def defect_of_derivation(deriv: DerivationTable, n: int = 2,
         raise ValueError(f"map is not an {n}-derivation: witness {vr.witness}")
     return _defect(deriv)
 
-
-def inverse_pair(pair: MapPair, n: int = 2, budget: int = DEFAULT_BUDGET) -> MapPair:
-    """Invert a verified pair; the inverse verifies n-multiplicative by construction.
-
-    Both verifications are exact; a pass past the budget raises
-    BudgetExceededError before drawing any sample."""
-    if not _exact_chains(n, _Meter(budget), "inversion", *_identity(pair)).passed:
-        raise ValueError("can only invert an exactly verified pair")
-    out = MapPair(pair.target, pair.source,
-                  _inverse_table(pair.phi), _inverse_table(pair.psi))
-    if not _exact_chains(n, _Meter(budget), "inversion", *_identity(out)).passed:
-        raise InternalInconsistencyError("inverse of a verified pair failed verification")
-    return out
-
-
-def compose_pairs(outer: MapPair, inner: MapPair) -> MapPair:
-    """outer after inner."""
-    if inner.target is not outer.source and inner.target != outer.source:
-        raise ValueError("composition needs inner.target == outer.source")
-    return MapPair(inner.source, outer.target,
-                   outer.phi[inner.phi], outer.psi[inner.psi])

@@ -128,6 +128,65 @@ def reference_cut(span, defect):
     return _Span(span.group, rows[keep, w.shape[1]:], [pivots[i] - w.shape[1] for i in keep])
 
 
+def reference_ideal_generated(ring, seeds, sidedness: str) -> tuple:
+    """The ideal closure that rings.ideal_generated computed before it left
+    the package, returning the sorted member indices.  Its docstring follows.
+
+    Least subset containing the seeds closed under +, -, and Gamma-products on the declared side(s)."""
+    if sidedness not in ("left", "right", "two-sided"):
+        raise ValueError(f"unknown sidedness {sidedness!r}")
+    m = ring.m_order
+    members = np.zeros(m, dtype=bool)
+    members[0] = True
+    for s in seeds:
+        s = int(s)
+        if not 0 <= s < m:
+            raise ValueError(f"seed {s} is not an M index")
+        members[s] = True
+    addm, negm, mu = ring.m_group.add_table, ring.m_group.neg_table, ring.mu
+    while True:
+        idx = np.flatnonzero(members)
+        new = np.zeros(m, dtype=bool)
+        new[addm[np.ix_(idx, idx)].ravel()] = True
+        new[negm[idx]] = True
+        if sidedness in ("right", "two-sided"):
+            new[mu[idx].ravel()] = True
+        if sidedness in ("left", "two-sided"):
+            new[mu[:, :, idx].ravel()] = True
+        grown = new & ~members
+        if not grown.any():
+            return tuple(int(i) for i in idx)
+        members |= new
+
+
+def reference_ideal_lattice(ring) -> list:
+    """Full two-sided ideal lattice as sorted index arrays (small rings only):
+    the principal ideals and every sum of two ideals, to a fixed point."""
+    m = ring.m_order
+    addm = ring.m_group.add_table
+    principal = {reference_ideal_generated(ring, [a], "two-sided") for a in range(m)}
+    ideals = {(0,)} | principal
+    work = list(ideals)
+    while work:
+        cur = work.pop()
+        ci = np.asarray(cur)
+        for other in list(ideals):
+            oi = np.asarray(other)
+            joined = tuple(sorted(set(addm[np.ix_(ci, oi)].ravel().tolist())))
+            if joined not in ideals:
+                ideals.add(joined)
+                work.append(joined)
+    return [np.asarray(i) for i in sorted(ideals)]
+
+
+def reference_prime(ring) -> bool:
+    """The oracle for rings.is_prime: the ideal-pair definition, prime unless
+    two nonzero ideals A, B of the lattice have A.Gamma.B = 0."""
+    nonzero = [i for i in reference_ideal_lattice(ring) if i.size > 1]
+    gammas = np.arange(ring.gamma_order)
+    return not any((ring.mu[np.ix_(a, gammas, b)] == 0).all() for a in nonzero for b in nonzero)
+
+
 def midx(ring, *rows):
     """Index of the matrix with the given rows in the element enumeration of M."""
     flat = [v for row in rows for v in row]

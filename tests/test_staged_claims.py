@@ -74,8 +74,8 @@ def _defects(frame, blocks) -> list:
     """Failing defects: mu, random tables with zero slots, one planted entry per block.
 
     On the 32-element product the random and planted tables do not depend on
-    gamma, which keeps claim 1's scan, 32^5 entries for any other f, small;
-    mu there and every table on matrix(2,2,2) do."""
+    gamma; mu there and every table on matrix(2,2,2) do.  Claim 1 on a
+    gamma-dependent f of the product is covered by tests/test_shared_scans.py."""
     ring = frame.ring
     m, g = ring.m_order, ring.gamma_order
     gs = 1 if m > 16 else g
