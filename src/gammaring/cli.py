@@ -253,13 +253,20 @@ def cmd_theorem(doc, args):
 
 
 def cmd_hunt(paths, args):
-    rings = []
-    for path in paths:
-        doc = load_grdf(path)
-        rings.append((path, doc.ring))
-    survey = hunt_counterexamples(rings, n=args.n, budget=args.budget)
-    entries = []
-    for e in survey.entries:
+    """Survey the Barnes-verified rings; a ring that fails an axiom is listed
+    in its place with the first failed axiom's verdict, and makes the run
+    exit 1."""
+    rings = [(path, load_grdf(path).ring) for path in paths]
+    survey = hunt_counterexamples([(name, ring) for name, ring in rings if ring.barnes_verified],
+                                  n=args.n, budget=args.budget)
+    surveyed, entries = iter(survey.entries), []
+    for name, ring in rings:
+        if not ring.barnes_verified:
+            bad = next(r for r in ring.barnes_reports() if not r.holds)
+            entries.append({"ring": name, "failed": _verdict(ring, bad.axiom, False, True,
+                                                             bad.checked, bad.witness)})
+            continue
+        e = next(surveyed)
         witnesses = [{"kind": kind, **subject_tables(obj)} for kind, obj in e.witnesses]
         entries.append({
             "ring": e.name,
@@ -273,6 +280,8 @@ def cmd_hunt(paths, args):
             "witnesses": witnesses,
         })
     report = {"survey": entries, "complete": survey.complete}
+    if len(survey.entries) < len(rings):
+        return EXIT_FAIL, report
     return (EXIT_PASS if survey.complete else EXIT_BUDGET), report
 
 

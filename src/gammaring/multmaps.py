@@ -421,6 +421,14 @@ def _pack(ok: np.ndarray) -> np.ndarray:
     return words
 
 
+def _distinct(keys: np.ndarray, size: int) -> np.ndarray:
+    """The distinct keys, each in [0, size), in increasing order: what
+    np.unique returns, marked in a table over the key space, with no sort."""
+    seen = np.zeros(size, dtype=bool)
+    seen[keys] = True
+    return np.flatnonzero(seen)
+
+
 def _unpack(words: np.ndarray) -> np.ndarray:
     """The words (..., W) as boolean rows (..., 64 W); the inverse of _pack."""
     return np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little").view(bool)
@@ -464,10 +472,12 @@ class _PairSearch:
     variables: minimum-remaining-values over the rows of both kinds, every
     candidate forward-checked against the already-fired instances (Haralick
     and Elliott 1980), so only locally consistent values are ever tried;
-    ties take phi before psi and the lowest index first.  At n >= 3 no
-    instance fires until a gamma is assigned, so the search first branches
-    on the gamma u with the most nonzero products over the assigned
-    elements, and it tries only the values c under which no chain
+    ties take phi before psi and the lowest index first.  An index whose row
+    holds a single image is no branch point: _branch assigns every such
+    index in one forced round, and propagates, before it branches.  At
+    n >= 3 no instance fires until a gamma is assigned, so the search first
+    branches on the gamma u with the most nonzero products over the
+    assigned elements, and it tries only the values c under which no chain
     x1 u x2 ... u xn of assigned factors, its source product assigned,
     contradicts phi (_gamma_values).
 
@@ -475,14 +485,17 @@ class _PairSearch:
     phi(0 g ... g x) with phi(x) = 0 collapses to a product with a zero factor
     in the target.
 
-    The search has no budget of its own: each value it tries takes one unit
-    of the caller's meter, so a search that runs out leaves the meter at
-    budget + 1, and its callers gate every other unit of their work on the
-    same meter.  The DFS keeps an explicit stack of open branch points, each
-    with its value iterator and the trail length to retract to before its
-    next value, so it visits nodes in the order of the plain recursion while
-    the depth, one level per assignment, never meets the interpreter's
-    recursion limit.
+    The search has no budget of its own: its nodes take units of the
+    caller's meter, so a search that runs out leaves the meter at budget + 1,
+    and its callers gate every other unit of their work on the same meter.
+    A node is the root of a run(), or a value tried at a branch point: one
+    whose row holds two or more images, or the n >= 3 bootstrap's gamma.  A
+    forced value, from a single-image row or from propagation, is no node.
+    The DFS keeps an explicit stack of open branch points, each with its
+    value iterator and the trail length to retract to before its next value,
+    so it visits nodes in the order of the plain recursion while the depth,
+    one level per branch point, never meets the interpreter's recursion
+    limit.
     """
 
     def __init__(self, source, target, n, meter: _Meter):
@@ -510,14 +523,17 @@ class _PairSearch:
         order, with phi(0) = 0 and each (kind, index, value) of `fixed`
         assigned up front.
 
-        Each value tried takes one unit of the meter.  The search ends when
-        the meter runs out or the caller stops reading, and the trail is
-        retracted either way, so the engine can run again: a generator
-        dropped after next() is closed at once, which runs the retraction.
-        The fixed values must be injective: an element or gamma given twice,
-        or two of them given one image, raises ValueError.
+        The run takes one unit of the meter at its root, and each value tried
+        at a branch point takes one more.  The search ends when the meter
+        runs out or the caller stops reading, and the trail is retracted
+        either way, so the engine can run again: a generator dropped after
+        next() is closed at once, which runs the retraction.  The fixed
+        values must be injective: an element or gamma given twice, or two of
+        them given one image, raises ValueError.
         """
         try:
+            if not self.meter.take(1):
+                return
             stack, state = [], self._fix(fixed)
             while True:
                 if state is not None:
@@ -546,7 +562,7 @@ class _PairSearch:
 
         The fixed part is propagated once and idx's candidate row read off
         the fired instances, as _branch reads it; every c the row rejects
-        would be refuted by the root propagation, for 0 nodes.
+        would be refuted by the root propagation.  It takes no unit.
         """
         ok = np.zeros(self.used[kind].size, dtype=bool)
         state = self._fix(fixed)
@@ -598,7 +614,7 @@ class _PairSearch:
         pw, pv = am, fam
         for _ in range(self.n - 2):
             w, v = self._extend(pw, pv, am, fam, ag, fag)
-            keys = np.unique(w.astype(np.int64) * self.mt + v)
+            keys = _distinct(w.astype(np.int64) * self.mt + v, self.m * self.mt)
             pw, pv = keys // self.mt, keys % self.mt
         return am, fam, ag, fag, pw, pv
 
@@ -668,49 +684,81 @@ class _PairSearch:
     def _branch(self, state):
         """(kind, index, iterator of its values) of the next branch variable
         in `state`, the _state() after propagation, or None at a full
-        assignment."""
-        un = [(table < 0).nonzero()[0] for table in self.tables]
-        if un[0].size == 0 and un[1].size == 0:
-            return None
-        am, fam, ag, fag, pw, pv = state
+        assignment.
 
-        if un[1].size and ag.size == 0 and pw.size == 0 and am.size >= 2:
-            # arity > 2 bootstrap: no prefixes can form until one gamma image
-            # exists, so nothing discriminates; branch the gamma variable with
-            # the most nonzero products over the assigned elements (a zero
-            # slot would leave every downstream instance vacuous)
-            scores = np.count_nonzero(self.mu_s[np.ix_(am, un[1], am)], axis=(0, 2))
-            idx = int(un[1][int(np.argmax(scores))])
-            return 1, idx, iter(self._gamma_values(idx, am, fam).tolist())
-        # minimum-remaining-values over both kinds, phi rows first: the first
-        # least count takes the lowest element index, then the lowest gamma,
-        # and a dead end branches on a variable with no value left
-        rows = [self._rows(kind, state, un[kind]) for kind in (0, 1)]
-        j = int(np.concatenate([np.bitwise_count(r).sum(axis=1) for r in rows]).argmin())
-        kind = int(j >= un[0].size)
-        u = j - kind * un[0].size
-        return kind, int(un[kind][u]), iter(_unpack(rows[kind][u]).nonzero()[0].tolist())
+        Forced rounds (unit propagation; Davis, Logemann and Loveland 1962)
+        come first: while the least candidate count over both kinds is 1,
+        every index whose row holds a single image is assigned in one round,
+        then propagated.  Rows only shrink as values are assigned, so the
+        rounds reach the state that branching on each single value would,
+        and the branch point there is the same.  A round that gives two
+        indices of one kind the same image, or whose propagation fails, is
+        a dead end, returned as a branch with no value.
+        """
+        while True:
+            un = [(table < 0).nonzero()[0] for table in self.tables]
+            if un[0].size == 0 and un[1].size == 0:
+                return None
+            am, fam, ag, fag, pw, pv = state
+
+            if un[1].size and ag.size == 0 and pw.size == 0 and am.size >= 2:
+                # arity > 2 bootstrap: no prefixes can form until one gamma
+                # image exists, so nothing discriminates; branch the gamma
+                # variable with the most nonzero products over the assigned
+                # elements (a zero slot would leave every downstream instance
+                # vacuous)
+                scores = np.count_nonzero(self.mu_s[np.ix_(am, un[1], am)], axis=(0, 2))
+                idx = int(un[1][int(np.argmax(scores))])
+                return 1, idx, iter(self._gamma_values(idx, am, fam).tolist())
+            # minimum-remaining-values over both kinds, phi rows first: the first
+            # least count takes the lowest element index, then the lowest gamma,
+            # and a dead end branches on a variable with no value left
+            rows = [self._rows(kind, state, un[kind]) for kind in (0, 1)]
+            counts = [np.bitwise_count(r).sum(axis=1) for r in rows]
+            j = int(np.concatenate(counts).argmin())
+            kind = int(j >= un[0].size)
+            u = j - kind * un[0].size
+            if counts[kind][u] != 1:
+                return kind, int(un[kind][u]), iter(_unpack(rows[kind][u]).nonzero()[0].tolist())
+            for kind in (0, 1):
+                one = counts[kind] == 1
+                images = _unpack(rows[kind][one]).argmax(axis=1)
+                for x, v in zip(un[kind][one].tolist(), images.tolist()):
+                    if self.used[kind][v]:          # an image given twice this round
+                        return 0, 0, iter(())
+                    self._assign(kind, x, v)
+            state = self._propagate()
+            if state is None:
+                return 0, 0, iter(())
 
     def _gamma_values(self, u, am, fam):
         """The free values c of psi(u) under which no chain x1 u x2 ... u xn of
         assigned factors, with an assigned source product, contradicts phi.
+        Only the n >= 3 bootstrap asks.
 
         Rows (value position, source value, target value) extend the chains
         one (u, x) step at a time, each depth's rows deduplicated as in
-        _state, so a value keeps at most m * m_t rows.
+        _state, so a value keeps at most m * m_t rows.  The source steps
+        w u x do not depend on c: their table is read once, and the products
+        x1 u x2 are built once and repeated per value.  The last step is
+        compared with phi in chunks of rows, never held whole.
         """
         cs = np.flatnonzero(~self.psi_used)
-        k = np.repeat(np.arange(cs.size), am.size)
-        w, v = np.tile(am, cs.size), np.tile(fam, cs.size)
-        for depth in range(1, self.n):
-            w = self.mu_s[w[:, None], u, am[None, :]].ravel()
-            v = self.mu_t[v[:, None], cs[k][:, None], fam[None, :]].ravel()
-            k = np.repeat(k, am.size)
+        src = self.mu_s[:, u, am]                       # (m, |am|): w u x
+        tgt = self.mu_t[:, cs[:, None], fam]            # (m_t, |cs|, |am|): v c phi(x)
+        k = np.repeat(np.arange(cs.size), am.size ** 2)
+        w = np.tile(src[am].ravel(), cs.size)           # rows (c, x1, x2)
+        v = tgt[fam].transpose(1, 0, 2).ravel()
+        for depth in range(2, self.n):
+            keys = _distinct((k * self.m + w) * self.mt + v, cs.size * self.m * self.mt)
+            k, w, v = keys // (self.m * self.mt), keys // self.mt % self.m, keys % self.mt
             if depth < self.n - 1:
-                keys = np.unique((k * self.m + w) * self.mt + v)
-                k, w, v = keys // (self.m * self.mt), keys // self.mt % self.m, keys % self.mt
-        out = self.phi[w]
-        return np.delete(cs, k[(out >= 0) & (out != v)])
+                w, v, k = src[w].ravel(), tgt[v, k].ravel(), np.repeat(k, am.size)
+        bad = np.zeros(k.size, dtype=bool)
+        for lo, hi in _chunks(k.size, am.size):
+            out = self.phi[src[w[lo:hi]]]
+            bad[lo:hi] = ((out >= 0) & (out != tgt[v[lo:hi], k[lo:hi]])).any(axis=1)
+        return np.delete(cs, k[bad])
 
 
 def search_n_multiplicative_isos(source: GammaRing, target: GammaRing,
@@ -958,17 +1006,17 @@ def _pair_group(ring: GammaRing, n: int, work: _Meter) -> Optional[_PairGroup]:
     the leaf search with F, the earlier base points and point -> c fixed.
     The level propagates its fixed part once and reads its point's
     candidate row (_PairSearch.admits); a candidate outside the row would be
-    refuted at its leaf search's root, for 0 nodes, so it starts no search.
-    One engine runs every search, each leaf search node taking one unit of
-    work.
+    refuted at its leaf search's root, so it starts no search.  One engine
+    runs every search, each leaf search node taking one unit of work: the
+    root of each search, and each value tried where it branches.
 
     The leaf search leaves psi free on A_Gamma and the solution is reset to
     the identity there, which composes it with a pair of Sym(A_Gamma).  A
     gamma of A_Gamma fires only 0 = 0 instances, and at n >= 3 the search
     branches on a first gamma only while none is assigned, so fixing them
     would let it permute elements blindly: on matrix(2,2,2) at n = 3 one
-    refutation took 89,299 nodes with psi(0) = 0 fixed, and the whole chain
-    takes 123 without.
+    refutation took 84,260 nodes with psi(0) = 0 fixed, and the whole chain
+    takes 157 without.
 
     Each generator must be a bijection pair that passes an exact, uncharged
     verification, or InternalInconsistencyError is raised.

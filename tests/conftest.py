@@ -6,7 +6,7 @@ import pytest
 
 from gammaring import (build_matrix_ring, build_table_ring, direct_product,
                        make_group, trivial_ring)
-from gammaring.multmaps import _compose, _Meter, _PairSearch, _Span
+from gammaring.multmaps import _compose, _Meter, _PairSearch, _Span, _unpack
 from gammaring.rings import AXIOM_EVAL_CAP, _additivity_witness
 
 
@@ -214,11 +214,55 @@ _left_distrib = _slot_scan(2, ("x", "alpha", "y", "z"))       # x a (y+z) == x a
 _gamma_distrib = _slot_scan(1, ("x", "alpha", "beta", "y"))   # x (a+b) y == x a y + x b y
 
 
+class ReferencePairSearch(_PairSearch):
+    """The oracle for the leaf search's forced rounds and its n >= 3
+    bootstrap: _PairSearch with the _branch and _gamma_values they replaced.
+    This _branch takes a single-candidate variable as a branch point of its
+    own, one value tried per forced step, and _gamma_values deduplicates by
+    np.unique and builds the source side once per candidate value."""
+
+    def _branch(self, state):
+        """(kind, index, iterator of its values) of the next branch variable
+        in `state`, the _state() after propagation, or None at a full
+        assignment."""
+        un = [(table < 0).nonzero()[0] for table in self.tables]
+        if un[0].size == 0 and un[1].size == 0:
+            return None
+        am, fam, ag, fag, pw, pv = state
+
+        if un[1].size and ag.size == 0 and pw.size == 0 and am.size >= 2:
+            scores = np.count_nonzero(self.mu_s[np.ix_(am, un[1], am)], axis=(0, 2))
+            idx = int(un[1][int(np.argmax(scores))])
+            return 1, idx, iter(self._gamma_values(idx, am, fam).tolist())
+        rows = [self._rows(kind, state, un[kind]) for kind in (0, 1)]
+        j = int(np.concatenate([np.bitwise_count(r).sum(axis=1) for r in rows]).argmin())
+        kind = int(j >= un[0].size)
+        u = j - kind * un[0].size
+        return kind, int(un[kind][u]), iter(_unpack(rows[kind][u]).nonzero()[0].tolist())
+
+    def _gamma_values(self, u, am, fam):
+        """The free values c of psi(u) under which no chain x1 u x2 ... u xn of
+        assigned factors, with an assigned source product, contradicts phi."""
+        cs = np.flatnonzero(~self.psi_used)
+        k = np.repeat(np.arange(cs.size), am.size)
+        w, v = np.tile(am, cs.size), np.tile(fam, cs.size)
+        for depth in range(1, self.n):
+            w = self.mu_s[w[:, None], u, am[None, :]].ravel()
+            v = self.mu_t[v[:, None], cs[k][:, None], fam[None, :]].ravel()
+            k = np.repeat(k, am.size)
+            if depth < self.n - 1:
+                keys = np.unique((k * self.m + w) * self.mt + v)
+                k, w, v = keys // (self.m * self.mt), keys // self.mt % self.m, keys % self.mt
+        out = self.phi[w]
+        return np.delete(cs, k[(out >= 0) & (out != v)])
+
+
 def plain_pairs(source, target, n, budget=10**8):
     """(phi, psi) keys of every pair source -> target, sorted, as listed by the
-    complete plain DFS: the oracle for the stabilizer-chain listings."""
+    complete plain DFS of ReferencePairSearch, which takes no forced round:
+    the oracle for the stabilizer-chain listings."""
     meter = _Meter(budget)
-    solutions = list(_PairSearch(source, target, n, meter).run())
+    solutions = list(ReferencePairSearch(source, target, n, meter).run())
     assert meter.spent <= meter.budget
     return sorted((tuple(p.tolist()), tuple(q.tolist())) for p, q in solutions)
 

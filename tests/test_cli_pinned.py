@@ -50,6 +50,22 @@ time: `axioms`, `hunt` and `search-derivations` on rings where M, Gamma or
 both are the group of order 1, which has no nonzero residue.  The other 54
 entries did not change.
 
+Six entries were re-pinned, by running this case list, when the leaf search
+began to assign every single-candidate value in one forced round, for no
+unit, and to charge one unit per search run.  `nodes` of `search-iso-m222`
+went from 148 to 155 and that of `search-iso-m213-n3` from 241 to 230, in
+both formats; every other byte is unchanged.  The two `hunt-g0` entries
+were empty, because the ring fails barnes-iii and that ended the command;
+`hunt` now lists such a ring as an entry with its failed axiom's verdict,
+keeps the other rings' entries, and exits 1.  The `hunt-g0-trivz4` entries
+were added then, to pin that the valid ring's entry is kept.  The other 66
+entries did not change.  The same change moved the chain counters pinned
+in other files: matrix(2,2,2) 112 -> 119 at n = 2, 123 -> 157 at n = 3 and
+117 -> 151 at n = 4, matrix(2,1,4) 370 -> 341 at n = 3 and matrix(2,2,3)
+1,692 -> 2,910 at n = 2; the hunt budget thresholds of
+matrix(2,1,2)xtrivial(Z2) 53 -> 50 and of matrix(2,1,1)xtrivial(Z2^2)
+30 -> 28.
+
 Run this file as a script to print the EXPECTED entries of the current code.
 
 `theorem --n 3` at the default budget is left out on purpose: its hypothesis
@@ -167,6 +183,7 @@ CASES = {
              "--input", "m222-good.json"],
     "hunt-trivial-budget": ["hunt", "--input", "triv2222.json", "--input", "triv4222.json",
                             "--budget", "40000"],
+    "hunt-g0-trivz4": ["hunt", "--input", "g0.json", "--input", "trivz4.json"],
 }
 for _doc in ("m0", "g0", "zero"):
     for _command in ("axioms", "hunt", "search-derivations"):
@@ -187,8 +204,10 @@ EXPECTED = {
     "axioms-zero/text": (0, '2c6faf6d1d9d23b601195ccbd206708979bd1cebe07b7c127e3c5a042e88f7ac'),
     "conditions-product/json": (1, 'c9c12921acaf12bd20cc5f57a671b85cf0f0df8c4b14c13703bc752d7e25f86a'),
     "conditions-product/text": (1, 'b45a37c584ababa2e052462778fc6fb9ef029c2d71aedc230f7e0d3f5c4fce60'),
-    "hunt-g0/json": (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    "hunt-g0/text": (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    "hunt-g0-trivz4/json": (1, '3b209f1f98dbabf6f7ed91083e773fa700d36e7e9d08054ea64bd97317834d0f'),
+    "hunt-g0-trivz4/text": (1, 'beb8f53b073162cfd515b9a613aee2a9d4c523bb64f5b76badf678cb3db2cf1c'),
+    "hunt-g0/json": (1, 'c8ef7a0ac0df02e1f77734d53700231032aca7c253489279b3710be7690de6b0'),
+    "hunt-g0/text": (1, 'df1e3eb4cedbc4bf0e6343e989f5766924152f07fcc234ac68d5048033627727'),
     "hunt-m0/json": (0, 'adb6fcd1b9be41ebe3fde6fc961cb8ad8d7c22a907aaad15a2d09d5bc5f1c5e9'),
     "hunt-m0/text": (0, '48752b0e38c91f0a4d246d1fe190600be70000f527415a771a2765ff3a7085ed'),
     "hunt-trivial-budget/json": (0, '2b3ae42817b83e0b0b8c0d7562d8cadbf36bea5fc590d02b29e02089a8a0a743'),
@@ -213,10 +232,10 @@ EXPECTED = {
     "search-derivations/text": (0, '649480d1c8e3d0a7a2fd55d16a2fc7bb123ddfba4e4a212203aadfa947c5ca2d'),
     "search-iso-budget/json": (3, '936680cfe00c50a292837838b220e666295d8ca5b96b0633f588faed90222456'),
     "search-iso-budget/text": (3, '3c5aa343cebbebc99216fc1d40b22e3002638d8c2fe71af3d06cbd50ec4b9a69'),
-    "search-iso-m213-n3/json": (0, 'e80c54143c085311d9bf488d0816c6120f7a9be41ee85e0fcd2379cf4c393596'),
-    "search-iso-m213-n3/text": (0, '5f7724ea9d8d20785739677cf203390b306073440454731cd2e910b5e9d6db31'),
-    "search-iso-m222/json": (0, '41e2f70ab2d55b670b75cd9ef7a5e36cdb920c29f1d0920caef2525035002bab'),
-    "search-iso-m222/text": (0, 'eb5be468c9590a64a490217b3d6683da7b0d41311a9a35d5a3c9d34b685559e4'),
+    "search-iso-m213-n3/json": (0, '0c02392cd2ee890af39cc9e81cfa6dadc353bd071b60984b276b2e139ec621b9'),
+    "search-iso-m213-n3/text": (0, '771ff56f855e7f030f525c3419d8dc7d54a03241f2452b59bf8f088db215d12a'),
+    "search-iso-m222/json": (0, '5d5ce272b763e3fea79f77d2b9b78f288afe983a6d0dd26d71588908f12e19cd'),
+    "search-iso-m222/text": (0, 'f796a2c29b659627a3ca45a859ca7bc4ed72a6af67fe96b4f5b0d49ea3f2d544'),
     "search-iso-require-additive/json": (1, 'f0178e1bd572a3ef028a5ac69133fba0c6266208083fb57461343bac1456a672'),
     "search-iso-require-additive/text": (1, '54fdeb55ef66be4a47de4d4d9789c0d8b703477a40bd3929a1172d8cbfed13d1'),
     "search-iso/json": (0, 'eb18b843839848d4c4f06802b466d45885ce522c6f8e73968002bb55a5c585b9'),

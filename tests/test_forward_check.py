@@ -84,12 +84,12 @@ def test_bootstrap_drops_only_refuted_values(matrix222, n, point, image):
     eng._undo(0)
 
 
-# leaf search nodes of the chain of Mult_n; search-iso onto the ring itself
-# reports these plus one per pair listed.  The bootstrap runs only at n >= 3,
-# and a candidate row skips only searches that cost 0 nodes, so the n = 2
-# count is the unpruned one.
-NODE_PINS = [((2, 2, 2), 2, 36, 112), ((2, 2, 2), 3, 36, 123), ((2, 2, 2), 4, 36, 117),
-             ((2, 1, 4), 3, 20160, 370)]
+# leaf search nodes of the chain of Mult_n, one per search run and one per
+# value tried at a branch point; search-iso onto the ring itself reports
+# these plus one per pair listed.  The bootstrap runs only at n >= 3, and a
+# candidate row skips only searches that would be refuted at their root.
+NODE_PINS = [((2, 2, 2), 2, 36, 119), ((2, 2, 2), 3, 36, 157), ((2, 2, 2), 4, 36, 151),
+             ((2, 1, 4), 3, 20160, 341)]
 
 
 @pytest.mark.parametrize("shape, n, order, nodes", NODE_PINS,
@@ -102,7 +102,7 @@ def test_chain_node_counts(shape, n, order, nodes):
 
 def test_search_iso_nodes_are_chain_nodes_plus_pairs(matrix222):
     res = search_n_multiplicative_isos(matrix222, matrix222, SearchConfig(n=3))
-    assert res.complete and (len(res.found), res.nodes) == (36, 123 + 36)
+    assert res.complete and (len(res.found), res.nodes) == (36, 157 + 36)
 
 
 def test_bootstrap_memory_stays_small_at_n5(matrix222):

@@ -173,10 +173,11 @@ def test_hunt_matrix_family_is_exact():
 
 def test_pair_chain_on_a_64_element_ring():
     # matrix(2,2,3): |GL(2,2)| |GL(3,2)| / (2 - 1) = 6 * 168 pairs, and the
-    # leaf searches' node count, pinned
+    # leaf searches' node count, pinned: 1,931 searches run and 979 values
+    # tried at their branch points
     work = _Meter(10**8)
     assert _pair_group(build_matrix_ring(2, 2, 3), 2, work).order == 1_008
-    assert work.spent == 1_692
+    assert work.spent == 2_910
 
 
 def _inverse_mod2(a):

@@ -443,16 +443,19 @@ def test_free_part_of_product_ring():
     # the automorphism chain of Z2^3 sifts 9 tables, and the pair chain
     # needs no leaf node
     (trivial_ring(make_group([2, 2, 2]), make_group([2])), 8, False),
-    # 39 leaf nodes, then 14 tables sifted for the automorphisms
-    (_with_trivial(1, 2, [2])[1], 50, False),
+    # 36 leaf nodes (17 searches, 19 values tried), then 14 tables sifted
+    # for the automorphisms: exact at 50, not at 49
+    (_with_trivial(1, 2, [2])[1], 49, False),
+    (_with_trivial(1, 2, [2])[1], 50, True),
     (_with_trivial(1, 2, [2])[1], 600, True),
     (_with_trivial(1, 2, [2])[1], 1710, True),
     # a qualifying ring whose chain holds every psi that swaps gammas acting
-    # alike: 455 leaf nodes
+    # alike: 330 leaf nodes
     (direct_product(build_matrix_ring(2, 2, 2), trivial_ring(make_group([]), make_group([2]))),
      300, False),
-], ids=["trivial(Z2xZ2xZ2)", "matrix(2,1,2)xtrivial(Z2)-50", "matrix(2,1,2)xtrivial(Z2)-600",
-        "matrix(2,1,2)xtrivial(Z2)-1710", "matrix(2,2,2)xgamma(Z2)"])
+], ids=["trivial(Z2xZ2xZ2)", "matrix(2,1,2)xtrivial(Z2)-49", "matrix(2,1,2)xtrivial(Z2)-50",
+        "matrix(2,1,2)xtrivial(Z2)-600", "matrix(2,1,2)xtrivial(Z2)-1710",
+        "matrix(2,2,2)xgamma(Z2)"])
 def test_hunt_over_budget_is_the_plain_enumeration(ring, budget, pairs_complete):
     """Each subject of a budgeted hunt is that of the unbudgeted hunt, or it
     counts nothing and is incomplete; pairs no longer fall back to the plain
@@ -470,11 +473,12 @@ def test_hunt_over_budget_is_the_plain_enumeration(ring, budget, pairs_complete)
 
 def test_hunt_quotient_budget_counts_its_work():
     for ring, threshold, counts in (
-            # 39 leaf nodes, then 14 tables sifted for the automorphisms
-            (_with_trivial(1, 2, [2])[1], 53, (96, 96)),
-            # 14 leaf nodes, then 16 tables sifted for the 24 automorphisms
-            # of Z2^3 in the group; F has three elements
-            (_with_trivial(1, 1, [2, 2])[1], 30, (144, 24))):
+            # 36 leaf nodes, then 14 tables sifted for the automorphisms
+            (_with_trivial(1, 2, [2])[1], 50, (96, 96)),
+            # 12 leaf nodes (6 searches, 6 values tried), then 16 tables
+            # sifted for the 24 automorphisms of Z2^3 in the group; F has
+            # three elements
+            (_with_trivial(1, 1, [2, 2])[1], 28, (144, 24))):
         exact = hunt_counterexamples([("p", ring)], n=2, budget=threshold).entries[0]
         assert (exact.iso_found, exact.iso_additive, exact.iso_complete) == counts + (True,)
         short = hunt_counterexamples([("p", ring)], n=2, budget=threshold - 1).entries[0]
