@@ -44,8 +44,7 @@ class GRDFDocument:
             else:
                 # deferred validation: the condition checkers report violations
                 out.append(IdempotentFrame(self.ring, spec["e"], spec["gamma1"],
-                                           np.asarray(spec["left_f"], dtype=np.int32),
-                                           np.asarray(spec["right_f"], dtype=np.int32)))
+                                           spec["left_f"], spec["right_f"]))
         return out
 
     def to_dict(self) -> dict:
@@ -74,10 +73,11 @@ def _int_list(val, where: str) -> list:
 
 def _int_table(val, where: str) -> np.ndarray:
     """A JSON table of integers as an array, checked on its dtype: a ragged
-    table, or one holding a string, float, null or an integer beyond 32 bits,
-    raises GRDFError, so every later int32 cast is exact.  np.asarray reads a
-    boolean among integers as 0 or 1, so the entries' types are read too, by
-    iterators that run no Python code per entry."""
+    table, or one holding a string, float, null or an integer outside int64,
+    raises GRDFError.  Its shape and range are checked by groups.index_table,
+    which the table's owner runs.  np.asarray reads a boolean among integers
+    as 0 or 1, so the entries' types are read too, by iterators that run no
+    Python code per entry."""
     try:
         arr = np.asarray(val)
     except ValueError:
@@ -85,9 +85,8 @@ def _int_table(val, where: str) -> np.ndarray:
     entries = [val]
     for _ in range(arr.ndim):
         entries = chain.from_iterable(entries)
-    if arr.size and (arr.dtype.kind != "i" or arr.min() < -2**31 or arr.max() >= 2**31
-                     or bool in set(map(type, entries))):
-        raise GRDFError(f"{where}: not a table of 32-bit integers")
+    if arr.size and (arr.dtype.kind != "i" or bool in set(map(type, entries))):
+        raise GRDFError(f"{where}: not a table of integers")
     return arr
 
 
@@ -153,14 +152,11 @@ def parse_grdf(text: str) -> GRDFDocument:
         elif mode == "custom":
             lf = _need(fr, "left_f", list, where)
             rf = _need(fr, "right_f", list, where)
-            lfa = _int_table(lf, f"{where}.left_f")
-            rfa = _int_table(rf, f"{where}.right_f")
-            if lfa.shape != (ring.gamma_order, ring.m_order) or \
-               rfa.shape != (ring.m_order, ring.gamma_order):
-                raise GRDFError(f"{where}: frame table dimensions are wrong")
-            if lfa.min(initial=0) < 0 or lfa.max(initial=0) >= ring.m_order or \
-               rfa.min(initial=0) < 0 or rfa.max(initial=0) >= ring.m_order:
-                raise GRDFError(f"{where}: frame table entries out of range")
+            try:        # the frame's own checks, run now; validation waits for a command
+                IdempotentFrame(ring, e, g1, _int_table(lf, f"{where}.left_f"),
+                                _int_table(rf, f"{where}.right_f"))
+            except ValueError as ex:
+                raise GRDFError(f"{where}: {ex}") from None
             frame_specs.append({"mode": mode, "e": e, "gamma1": g1,
                                 "left_f": lf, "right_f": rf})
         else:
@@ -171,7 +167,7 @@ def parse_grdf(text: str) -> GRDFDocument:
         phi = _int_list(_need(mp, "phi", list, where), where)
         psi = _int_list(_need(mp, "psi", list, where), where)
         try:
-            maps.append(MapPair(ring, ring, _int_table(phi, "phi"), _int_table(psi, "psi")))
+            maps.append(MapPair(ring, ring, phi, psi))
         except ValueError as ex:
             raise GRDFError(f"{where}: {ex}") from None
 
@@ -179,7 +175,7 @@ def parse_grdf(text: str) -> GRDFDocument:
     for where, dv in _entries(doc, "derivations"):
         d = _int_list(_need(dv, "d", list, where), where)
         try:
-            derivations.append(DerivationTable(ring, _int_table(d, "d")))
+            derivations.append(DerivationTable(ring, d))
         except ValueError as ex:
             raise GRDFError(f"{where}: {ex}") from None
 

@@ -10,6 +10,7 @@ has index 0.
 from __future__ import annotations
 
 from math import prod
+from typing import Optional
 
 import numpy as np
 
@@ -148,6 +149,32 @@ def make_group(invariant_factors) -> FiniteAbelianGroup:
     if order > MAX_ORDER:
         raise ValueError(f"group order {order} exceeds {MAX_ORDER}")
     return FiniteAbelianGroup(factors)
+
+
+def index_table(values, shape: tuple, bound: Optional[int], into: str, what: str) -> np.ndarray:
+    """`values` as a C-contiguous, read-only int32 table of `shape` whose
+    entries index `into` (M or Gamma): each lies in [0, bound).  Every
+    constructor that takes an index table (GammaRing, IdempotentFrame,
+    MapPair, DerivationTable, DefectMap) checks it here and nowhere else.
+
+    The values are read as given and checked before the cast, so an entry
+    the cast would wrap (2**32) or truncate (0.5) is refused with ValueError,
+    never read as another index; an integral float is taken.  `bound` is None
+    only where the caller has tested the values as given against a rule that
+    bounds them (MapPair's bijection test).  An int32 array comes back as
+    itself, frozen.
+    """
+    arr = np.asarray(values)
+    if arr.shape != shape:
+        raise ValueError(f"{what} shape {arr.shape} != {shape}")
+    # written so that a NaN entry fails it too, before the cast can warn
+    if bound is not None and arr.size and not (arr.min() >= 0 and arr.max() < bound):
+        raise ValueError(f"{what} entries out of {into} index range")
+    table = np.ascontiguousarray(arr, dtype=np.int32)
+    if arr.dtype.kind not in "biu" and not np.array_equal(table, arr):
+        raise ValueError(f"{what} entries are not integers")
+    table.setflags(write=False)
+    return table
 
 
 def is_group_homomorphism(table, domain: FiniteAbelianGroup, codomain: FiniteAbelianGroup) -> bool:

@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceededError, InternalInconsistencyError
-from .groups import is_group_homomorphism
+from .groups import index_table, is_group_homomorphism
 from .rings import _CHUNK_ELEMS, _UNBOUNDED, GammaRing, _chunks, _first, _Meter, _witness
 
 DEFAULT_BUDGET = 10**8
@@ -67,22 +67,17 @@ class MapPair:
     psi: np.ndarray
 
     def __post_init__(self):
-        self.phi = np.ascontiguousarray(np.asarray(self.phi, dtype=np.int32))
-        self.psi = np.ascontiguousarray(np.asarray(self.psi, dtype=np.int32))
-        if self.phi.shape != (self.source.m_order,):
-            raise ValueError(f"phi has {self.phi.shape[0] if self.phi.ndim else 0} entries, "
-                             f"need {self.source.m_order}")
-        if self.psi.shape != (self.source.gamma_order,):
-            raise ValueError(f"psi has wrong length, need {self.source.gamma_order}")
         if self.source.m_order != self.target.m_order or \
            self.source.gamma_order != self.target.gamma_order:
             raise ValueError("bijections need equal source/target orders")
-        if not np.array_equal(np.sort(self.phi), np.arange(self.target.m_order)):
-            raise ValueError("phi is not a bijection")
-        if not np.array_equal(np.sort(self.psi), np.arange(self.target.gamma_order)):
-            raise ValueError("psi is not a bijection")
-        self.phi.setflags(write=False)
-        self.psi.setflags(write=False)
+        # the bijection test on the values as given bounds them, so the
+        # table pays no range check of its own: a pair walk lists many
+        for name, order, into in (("phi", self.target.m_order, "M"),
+                                  ("psi", self.target.gamma_order, "Gamma")):
+            table = np.asarray(getattr(self, name))
+            if not np.array_equal(np.sort(table), np.arange(order)):
+                raise ValueError(f"{name} is not a bijection")
+            setattr(self, name, index_table(table, (order,), None, into, name))
 
     def key(self) -> tuple:
         return (tuple(int(v) for v in self.phi), tuple(int(v) for v in self.psi))
@@ -94,12 +89,8 @@ class DerivationTable:
     d: np.ndarray
 
     def __post_init__(self):
-        self.d = np.ascontiguousarray(np.asarray(self.d, dtype=np.int32))
-        if self.d.shape != (self.ring.m_order,):
-            raise ValueError(f"derivation table needs {self.ring.m_order} entries")
-        if self.d.size and (self.d.min() < 0 or self.d.max() >= self.ring.m_order):
-            raise ValueError("derivation entries out of range")
-        self.d.setflags(write=False)
+        m = self.ring.m_order
+        self.d = index_table(self.d, (m,), m, "M", "derivation")
 
     def key(self) -> tuple:
         return tuple(int(v) for v in self.d)
@@ -113,13 +104,8 @@ class DefectMap:
     origin: str = "user"
 
     def __post_init__(self):
-        self.f = np.ascontiguousarray(np.asarray(self.f, dtype=np.int32))
         m, g = self.ring.m_order, self.ring.gamma_order
-        if self.f.shape != (m, g, m):
-            raise ValueError(f"defect table shape {self.f.shape} != {(m, g, m)}")
-        if self.f.size and (self.f.min() < 0 or self.f.max() >= m):
-            raise ValueError("defect entries out of M index range")
-        self.f.setflags(write=False)
+        self.f = index_table(self.f, (m, g, m), m, "M", "defect")
 
     @property
     def is_zero(self) -> bool:
@@ -960,12 +946,18 @@ class _PairGroup:
                 stack.pop()
 
 
+def _product_values(ring: GammaRing, n: int) -> list:
+    """[P_1, ..., P_n], P_j the values of products of j elements: P_1 = M and
+    P_(j+1) the values of mu[P_j]."""
+    out = [np.arange(ring.m_order)]
+    for _ in range(n - 1):
+        out.append(np.unique(ring.mu[out[-1]]))
+    return out
+
+
 def _length_k_products(ring: GammaRing, k: int) -> np.ndarray:
     """All values realized by products of k elements (k >= 1)."""
-    p = np.arange(ring.m_order)
-    for _ in range(k - 1):
-        p = np.unique(ring.mu[p].ravel())
-    return p
+    return _product_values(ring, k)[-1]
 
 
 def _free_part(ring: GammaRing, n: int) -> tuple:
@@ -981,9 +973,7 @@ def _free_part(ring: GammaRing, n: int) -> tuple:
     is dead for the steps that remain.
     """
     mu = ring.mu
-    pre = [None, np.arange(ring.m_order)]
-    for _ in range(n - 1):
-        pre.append(np.unique(mu[pre[-1]]))
+    pre = [None] + _product_values(ring, n)
     dead = [np.arange(ring.m_order) == 0]
     for _ in range(n - 1):
         dead.append(dead[-1][mu].all(axis=(1, 2)))

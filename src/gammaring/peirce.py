@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import FrameValidationError, InternalInconsistencyError
 from . import rings
+from .groups import index_table
 from .rings import (GammaRing, _additivity_witness, _first, _holds_on, _Meter, _scan_equal,
                     _witness, find_unities)
 
@@ -38,6 +39,8 @@ class IdempotentFrame:
     "a beta complement"; together with e they realize the formal unity
     1 = e + complement.  Build through canonical_frame or custom_frame only;
     `unity` is the unity a canonical frame comes from, None on a custom one.
+    Construction refuses an index outside the ring, in e, gamma1, unity or
+    the tables (groups.index_table); the frame identities are validate_frame's.
     """
     ring: GammaRing
     e: int
@@ -47,10 +50,10 @@ class IdempotentFrame:
     unity: Optional[int] = None
 
     def __post_init__(self):
-        self.left_f = np.ascontiguousarray(np.asarray(self.left_f, dtype=np.int32))
-        self.right_f = np.ascontiguousarray(np.asarray(self.right_f, dtype=np.int32))
-        self.left_f.setflags(write=False)
-        self.right_f.setflags(write=False)
+        _require_in_ring(self.ring, self.e, self.gamma1, self.unity)
+        m, g = self.ring.m_order, self.ring.gamma_order
+        self.left_f = index_table(self.left_f, (g, m), m, "M", "left_f")
+        self.right_f = index_table(self.right_f, (m, g), m, "M", "right_f")
 
     @cached_property
     def violations(self) -> list:
@@ -109,6 +112,15 @@ class MartindaleReport:
         return all(self.conditions.values())
 
 
+def _require_in_ring(ring: GammaRing, e: int, gamma1: int, unity: Optional[int]):
+    """Refuse, with ValueError, a frame index that is not an integer in the
+    ring: read as an index, it would fail or wrap to another element."""
+    for name, v, order in (("e", e, ring.m_order), ("gamma1", gamma1, ring.gamma_order),
+                           ("unity", unity, ring.m_order)):
+        if v is not None and not (isinstance(v, (int, np.integer)) and 0 <= v < order):
+            raise ValueError(f"{name} = {v!r} is not an index in [0, {order})")
+
+
 def _is_unity(ring: GammaRing, e: int, gamma: int) -> bool:
     mu = ring.mu
     idx = np.arange(ring.m_order)
@@ -137,14 +149,6 @@ def validate_frame(frame: IdempotentFrame) -> list[FrameViolation]:
     m, g = ring.m_order, ring.gamma_order
     lf, rf = frame.left_f, frame.right_f
     out = []
-
-    if lf.shape != (g, m) or rf.shape != (m, g):
-        raise ValueError(f"frame tables have shapes {lf.shape}, {rf.shape}; "
-                         f"expected {(g, m)}, {(m, g)}")
-    if lf.min(initial=0) < 0 or lf.max(initial=0) >= m or \
-       rf.min(initial=0) < 0 or rf.max(initial=0) >= m:
-        raise ValueError("frame table entries out of M index range")
-
     if not _is_nontrivial_idempotent(ring, e, g1):
         out.append(FrameViolation("nontrivial-idempotent", {"e": e, "gamma1": g1}))
 
@@ -178,6 +182,7 @@ def validate_frame(frame: IdempotentFrame) -> list[FrameViolation]:
 def canonical_frame(ring: GammaRing, e: int, gamma1: int, unity: int) -> IdempotentFrame:
     """Frame induced by an actual unity: complement actions 1.b.a - e.b.a and a.b.1 - a.b.e."""
     ring.require_barnes()
+    _require_in_ring(ring, e, gamma1, unity)
     if not _is_unity(ring, unity, gamma1):
         raise ValueError(f"({unity}, {gamma1}) is not a gamma-unity")
     if not _is_nontrivial_idempotent(ring, e, gamma1):

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceededError, InternalInconsistencyError, PreconditionError
-from .groups import FiniteAbelianGroup, make_group
+from .groups import FiniteAbelianGroup, index_table, make_group
 
 # Hard cap on the evaluations of each pass of an axiom or frame scan: verdicts
 # are exact or refused.
@@ -75,14 +75,12 @@ class GammaRing:
 
     def __init__(self, m_group: FiniteAbelianGroup, gamma_group: FiniteAbelianGroup,
                  mu: np.ndarray, nu: Optional[np.ndarray] = None, descriptor: Optional[dict] = None):
+        mo, go = m_group.order, gamma_group.order
         self.m_group = m_group
         self.gamma_group = gamma_group
-        self.mu = mu
-        self.nu = nu
+        self.mu = index_table(mu, (mo, go, mo), mo, "M", "mu")
+        self.nu = None if nu is None else index_table(nu, (go, mo, go), go, "Gamma", "nu")
         self.descriptor = descriptor or {"type": "table"}
-        self.mu.setflags(write=False)
-        if self.nu is not None:
-            self.nu.setflags(write=False)
         self._barnes_reports = None
 
     @property
@@ -382,18 +380,6 @@ def check_nobusawa(ring: GammaRing) -> list[AxiomReport]:
 def build_table_ring(m_group: FiniteAbelianGroup, gamma_group: FiniteAbelianGroup,
                      mu, nu=None) -> GammaRing:
     """Wrap an explicit product table; axioms are NOT checked here."""
-    mo, go = m_group.order, gamma_group.order
-    mu = np.ascontiguousarray(np.asarray(mu, dtype=np.int32))
-    if mu.shape != (mo, go, mo):
-        raise ValueError(f"mu shape {mu.shape} != {(mo, go, mo)}")
-    if mu.size and (mu.min() < 0 or mu.max() >= mo):
-        raise ValueError("mu entries out of M index range")
-    if nu is not None:
-        nu = np.ascontiguousarray(np.asarray(nu, dtype=np.int32))
-        if nu.shape != (go, mo, go):
-            raise ValueError(f"nu shape {nu.shape} != {(go, mo, go)}")
-        if nu.size and (nu.min() < 0 or nu.max() >= go):
-            raise ValueError("nu entries out of Gamma index range")
     return GammaRing(m_group, gamma_group, mu, nu)
 
 

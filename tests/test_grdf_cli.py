@@ -341,6 +341,10 @@ MALFORMED = [
     ("entries-true", "axioms", "table", ["product", "entries", 1, 1, 1], True),
     ("nu-true", "axioms", "table", ["nu", 1, 1, 1], True),
     ("left_f-true", "conditions", "matrix", ["frames", 0, "left_f", 1, 1], True),
+    # the library takes an integral float as an index; a JSON document may not
+    ("entries-1.0", "axioms", "table", ["product", "entries", 1, 1, 1], 1.0),
+    ("phi-1.0", "verify-iso", "matrix", ["maps", 0, "phi", 1], 1.0),
+    ("left_f-1.0", "conditions", "matrix", ["frames", 0, "left_f", 1, 1], 1.0),
 ]
 
 
