@@ -18,7 +18,7 @@ import numpy as np
 from .errors import GRDFError, PreconditionError
 from .groups import make_group
 from .multmaps import DerivationTable, MapPair
-from .peirce import IdempotentFrame, canonical_frame
+from .peirce import IdempotentFrame, _require_in_ring, canonical_frame
 from .rings import GammaRing, build_matrix_ring, build_table_ring
 
 
@@ -142,19 +142,19 @@ def parse_grdf(text: str) -> GRDFDocument:
         mode = _need(fr, "mode", str, where)
         e = _need(fr, "e", int, where)
         g1 = _need(fr, "gamma1", int, where)
-        if not 0 <= e < ring.m_order or not 0 <= g1 < ring.gamma_order:
-            raise GRDFError(f"{where}: e/gamma1 out of range")
+        unity = _need(fr, "unity", int, where) if mode == "canonical" else None
+        try:
+            _require_in_ring(ring, e, g1, unity)
+        except ValueError as ex:
+            raise GRDFError(f"{where}: {ex}") from None
         if mode == "canonical":
-            unity = _need(fr, "unity", int, where)
-            if not 0 <= unity < ring.m_order:
-                raise GRDFError(f"{where}: unity out of range")
             frame_specs.append({"mode": mode, "e": e, "gamma1": g1, "unity": unity})
         elif mode == "custom":
             lf = _need(fr, "left_f", list, where)
             rf = _need(fr, "right_f", list, where)
+            tables = _int_table(lf, f"{where}.left_f"), _int_table(rf, f"{where}.right_f")
             try:        # the frame's own checks, run now; validation waits for a command
-                IdempotentFrame(ring, e, g1, _int_table(lf, f"{where}.left_f"),
-                                _int_table(rf, f"{where}.right_f"))
+                IdempotentFrame(ring, e, g1, *tables)
             except ValueError as ex:
                 raise GRDFError(f"{where}: {ex}") from None
             frame_specs.append({"mode": mode, "e": e, "gamma1": g1,

@@ -37,7 +37,8 @@ import numpy as np
 
 from .errors import BudgetExceededError, InternalInconsistencyError
 from .groups import index_table, is_group_homomorphism
-from .rings import _CHUNK_ELEMS, _UNBOUNDED, GammaRing, _chunks, _first, _Meter, _witness
+from .rings import (_CHUNK_ELEMS, _UNBOUNDED, GammaRing, _chunks, _first, _Meter, _scan_equal,
+                    _witness)
 
 DEFAULT_BUDGET = 10**8
 _SAMPLE_CAP = 1 << 20
@@ -139,15 +140,16 @@ def _witness_names(n: int) -> list:
     return names
 
 
-def _grid_step(mu, t, j, x):
-    """Open grid: append a (gamma, x) axis pair; x indexes the new element axis."""
-    return mu[:, :, x][t]
-
-
 def _tuple_step(gs):
-    """Aligned step: the j-th step of tuple i uses gamma gs[j][i]; the steps
-    past gs are open grid steps."""
-    return lambda mu, t, j, x: mu[t, gs[j], x] if j < len(gs) else _grid_step(mu, t, j, x)
+    """Aligned step: the j-th step of tuple i uses gamma gs[j][i]."""
+    return lambda mu, t, j, x: mu[t, gs[j], x]
+
+
+def _slice_step(gs):
+    """Grid step: the j-th step appends the gamma axis gs[j], a slice, and the
+    element axis x, a slice or an index array (the d(x) of a Leibniz term);
+    t, the product so far, is an index array or a slice of the first slot."""
+    return lambda mu, t, j, x: mu[:, gs[j], x][t]
 
 
 def _chain(mu, factors, step):
@@ -159,8 +161,9 @@ def _chain(mu, factors, step):
 
 
 def _leibniz(mu, addm, d, factors, step):
-    """Sum over i of the chain with d applied to the i-th factor (d[..., slice(None)] is
-    d).  A (k, m) d, k tables at once, gives k sums along a leading axis."""
+    """Sum over i of the chain with d applied to the i-th factor (a factor may
+    be a slice: d[..., s] is d read on it).  A (k, m) d, k tables at once,
+    gives k sums along a leading axis."""
     dfactors = [d[..., x] for x in factors]
     rhs = None
     for i in range(len(factors)):
@@ -175,22 +178,15 @@ def _scan_chains(m: int, g: int, n: int, lhs, rhs) -> Optional[dict]:
     """Lex-least length-n tuple where lhs and rhs differ, over every tuple, or
     None; uncharged, so the caller charges its m^n g^(n-1) evaluations.
 
-    Chunks run over the leading slots x1 g1 ... xj, j the least that leaves
-    at most _CHUNK_ELEMS tuples per choice of them, and hold at most
-    _CHUNK_ELEMS tuples: the leading slots are aligned per tuple
-    (_tuple_step) and the (g, m) steps after them an open grid.  rhs, which
-    holds more arrays while it is built (a Leibniz sum holds three), is
-    built first, so a chunk never holds more than three arrays of its size.
+    rings._scan_equal walks the grid x1 g1 ... xn in chunks under
+    _CHUNK_ELEMS; each chunk's element slices are the sides' factors, and
+    its gamma slices their _slice_step.
     """
-    j = next(j for j in range(1, n + 1) if (g * m)**(n - j) <= _CHUNK_ELEMS)
-    lead = (m,) + (g, m) * (j - 1)
-    for lo, hi in _chunks(prod(lead), (g * m)**(n - j)):
-        slots = np.unravel_index(np.arange(lo, hi), lead)
-        factors, step = list(slots[0::2]) + [slice(None)] * (n - j), _tuple_step(slots[1::2])
-        bad = _first(rhs(factors, step) != lhs(factors, step))
-        if bad is not None:
-            return _witness(_witness_names(n), [s[bad[0]] for s in slots] + list(bad[1:]))
-    return None
+    def side(f):
+        return lambda *s: f(list(s[0::2]), _slice_step(s[1::2]))
+
+    return _scan_equal(side(lhs), side(rhs), (m,) + (g, m) * (n - 1), _witness_names(n),
+                       _UNBOUNDED, "")
 
 
 def _fold_scan(m: int, g: int, n: int, f, step) -> Optional[dict]:
@@ -244,9 +240,10 @@ def _exact_chains(n: int, meter: _Meter, what: str, m: int, g: int, lhs, rhs,
     first: a pass past its budget raises BudgetExceededError, never a sample.
 
     lhs(factors, step) and rhs(factors, step) evaluate the identity's sides on
-    the chains over the given element factors: index arrays, or slice(None)
-    for a full open-grid axis.  Witnesses are the lexicographically least
-    failing tuple, and checked counts every length-n tuple.
+    the chains over the given element factors: index arrays with a
+    _tuple_step, or slices with a _slice_step.  Witnesses are the
+    lexicographically least failing tuple, and checked counts every
+    length-n tuple.
 
     `fold`, the identity's (f, step) for _fold_scan, says that each side of a
     chain is carried along x1 g1 ... xn = (x1 g1 ... x_{n-1}) g_{n-1} xn by a

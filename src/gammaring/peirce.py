@@ -40,7 +40,9 @@ class IdempotentFrame:
     1 = e + complement.  Build through canonical_frame or custom_frame only;
     `unity` is the unity a canonical frame comes from, None on a custom one.
     Construction refuses an index outside the ring, in e, gamma1, unity or
-    the tables (groups.index_table); the frame identities are validate_frame's.
+    the tables (groups.index_table), and keeps e, gamma1 and unity as plain
+    ints, so a frame built from numpy integers emits as JSON; the frame
+    identities are validate_frame's.
     """
     ring: GammaRing
     e: int
@@ -51,6 +53,8 @@ class IdempotentFrame:
 
     def __post_init__(self):
         _require_in_ring(self.ring, self.e, self.gamma1, self.unity)
+        self.e, self.gamma1 = int(self.e), int(self.gamma1)
+        self.unity = None if self.unity is None else int(self.unity)
         m, g = self.ring.m_order, self.ring.gamma_order
         self.left_f = index_table(self.left_f, (g, m), m, "M", "left_f")
         self.right_f = index_table(self.right_f, (m, g), m, "M", "right_f")
@@ -139,9 +143,9 @@ def validate_frame(frame: IdempotentFrame) -> list[FrameViolation]:
     and the ring's kept barnes-ii verdict are, so it compares generators a
     and b only; that verdict is read, never computed, and without it every
     tuple is scanned.  Reports still count raw coverage.  A full scan is
-    built in chunks of first-slot values.  Each pass that runs, a generator
-    check or a full scan, is charged to a meter at rings.AXIOM_EVAL_CAP,
-    and one past it raises BudgetExceededError.
+    rings._scan_equal's, on the sides the generator check reads.  Each pass
+    that runs, a generator check or a full scan, is charged to a meter at
+    rings.AXIOM_EVAL_CAP, and one past it raises BudgetExceededError.
     """
     ring, e, g1 = frame.ring, frame.e, frame.gamma1
     mu = ring.mu
@@ -163,15 +167,14 @@ def validate_frame(frame: IdempotentFrame) -> list[FrameViolation]:
     addm, meter = mg.add_table, _Meter(rings.AXIOM_EVAL_CAP)
     left = _additivity_witness(lf, 1, mg, addm, ("beta", "x", "y"), meter, "left-additivity")
     right = _additivity_witness(rf, 0, mg, addm, ("x", "y", "beta"), meter, "right-additivity")
-    gidx = np.arange(g)
+    gidx, what = np.arange(g), "frame-associativity"
     # (a beta complement) gamma b == a beta (complement gamma b)
+    sides = (lambda a, beta, gamma, b: mu[rf[a, beta], gamma, b],
+             lambda a, beta, gamma, b: mu[a, beta, lf[gamma, b]])
     assoc_ok = left is None and right is None and ring.known_distributive and _holds_on(
-        (mg.generators, gidx, gidx, mg.generators),
-        lambda a, beta, gamma, b: mu[rf[a, beta], gamma, b],
-        lambda a, beta, gamma, b: mu[a, beta, lf[gamma, b]], meter, "frame-associativity")
-    assoc = None if assoc_ok else _scan_equal(
-        lambda lo, hi: mu[rf[lo:hi]], lambda lo, hi: mu[lo:hi][:, :, lf],   # [a, beta, gamma, b]
-        m, (g, g, m), ("a", "beta", "gamma", "b"), meter, "frame-associativity")
+        (mg.generators, gidx, gidx, mg.generators), *sides, meter, what)
+    assoc = None if assoc_ok else _scan_equal(*sides, (m, g, g, m),
+                                              ("a", "beta", "gamma", "b"), meter, what)
     for invariant, witness in (("left-additivity", left), ("right-additivity", right),
                                ("frame-associativity", assoc)):
         if witness is not None:

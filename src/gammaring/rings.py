@@ -12,7 +12,8 @@ for each generator e of order d (_additive_in): about one evaluation per
 entry.  Two maps additive in every slot agree everywhere when they agree on
 the r^k tuples of generators, r the number of cyclic factors, which decides
 associativity, the nu identity and frame-associativity.  A failure there is
-rescanned in full, so every witness is the lexicographically least one.
+rescanned in full by _scan_equal, the one grid scan, on the same two sides,
+so every witness is the lexicographically least one.
 `checked` reports the raw tuple coverage.  Every budget decision of the
 package goes through one _Meter.  Here each scan charges its generator
 check, and its full rescan only when that runs, against AXIOM_EVAL_CAP, so
@@ -22,6 +23,7 @@ a ring is refused only when a pass it needs is oversized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import prod
 from typing import Optional
 
@@ -182,26 +184,34 @@ def _witness(names, idx) -> Optional[dict]:
     return None if idx is None else {n: int(i) for n, i in zip(names, idx)}
 
 
-def _scan_equal(lhs_fn, rhs_fn, outer: int, inner_shape: tuple, names,
-                meter: _Meter, what: str) -> Optional[dict]:
-    """Lex-least tuple where two chunked builders differ, or None; the scan's
-    outer * prod(inner_shape) evaluations are charged to meter first.
+def _scan_equal(lhs, rhs, sizes: tuple, names, meter: _Meter, what: str) -> Optional[dict]:
+    """Lex-least tuple of the grid `sizes` where lhs(*slots) != rhs(*slots),
+    or None; the grid's prod(sizes) evaluations are charged to meter first.
 
-    lhs_fn(lo, hi) and rhs_fn(lo, hi) build the sides for first-slot values
-    [lo, hi), each of shape (hi - lo,) + inner_shape.  The sides and their
-    mask stay referenced until the next chunk replaces them: freeing them at
-    once let the allocator hand the memory back and fault it in again, which
-    cost about 10% on the associativity scans of 32-element rings.
+    Each side takes one indexer per slot, so _holds_on reads the same two
+    functions.  Here every indexer is a slice, and a side's axes follow its
+    slots in order.  The grid is walked in lex order, in chunks: the first
+    slot after which at most _CHUNK_ELEMS tuples remain takes a range, every
+    slot before it one value, every slot after it all of its values, so no
+    chunk holds more than _CHUNK_ELEMS tuples.  rhs, which may hold more
+    arrays while it is built (a Leibniz sum holds three), is built first.
+
+    A chunk's sides are freed once its mask is built, and the mask stays
+    referenced until the next chunk's replaces it, so a scan holds one
+    chunk's arrays and one more mask.  With the mask freed too, the
+    allocator handed the chunk's memory back and faulted it in again: the
+    full associativity scan of matrix(2,1,5) ran about 15% slower.
     """
-    per_x = int(np.prod(inner_shape, dtype=np.int64))
-    meter.charge(outer * per_x, what)
-    for lo, hi in _chunks(outer, per_x):
-        lhs = lhs_fn(lo, hi)
-        rhs = rhs_fn(lo, hi)
-        neq = lhs != rhs
+    meter.charge(prod(sizes), what)
+    k = next(k for k in range(len(sizes)) if prod(sizes[k + 1:]) <= _CHUNK_ELEMS)
+    step = _CHUNK_ELEMS // prod(sizes[k + 1:])
+    rest = tuple(slice(0, s) for s in sizes[k + 1:])
+    for *head, lo in product(*map(range, sizes[:k]), range(0, sizes[k], step)):
+        slots = tuple(slice(v, v + 1) for v in head) + (slice(lo, lo + step),) + rest
+        neq = rhs(*slots) != lhs(*slots)
         idx = _first(neq)
         if idx is not None:
-            return _witness(names, (idx[0] + lo,) + idx[1:])
+            return _witness(names, [s.start + i for s, i in zip(slots, idx)])
     return None
 
 
@@ -242,24 +252,27 @@ def _additivity_witness(table: np.ndarray, axis: int, domain: FiniteAbelianGroup
     The tuple is table's slots with slot `axis` doubled in place:
     (..., x, y, ...) stands for t(..., x + y, ...) = t(..., x, ...) +
     t(..., y, ...).  _additive_in decides a pass; only a failure is rescanned
-    in full, in chunks of first-slot values, each pass charged to meter.
+    in full by _scan_equal, each pass charged to meter.
     """
     if _additive_in(table, axis, domain, add, meter, what):
         return None
 
-    def cut(lo, hi):        # (the table the y slot reads, the sums) for first slots [lo, hi)
-        return (table, domain.add_table[lo:hi]) if axis == 0 else (table[lo:hi], domain.add_table)
+    def lhs(*s):
+        return table[s[:axis] + (domain.add_table[s[axis], s[axis + 1]],) + s[axis + 2:]]
 
-    return _scan_equal(lambda lo, hi: np.take(*cut(lo, hi), axis=axis),
-                       lambda lo, hi: add[np.expand_dims(table[lo:hi], axis + 1),
-                                          np.expand_dims(cut(lo, hi)[0], axis)],
-                       table.shape[0], table.shape[1:axis + 1] + table.shape[axis:],
-                       names, meter, what)
+    def rhs(*s):
+        return add[np.expand_dims(table[s[:axis + 1] + s[axis + 2:]], axis + 1),
+                   np.expand_dims(table[s[:axis] + s[axis + 1:]], axis)]
+
+    return _scan_equal(lhs, rhs, table.shape[:axis + 1] + table.shape[axis:], names, meter, what)
 
 
 def _holds_on(grid, lhs, rhs, meter: _Meter, what: str) -> bool:
     """Whether lhs(*slots) == rhs(*slots) on the open grid of the index arrays
-    in `grid`, one per slot; the grid's tuples are charged to meter first."""
+    in `grid`, one per slot; the grid's tuples are charged to meter first.
+
+    The sides are those _scan_equal takes, read here on np.ix_ arrays, so a
+    generator check and its full rescan state their identity once."""
     meter.charge(prod(len(s) for s in grid), what)
     slots = np.ix_(*grid)
     return bool((lhs(*slots) == rhs(*slots)).all())
@@ -272,16 +285,14 @@ def _associativity(ring, additive: bool = False) -> tuple[Optional[dict], int]:
     in all five slots, so a pass on generator tuples is a pass everywhere;
     without it, or on a failure there, every tuple is scanned.
     """
-    mu, meter = ring.mu, _Meter(AXIOM_EVAL_CAP)
+    mu, meter, what = ring.mu, _Meter(AXIOM_EVAL_CAP), "associativity"
     m, g = ring.m_order, ring.gamma_order
     gm, gg = ring.m_group.generators, ring.gamma_group.generators
-    if additive and _holds_on((gm, gg, gm, gg, gm), lambda x, a, y, b, z: mu[mu[x, a, y], b, z],
-                              lambda x, a, y, b, z: mu[x, a, mu[y, b, z]], meter, "associativity"):
+    sides = (lambda x, a, y, b, z: mu[mu[x, a, y], b, z],
+             lambda x, a, y, b, z: mu[x, a, mu[y, b, z]])
+    if additive and _holds_on((gm, gg, gm, gg, gm), *sides, meter, what):
         return None, m * g * m * g * m
-    w = _scan_equal(
-        lambda lo, hi: mu[mu[lo:hi]],
-        lambda lo, hi: mu[lo:hi][:, :, mu],
-        m, (g, m, g, m), ("x", "alpha", "y", "beta", "z"), meter, "associativity")
+    w = _scan_equal(*sides, (m, g, m, g, m), ("x", "alpha", "y", "beta", "z"), meter, what)
     return w, m * g * m * g * m
 
 
@@ -345,16 +356,14 @@ def check_nobusawa(ring: GammaRing) -> list[AxiomReport]:
         mg, gg = ring.m_group, ring.gamma_group
         gm, ga = mg.generators, gg.generators
         meter, what = _Meter(AXIOM_EVAL_CAP), "nobusawa-ii"
+        sides = (lambda x, a, y, b, z: mu[x, a, mu[y, b, z]],
+                 lambda x, a, y, b, z: mu[x, nu[a, y, b], z])
         holds = (distrib.holds and gamma_distrib.holds
                  and all(_additive_in(nu, axis, mg if axis == 1 else gg, gg.add_table, meter,
                                       what) for axis in range(3))
-                 and _holds_on((gm, ga, gm, ga, gm),
-                               lambda x, a, y, b, z: mu[x, a, mu[y, b, z]],
-                               lambda x, a, y, b, z: mu[x, nu[a, y, b], z], meter, what))
-        w = None if holds else _scan_equal(lambda lo, hi: mu[lo:hi][:, :, mu],
-                                           lambda lo, hi: mu[lo:hi][:, nu],
-                                           m, (g, m, g, m), ("x", "alpha", "y", "beta", "z"),
-                                           meter, what)
+                 and _holds_on((gm, ga, gm, ga, gm), *sides, meter, what))
+        w = None if holds else _scan_equal(*sides, (m, g, m, g, m),
+                                           ("x", "alpha", "y", "beta", "z"), meter, what)
         checked += m * g * m * g * m
         if w is not None:
             identity = "x.a.(y.b.z) = x.(a.y.b).z"

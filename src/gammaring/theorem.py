@@ -24,7 +24,7 @@ from .errors import BudgetExceededError, InternalInconsistencyError, Preconditio
 from .groups import is_group_homomorphism
 from .multmaps import (DEFAULT_BUDGET, DefectMap, DerivationTable, MapPair, SearchConfig,
                        VerifyReport, _aut_order, _chain, _defect, _derivations,
-                       _exact_chains, _grid_step, _identity, _length_k_products,
+                       _exact_chains, _identity, _length_k_products, _slice_step,
                        _pair_group, verify_additive)
 from .peirce import (IdempotentFrame, MartindaleReport, canonical_frames,
                      check_martindale_family, peirce_decompose)
@@ -174,32 +174,32 @@ def _absorption_scan(ring: GammaRing, f: np.ndarray, k: int, pk: np.ndarray,
     meter.charge(a * b * m * gs * m, _PARTIAL)
     flat = act.reshape(a * b, m)
     fail = np.zeros((a, b), dtype=bool)
-    first_xy = {}
     for lo, hi in _chunks(a * b, m * gs * m):
-        lhs = flat[lo:hi][:, f]                                        # [c, x, gamma, y]
-        rhs = f[flat[lo:hi][:, :, None, None],
-                np.arange(gs)[None, None, :, None],
-                flat[lo:hi][:, None, None, :]]
-        neq = lhs != rhs
-        badc = neq.reshape(hi - lo, -1).any(axis=1)
-        for c in np.flatnonzero(badc):
-            first_xy[lo + int(c)] = _first(neq[c])
-        fail.reshape(-1)[lo:hi] = badc
+        fail.reshape(-1)[lo:hi] = _unabsorbed(f, flat[lo:hi]).reshape(hi - lo, -1).any(axis=1)
     if not fail.any():
         return VerifyReport(True, True, raw_count)
 
     meter.charge(m**k * g**k, _PARTIAL)
-    witness = _absorption_witness(ring, k, side, pk, fail, first_xy)
+    witness = _absorption_witness(ring, f, k, side, pk, act, fail)
     return VerifyReport(False, True, raw_count, witness)
 
 
-def _absorption_witness(ring, k, side, pk, fail, first_xy) -> dict:
-    """Least raw chain tuple whose composite action fails."""
+def _unabsorbed(f: np.ndarray, acts: np.ndarray) -> np.ndarray:
+    """[c, x, gamma, y]: whether act(f(x, gamma, y)) != f(act x, gamma, act y)
+    for the c-th of the actions `acts`, each a row of m images."""
+    gcol = np.arange(f.shape[1])[:, None]
+    return acts[:, f] != f[acts[:, :, None, None], gcol, acts[:, None, None, :]]
+
+
+def _absorption_witness(ring, f, k, side, pk, act, fail) -> dict:
+    """Least raw chain tuple whose composite action fails, and the least
+    (x, gamma, y) at which that action fails."""
     m = ring.m_order
     pk_pos = -np.ones(m, dtype=np.int64)
     pk_pos[pk] = np.arange(pk.size)
     # prod[u1, g, u2, ..., uk]: every raw chain of k elements, in lex order
-    prod = _chain(ring.mu, [np.arange(m)] + [slice(None)] * (k - 1), _grid_step)
+    prod = _chain(ring.mu, [np.arange(m)] + [slice(None)] * (k - 1),
+                  _slice_step([slice(None)] * (k - 1)))
     if side == "left":
         # chains (u1, g1, ..., uk, gk): composite product u1 g1 ... uk, action gamma gk
         idx = _first(fail[pk_pos[prod]])
@@ -211,7 +211,7 @@ def _absorption_witness(ring, k, side, pk, fail, first_xy) -> dict:
         comp = (idx[0], int(pk_pos[prod[idx[1:]]]))
         names = [f"{v}{i}" for i in range(1, k + 1) for v in ("g", "u")]
     w = dict(zip(names, idx))
-    w.update(zip(("x", "gamma", "y"), first_xy[comp[0] * fail.shape[1] + comp[1]]))
+    w.update(zip(("x", "gamma", "y"), _first(_unabsorbed(f, act[comp][None])[0])))
     return w
 
 
@@ -222,8 +222,8 @@ def check_claims(defect: DefectMap, frame: IdempotentFrame) -> ClaimTrace:
     (diagonal, off-diagonal) block pairs.  claim3/claim4: f kills the (1,2)
     and (1,1) blocks against themselves.  claim5: f kills corner products
     e.gamma.x in both arguments.  Claim 1's sides, u.beta.f(x, gamma, y) and
-    f(x, gamma, y).beta.u, are each one rings._scan_equal, unmetered, in chunks
-    of first-slot values (u, then x) sized by rings._chunks; the right side
+    f(x, gamma, y).beta.u, are each one rings._scan_equal, unmetered, its
+    slots (u, beta, x, gamma, y) and (x, gamma, y, beta, u); the right side
     is scanned only when the left holds, and the witness is the lex-least
     tuple of the failing side, tagged with it.  Claims 2-5 each scan f on a
     list of blocks A x Gamma x B, in order; the witness is the first nonzero
@@ -239,15 +239,17 @@ def check_claims(defect: DefectMap, frame: IdempotentFrame) -> ClaimTrace:
 
     fs = _gamma_free(f)
     gcol = np.arange(fs.shape[1])[:, None]             # the gamma slots of fs, as a column
-    sides = (("left", ("u", "beta", "x", "gamma", "y"), (g,) + fs.shape,        # u.b.f(x,gm,y)
-              lambda lo, hi: mu[lo:hi][:, :, fs],
-              lambda lo, hi: fs[mu[lo:hi, ..., None, None], gcol, mu[lo:hi, :, None, None]]),
-             ("right", ("x", "gamma", "y", "beta", "u"), fs.shape[1:] + (g, m),  # f(x,gm,y).b.u
-              lambda lo, hi: mu[fs[lo:hi]],
-              lambda lo, hi: fs[mu[lo:hi, None, None], gcol[..., None, None], mu]))
+    sides = (("left", ("u", "beta", "x", "gamma", "y"), (m, g) + fs.shape,      # u.b.f(x,gm,y)
+              lambda u, b, x, gm, y: mu[u, b, fs[x, gm, y]],
+              lambda u, b, x, gm, y: fs[mu[u, b, x][..., None, None], gcol[gm],
+                                        mu[u, b, y][:, :, None, None]]),
+             ("right", ("x", "gamma", "y", "beta", "u"), fs.shape + (g, m),      # f(x,gm,y).b.u
+              lambda x, gm, y, b, u: mu[fs[x, gm, y], b, u],
+              lambda x, gm, y, b, u: fs[mu[x, b, u][:, None, None], gcol[gm][..., None, None],
+                                        mu[y, b, u]]))
     witness = None
-    for side, names, inner, lhs, rhs in sides:
-        w = _scan_equal(lhs, rhs, m, inner, names, _UNBOUNDED, "claim1")
+    for side, names, sizes, lhs, rhs in sides:
+        w = _scan_equal(lhs, rhs, sizes, names, _UNBOUNDED, "claim1")
         if w is not None:
             witness = {"side": side, **w}
             break
