@@ -7,12 +7,16 @@ inconsistency (a bug, never an input problem).
 
 Reports go to stdout and are byte-identical for identical inputs and seed;
 wall-clock timing goes to stderr only.  Work counters inside reports are
-deterministic evaluation/node counts.
+deterministic evaluation/node counts.  A JSON report is written in the
+canonical GRDF form of `grdf.emit_grdf` (sorted keys, compact separators,
+one trailing newline).  A report's `options` echo `input` and exactly the
+options its command takes; a command parses no other option.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -21,7 +25,7 @@ import traceback
 
 from .errors import (BudgetExceededError, FrameValidationError, GRDFError,
                      InternalInconsistencyError, PreconditionError)
-from .grdf import load_grdf, subject_tables
+from .grdf import emit_grdf, load_grdf, subject_tables
 from .multmaps import (DEFAULT_BUDGET, SearchConfig, search_n_derivations,
                        search_n_multiplicative_isos, verify_additive, verify_n_derivation,
                        verify_n_multiplicative)
@@ -325,14 +329,15 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-# the options a command may read; a command that does not take one keeps its default
+# the options a command may take: (least value, None for a flag; argparse settings)
 _OPTIONS = {
-    "n": dict(type=int, default=2, help="product arity (default 2)"),
-    "k": dict(type=int, default=None, help="absorption chain length (default n-1)"),
-    "budget": dict(type=int, default=DEFAULT_BUDGET, help="evaluation/node budget (default 1e8)"),
-    "seed": dict(type=int, default=0, help="seed for partial-verification sampling"),
-    "require_additive": dict(action="store_true", default=False,
-                             help="searches fail when a non-additive map is found"),
+    "n": (2, dict(type=int, default=2, help="product arity (default 2)")),
+    "k": (1, dict(type=int, default=None, help="absorption chain length (default n-1)")),
+    "budget": (1, dict(type=int, default=DEFAULT_BUDGET,
+                       help="evaluation/node budget (default 1e8)")),
+    "seed": (0, dict(type=int, default=0, help="seed for partial-verification sampling")),
+    "require_additive": (None, dict(action="store_true", default=False,
+                                    help="searches fail when a non-additive map is found")),
 }
 
 # name: (help, handler, options it reads); a handler takes (doc, args), hunt's (paths, args)
@@ -366,26 +371,25 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--input", required=True, help="ring description path")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.set_defaults(**{key: spec["default"] for key, spec in _OPTIONS.items()})
         for key in options:
-            p.add_argument("--" + key.replace("_", "-"), **_OPTIONS[key])
+            p.add_argument("--" + key.replace("_", "-"), **_OPTIONS[key][1])
     return parser
+
+
+_parser = functools.cache(build_parser)     # built on first use, not at import
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as ex:
         return EXIT_USAGE if ex.code not in (0, None) else 0
-    if args.n < 2:
-        print("error: --n must be >= 2", file=sys.stderr)
-        return EXIT_USAGE
-    if args.k is not None and args.k < 1:
-        print("error: --k must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.budget <= 0:
-        print("error: --budget must be positive", file=sys.stderr)
-        return EXIT_USAGE
+    options = {key: getattr(args, key) for key in _COMMANDS[args.command][2]}
+    for key, value in options.items():
+        least = _OPTIONS[key][0]
+        if least is not None and value is not None and value < least:
+            print(f"error: --{key} must be >= {least}", file=sys.stderr)
+            return EXIT_USAGE
 
     # an exact pass at a large --n reports checked = m^n g^(n-1), past the
     # default digit limit of int-to-str conversion
@@ -415,12 +419,11 @@ def main(argv=None) -> int:
         return EXIT_BUG
 
     report = {"schema": SCHEMA, "command": args.command,
-              "options": {"input": args.input, "n": args.n, "k": args.k,
-                          "budget": args.budget, "seed": args.seed}}
+              "options": {"input": args.input, **options}}
     report.update(body)
     report["exit"] = code
     if args.format == "json":
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(emit_grdf(report))
     else:
         sys.stdout.write(_render_text(report) + "\n")
     print(f"elapsed {time.perf_counter() - started:.3f}s", file=sys.stderr)

@@ -66,6 +66,15 @@ in other files: matrix(2,2,2) 112 -> 119 at n = 2, 123 -> 157 at n = 3 and
 matrix(2,1,2)xtrivial(Z2) 53 -> 50 and of matrix(2,1,1)xtrivial(Z2^2)
 30 -> 28.
 
+Every entry but the two `search-derivations-g0` ones, whose stdout is
+empty, was re-pinned, by running this case list, when reports began to
+echo in `options` only `input` and the options their command takes, and
+JSON reports began to be written in the canonical GRDF form (sorted keys,
+compact separators) in place of `indent=2`.  At the commit before and after,
+every entry kept its exit code, every JSON report parsed to the same
+value once `options` is removed, and every text report kept its lines but
+the `options:` one.
+
 Run this file as a script to print the EXPECTED entries of the current code.
 
 `theorem --n 3` at the default budget is left out on purpose: its hypothesis
@@ -75,6 +84,7 @@ gate counts the exact scan's work, so it exits 0 where it used to exit 3.
 import contextlib
 import hashlib
 import io
+import json
 
 import numpy as np
 import pytest
@@ -192,80 +202,80 @@ for _doc in ("m0", "g0", "zero"):
 
 # "<case>/<format>": (exit code, sha256 of stdout)
 EXPECTED = {
-    "axioms-broken/json": (1, '08bb7d086961d452f046bd6eda3e16acf6946749b0b293d453a9eb7889a2bc27'),
-    "axioms-broken/text": (1, '4cf1ed59924afd46b17097453981ef898126bf8e1dca73ebdc2a27df2ff9dbdd'),
-    "axioms-g0/json": (1, '4a1b794bdc81750e5bdb2fd705af037f75b04baf4c159d139a4a11842ae7cece'),
-    "axioms-g0/text": (1, 'e80b0cc237e3d71cc10027a80426c4178b307504559ca998bbc22c13fb6f0d41'),
-    "axioms-m0/json": (0, '5cb7d131acc93a53d9595127c87783c31075a015c34a73538caf8bbb973d0e1c'),
-    "axioms-m0/text": (0, '42d95135fa59b1b64beea57484897dad68c179a0db1036841b9831b99a59b4c2'),
-    "axioms-m222/json": (0, 'efe178f414942c46559c46645130f85030754e8b29562292a42c00d09cba49ff'),
-    "axioms-m222/text": (0, 'f961a6c1931af63f5bafb54a8f3eaccc7b3cc8579075f5ae527b159f1036321c'),
-    "axioms-zero/json": (0, 'f0699c963ab22489a793a4209d449d2fad609e8707662ba9e4a1466d09b0de92'),
-    "axioms-zero/text": (0, '2c6faf6d1d9d23b601195ccbd206708979bd1cebe07b7c127e3c5a042e88f7ac'),
-    "conditions-product/json": (1, 'c9c12921acaf12bd20cc5f57a671b85cf0f0df8c4b14c13703bc752d7e25f86a'),
-    "conditions-product/text": (1, 'b45a37c584ababa2e052462778fc6fb9ef029c2d71aedc230f7e0d3f5c4fce60'),
-    "hunt-g0-trivz4/json": (1, '3b209f1f98dbabf6f7ed91083e773fa700d36e7e9d08054ea64bd97317834d0f'),
-    "hunt-g0-trivz4/text": (1, 'beb8f53b073162cfd515b9a613aee2a9d4c523bb64f5b76badf678cb3db2cf1c'),
-    "hunt-g0/json": (1, 'c8ef7a0ac0df02e1f77734d53700231032aca7c253489279b3710be7690de6b0'),
-    "hunt-g0/text": (1, 'df1e3eb4cedbc4bf0e6343e989f5766924152f07fcc234ac68d5048033627727'),
-    "hunt-m0/json": (0, 'adb6fcd1b9be41ebe3fde6fc961cb8ad8d7c22a907aaad15a2d09d5bc5f1c5e9'),
-    "hunt-m0/text": (0, '48752b0e38c91f0a4d246d1fe190600be70000f527415a771a2765ff3a7085ed'),
-    "hunt-trivial-budget/json": (0, '2b3ae42817b83e0b0b8c0d7562d8cadbf36bea5fc590d02b29e02089a8a0a743'),
-    "hunt-trivial-budget/text": (0, '2e1f9708bfd898c0722e1d59d2c1e5d17a114d8a0b65b62761364ee1baecc20c'),
-    "hunt-zero/json": (0, 'e9165da8e3c37219aa041757fa07ba22f83ab6159e4e45b2d31a7ecb7b65750d'),
-    "hunt-zero/text": (0, '0b6b5af952c8d511f63aadc7b496ad233d628b36cdf0980a1dff15998c54db91'),
-    "hunt/json": (0, 'dafe353a12987f6f25b5be5752b183325546064e656500cef2e6f0c8361330cd'),
-    "hunt/text": (0, 'c4e3b8562d60f7418a9d18011a8341729cc419d1a7a77df1d17ea733cb839e60'),
-    "search-derivations-budget/json": (3, 'b9b95f230d0454f11db2d32fb9be5cbe8cce8a909def7a961488702f55e7a2b2'),
-    "search-derivations-budget/text": (3, '6be8d4566a7812a461d1bc9cf639c469c6d5b1a1fba15241c669ebe084b0238c'),
+    "axioms-broken/json": (1, '92e15bceb338f90d539d335cd3590163d2199b9839e792bbaf339df21467aee7'),
+    "axioms-broken/text": (1, '82b446fd8b10c2a03746ed5b43093e65b4199b2ee45994def96ba72f6afc41e6'),
+    "axioms-g0/json": (1, '7f7e00c4ec240cba1e371d40ae3904d2810b3e55b1a5667c9b8c504016bd4510'),
+    "axioms-g0/text": (1, '4354b85e58f4c88299066c25a8937608525bd7050fafe638802ac7f9aa74429e'),
+    "axioms-m0/json": (0, 'f705c58eacc9fbf87bc2b584842c1121a432f595ab34105dd10e882546524e7d'),
+    "axioms-m0/text": (0, '2d82b1643e861406c2246fbbd1fb1262518e70119878098a664e27be5951b8cc'),
+    "axioms-m222/json": (0, '21ae0af3f7589fc14b16aaf80503261708a5037147ae03db169c7f90260d8acc'),
+    "axioms-m222/text": (0, '62bde5086d10d953ff970eaabe082a02be03d4c37871ddaa7a43bc2fd09b8614'),
+    "axioms-zero/json": (0, 'dfa2988f362aa9d478732bc7b19c2f8a8bd4586280d51c571ed901189fdfd187'),
+    "axioms-zero/text": (0, '2eb87d5f15c4c999569814a6480440c7fc8ca8da5d8782521b26bd7074e36088'),
+    "conditions-product/json": (1, 'be624e84e40bf50c1f3a51467baf3ffb75ca30061a53cb1a65c4f83229f4ea53'),
+    "conditions-product/text": (1, '4451aedb9549acfe05be42847c691b58cd80bdafd99329f77d24f71571fd3c81'),
+    "hunt-g0-trivz4/json": (1, '5fdf095dd509826882020e431cab07c3dfa63d955c7cb55cca187ff96f456ecb'),
+    "hunt-g0-trivz4/text": (1, '54f6e92bd54966cb086a73fdce9ac4448fd908be9f5bb5c47425a9b924b41613'),
+    "hunt-g0/json": (1, '854387bd61c00c04f86fa3ab38e6eb6f533a106da78e395f3263719c0209a0d3'),
+    "hunt-g0/text": (1, '655517f4e2c6811b9495cd362a465993ae779e1eb8e65064395e963a776e120b'),
+    "hunt-m0/json": (0, '90e0cee000790760ae4c704a407375c9ec7024b5a6847afcfc5b2c5b83fc9dd1'),
+    "hunt-m0/text": (0, '94785e0aec0d883e48eddae449d72df03228e8a6b60bb5ddc905970b30e174b0'),
+    "hunt-trivial-budget/json": (0, '8bdcef34fdb1e69071060584b5eb6eebe6f789c61d9ea1085887a0da7b893dd7'),
+    "hunt-trivial-budget/text": (0, '21710720618e264dc95124d64c585f76080d449e1d8c8d79cd3b5396d65869d6'),
+    "hunt-zero/json": (0, 'e49a75b34a151852d3bdc03b8ed1411f920e4ba6690a49ba326fcdda09b7b400'),
+    "hunt-zero/text": (0, '983103dbbb39572b3df6f36ad56867bfc3db9e653f648502e6377a631d598315'),
+    "hunt/json": (0, '5adece954a1b2fdef88624ef0ca6d0b7a52b3c722e20bac492518ef1a66608de'),
+    "hunt/text": (0, '7f63750b68f37951be89a61cd97470a891ce5e0297f2be0df116c0a6bb19b063'),
+    "search-derivations-budget/json": (3, '73181e2d385e3c42613e100ea9e4fe989e5b3e8b3ed65328d740150224de4fca'),
+    "search-derivations-budget/text": (3, 'ac2c27f6fea20ed8d1fae1bcf4c94a11eeb238de15fe9e868474d3e2fc7bd8da'),
     "search-derivations-g0/json": (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     "search-derivations-g0/text": (1, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    "search-derivations-m0/json": (0, 'cae7cab27d9d67d167bb4bfbfcc51be4e62464ae05bc385a1912fa219eb500ff'),
-    "search-derivations-m0/text": (0, '229f8947a1c822f873985f763748f227c3342cdf77624619b38cc9cf574c2da1'),
-    "search-derivations-m222-n3/json": (0, '33500a522a1444e9c4229cee38a40940b93039ee1fbd26c01736581a501a5ac0'),
-    "search-derivations-m222-n3/text": (0, '17cea492d165e1f96302dcd5549ad8a11e68eae3a0c19a6b31e5cef0749b25d8'),
-    "search-derivations-require-additive/json": (1, 'a53e8e9c1735c89edd3523b56d90dc040979bcc2c7f58ab9da63c0ffa3a3106f'),
-    "search-derivations-require-additive/text": (1, '486ea6094ed887660d6b492adb770bf6790ad767272f597035de0e1d12d4d4be'),
-    "search-derivations-zero/json": (0, 'fb00d940052a04431d2146a870aa1308e1022010e467e88e5022038c81f1e07b'),
-    "search-derivations-zero/text": (0, '83aa3c33298ad3be1f3afed502363bb0a57532b9a64f2849ad5fe585a82f4b63'),
-    "search-derivations/json": (0, 'ac397b93585601875efe0fefc55231c004243419c76557d5bc18ab569191dc25'),
-    "search-derivations/text": (0, '649480d1c8e3d0a7a2fd55d16a2fc7bb123ddfba4e4a212203aadfa947c5ca2d'),
-    "search-iso-budget/json": (3, '936680cfe00c50a292837838b220e666295d8ca5b96b0633f588faed90222456'),
-    "search-iso-budget/text": (3, '3c5aa343cebbebc99216fc1d40b22e3002638d8c2fe71af3d06cbd50ec4b9a69'),
-    "search-iso-m213-n3/json": (0, '0c02392cd2ee890af39cc9e81cfa6dadc353bd071b60984b276b2e139ec621b9'),
-    "search-iso-m213-n3/text": (0, '771ff56f855e7f030f525c3419d8dc7d54a03241f2452b59bf8f088db215d12a'),
-    "search-iso-m222/json": (0, '5d5ce272b763e3fea79f77d2b9b78f288afe983a6d0dd26d71588908f12e19cd'),
-    "search-iso-m222/text": (0, 'f796a2c29b659627a3ca45a859ca7bc4ed72a6af67fe96b4f5b0d49ea3f2d544'),
-    "search-iso-require-additive/json": (1, 'f0178e1bd572a3ef028a5ac69133fba0c6266208083fb57461343bac1456a672'),
-    "search-iso-require-additive/text": (1, '54fdeb55ef66be4a47de4d4d9789c0d8b703477a40bd3929a1172d8cbfed13d1'),
-    "search-iso/json": (0, 'eb18b843839848d4c4f06802b466d45885ce522c6f8e73968002bb55a5c585b9'),
-    "search-iso/text": (0, '09cc4e2590de68bec5c1d595aabcb4d75fa111b277b24ce70d6fd4dd82c7fd2f'),
-    "theorem-budget/json": (0, 'fed2c6c6d022d108f6b532fbc0272776302f7df2db22c5a4bbb0adf92594ca36'),
-    "theorem-budget/text": (0, 'e76713736bd766cfc5666049161c64f577dcd27a244a232dbb4a37272cb11c6a'),
-    "theorem-failure/json": (1, '64ea95465abf5b038114cabb24431459f5ab554f40870b8512fc8f458e9fe37a'),
-    "theorem-failure/text": (1, '431458e387bea2312a8b2f1a4869ee3689eb4f850a144360e966408775fda080'),
-    "theorem-family-failure/json": (1, '114b4880d8f3964d95c290adb2f529f9b3366e4fa699769248f7dcc311a99d49'),
-    "theorem-family-failure/text": (1, 'de775c6a08a5a40cb236ef14e6e61c77b229c5ab158b671cfb4d096f583d525a'),
-    "theorem-hypothesis-budget/json": (0, 'f7b95f49292afe1e204a704af89e1dc0388db4ddc75e6a89f3bc5c455b5a999c'),
-    "theorem-hypothesis-budget/text": (0, 'adf02d709a59275b138bb583931b73cf22b5b36c343bd3fe09125f096c1f1abd'),
-    "theorem-k4/json": (0, '95cd08037f3848048604c94d95ed2523556d8fc2db0b89240e03344185cf499b'),
-    "theorem-k4/text": (0, '7afc7ec23c55f107ff7fcfa7a44eb3846dd48e36db2b0efe36fa95711ddb9c00'),
-    "theorem-success/json": (0, 'a7ee868c6e8c0cfff6b01affb58299cf8b3258f9f5647f6766ad60d95a5a36b3'),
-    "theorem-success/text": (0, '64fb25620500a1bcee8d7d3c6344d4c9e71db22c044e9f6234e32ec1870f49bc'),
-    "theorem-verify-budget/json": (3, '4fb56a369261cb7c56363e57fdf22273a1cb44694089a0048badc5009643cb3c'),
-    "theorem-verify-budget/text": (3, '863a22f1358454495007685fdeee67a5f782e7a5798bc1c7ed35a191263d64c3'),
-    "verify-derivation-exhaustive-n3/json": (1, 'f9a3160eced2497a332a747b17bd26903f032ed8f405ab635d7ee5f39fe47721'),
-    "verify-derivation-exhaustive-n3/text": (1, '38bc16838bbc2493d1bcd6074759fa0e688b8996b8ca57c03211181315e5dada'),
-    "verify-derivation-exhaustive/json": (1, 'b2834b4797c2bdac4eed6f828e8792e9eeb55b8f8e79ee35b876bfe464c74331'),
-    "verify-derivation-exhaustive/text": (1, '11a0ffca0ca4a64e21f7cac9825d4690f0dcec5cda91ee7583ea84984a508fda'),
-    "verify-derivation-sampled/json": (1, 'e33fc36ca1a26b4fdca5ceda9d3f13b93a9b8fd763aa66b8d00e7e24abba13e8'),
-    "verify-derivation-sampled/text": (1, '3822bc5d2080b6f1ec495d73d88fa406a46ff1cc63beb25e47b3b940db7bbb6b'),
-    "verify-iso-exhaustive-n3/json": (1, '5890d8fcc4c9c93043ed0f709b383ee0fcbc944e055ac70f7f2b9d2c0963c902'),
-    "verify-iso-exhaustive-n3/text": (1, '8c2167c1afa1bf553c09bca9bfa425d6a675076e4dbf10fa167d3e6661b1699b'),
-    "verify-iso-exhaustive/json": (1, '5599a069c41bc8d74a13b88cd46558119b482695f9353354c5203e390db044b2'),
-    "verify-iso-exhaustive/text": (1, '6878e61ca06ec1a8ac12bcad351cb024a378c04cb173e6ba85027246bc1efe6c'),
-    "verify-iso-sampled/json": (1, '21654bbb0fbeb26c2832be0c84d2f00a8270d6f24d3de4c66c5dfcdb12429204'),
-    "verify-iso-sampled/text": (1, 'be5449fc91a92b0b4563bcb1a79b694ff2913f6646b2ea5331539d34a5970cd5'),
+    "search-derivations-m0/json": (0, 'b17fd6f23820ee44766460614f9fc04932b485bf2ac25dc1bc91be6a45cdf343'),
+    "search-derivations-m0/text": (0, '9515502fae868d5927a710c2395bf47c304bd946b01323a36fb2c1d138a84881'),
+    "search-derivations-m222-n3/json": (0, 'fd64a0ed04f5a368f6376b6e0d013e0f46b16946f23bcb4e884fb09d7bc659b8'),
+    "search-derivations-m222-n3/text": (0, '396d88b6c4ea890ea50d521a432830dab1f0d12cf36e032420995410e84a4b05'),
+    "search-derivations-require-additive/json": (1, 'f7c9d4e16d8f7d72740fa2c0bce338a3a06337dc99e184f41bdfde2f2d7b7371'),
+    "search-derivations-require-additive/text": (1, '8e6fd8f21565b15b2e06747934c9c0ac4d0ff037e23ad7949a501a20b0ba65ab'),
+    "search-derivations-zero/json": (0, 'dac231a6abcf95a3d2bbb0ceac64ae05e98f3ea7e52085d8a5ea1d40c8d288b3'),
+    "search-derivations-zero/text": (0, '37deddccbecd1a643b8566cfdf67edde9703fe71b80fb845bd8ec3e1d7e56a5c'),
+    "search-derivations/json": (0, '46348ff22fa9a7655d428fcccb66e56307917f8c76da0ef859038719370cd275'),
+    "search-derivations/text": (0, 'fdb0ac033f32c6a7488bd3048137ac81cd8e57596cdfa3fdeaf46a417082e2b3'),
+    "search-iso-budget/json": (3, 'a9f414f95bfed0ffe0a8f9e0926cb732a49a70281fd3722c80863c658f86484c'),
+    "search-iso-budget/text": (3, 'f00f1ef5806791112c32991d6a29fdc5fc23f414eda2498b74ee34c00a7074c6'),
+    "search-iso-m213-n3/json": (0, '46be7e8eb1b507266dfe720559dd99b3edc2bd50a80f169ee722e80e92dd1367'),
+    "search-iso-m213-n3/text": (0, '7d54a62db95d942a133757eb5a27b242e721dcdb1a40e1810f015340674c4ef1'),
+    "search-iso-m222/json": (0, 'ced07302057a4168f2b9667330b7434be8d6d71e00ae51bf6e61305993d3d57b'),
+    "search-iso-m222/text": (0, '4c15e17905cfacb6df04da6398a409166f9db1d65590ebfd644d68afefbac3e3'),
+    "search-iso-require-additive/json": (1, '91a3a3cd8ea45993f0f5f87d66db33ef7b382ac186fce67c8cf0895964a84d89'),
+    "search-iso-require-additive/text": (1, '1b0b5e142dcb66769390aba47aa54a237726c2dec1ec53dc2010a452445a62a4'),
+    "search-iso/json": (0, '91151f06060922d8a3b532844831b3c3c4c823bf8195b06324eafbc0f448f771'),
+    "search-iso/text": (0, '1c5070e4a6273798a93539acb07055b2fd19bd9253e5d9d44ec534c8c61664bd'),
+    "theorem-budget/json": (0, '194f69e6acb2e65d484d5cfba2ba753eba7cdfa051fd14fc5bb6b4b58247e237'),
+    "theorem-budget/text": (0, 'ee3e7b21cd7710857073a55b2c04f2b1f45c026a4266086fceabfed755d7c9d9'),
+    "theorem-failure/json": (1, 'c189109db3bb398122d4ef318be5bd7c74d091f3c24cae9885e0f9ffa3b13560'),
+    "theorem-failure/text": (1, '1f20d52cb503b23a4cad7481dc1422945d47e1f9bbd4450a1debe105fe0d0052'),
+    "theorem-family-failure/json": (1, '1fd5ea8499e353302210435e6b404ac17f883fd1a45520d064d3085b071eb964'),
+    "theorem-family-failure/text": (1, '308aa99f1d840738dfd457245cfddf1d57d276c3ea1cddb0909f9c8668cf474a'),
+    "theorem-hypothesis-budget/json": (0, '45154219acfc487ef8b994e4a12c80184cbb8534cfb33ea39f91d5c80b0ff3c1'),
+    "theorem-hypothesis-budget/text": (0, '98b85394d2290af75fe4b1697c93aef1e6e0f01b248ff823b9dbf8b8f9696350'),
+    "theorem-k4/json": (0, '06890e8df099dda8aa62ca0c93c86ab4ed0303fc5e098b8377f54adb43303c8d'),
+    "theorem-k4/text": (0, '899d26fa6d02024ca6aad89310943815a0c521292184a513bbade9068b16a3aa'),
+    "theorem-success/json": (0, '1f8665d10fe47b0cf7c0768e33900ee0287187a1ad734a719fb529a0fe576086'),
+    "theorem-success/text": (0, '05bfdba1b2106461bd6133d2f6a09d1bf56fa3d1c601793a63fec012b6fa29c4'),
+    "theorem-verify-budget/json": (3, '2df1b99cf3e5f363d08dd6133a661ef20efa41456cdab4a2ee66d49580bc9db6'),
+    "theorem-verify-budget/text": (3, '1a88124351a58ee4f0df991f0e7c65af1438ee32c49c83529ae0bde93ddfe7f7'),
+    "verify-derivation-exhaustive-n3/json": (1, '66902448bdb3a99c291cd074a5152e883a461abae066f39d0a2fb4448254267f'),
+    "verify-derivation-exhaustive-n3/text": (1, 'd778c65c800dcba5fb8edc53ac977508c5738773c089640dbafcff761e7647cd'),
+    "verify-derivation-exhaustive/json": (1, 'b3153a9f155f5f75b4ef966e820db0db94f09087b504b4ab034ec92160008e66'),
+    "verify-derivation-exhaustive/text": (1, '18058d62de94cb42da98291723b3d11b792784d4fbaa8a99b7a70d34e2b9a094'),
+    "verify-derivation-sampled/json": (1, '237dcf47f795a8a4ac10eb8164dc177b6cc79b26c54023d03d885f6a0fbb8899'),
+    "verify-derivation-sampled/text": (1, '0479fe685aa96dc6364dfb59d7f034212002043cd2d188561b1e1a211af47a86'),
+    "verify-iso-exhaustive-n3/json": (1, '8c2b5d8b110a39e0962acdc0a10289cfdf1914152c450dcb33382eab5129c4f9'),
+    "verify-iso-exhaustive-n3/text": (1, '1622812062c500e546b7606edb01569c4caec11f79eb368bb5289720de2fb5fe'),
+    "verify-iso-exhaustive/json": (1, '7dbd05abee3dd38b1f56d14797904ecf4e56c38a2e4d1bbddd4c39e0a418a9c6'),
+    "verify-iso-exhaustive/text": (1, 'd2c3c16ea560dcd27f4b2d1f7400d873618ed38881f4abadf6713c8bc57cdb64'),
+    "verify-iso-sampled/json": (1, 'b1013a195079a6bab3ff8353ca30ff5af21963692c2753924a9b3813d6b473ba'),
+    "verify-iso-sampled/text": (1, 'cba5ba8a2f93e1f0695cf46ca63cdad0f0581073cafe0e61c2666b2c70a3bc59'),
 }
 
 
@@ -276,12 +286,18 @@ def docs_dir(tmp_path_factory):
     return directory
 
 
-def run_case(name, fmt):
-    """Exit code and stdout hash of one case, run from the documents directory."""
+def _stdout(name, fmt):
+    """Exit code and stdout of one case, run from the documents directory."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(CASES[name] + ["--format", fmt])
-    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return code, out.getvalue()
+
+
+def run_case(name, fmt):
+    """Exit code and stdout hash of one case, run from the documents directory."""
+    code, out = _stdout(name, fmt)
+    return code, hashlib.sha256(out.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
@@ -289,6 +305,15 @@ def run_case(name, fmt):
 def test_pinned_stdout(name, fmt, docs_dir, monkeypatch):
     monkeypatch.chdir(docs_dir)
     assert run_case(name, fmt) == EXPECTED[f"{name}/{fmt}"]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_pinned_json_report_is_canonical(name, docs_dir, monkeypatch):
+    # a JSON report is the canonical GRDF serialization of its own value;
+    # a command that ends without a report prints nothing
+    monkeypatch.chdir(docs_dir)
+    out = _stdout(name, "json")[1]
+    assert out == "" or out == emit_grdf(json.loads(out))
 
 
 if __name__ == "__main__":

@@ -139,6 +139,48 @@ def test_cli_command_takes_only_the_options_it_reads(command, option, capsys):
         assert captured.out == "" and "unrecognized arguments: --" in captured.err
 
 
+@pytest.fixture(scope="module")
+def pinned_docs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("pinned")
+    write_documents(directory)
+    return directory
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_cli_report_echoes_only_the_options_its_command_takes(command, pinned_docs, capsys):
+    path = str(pinned_docs / "m222-good.json")
+    argv = [command, "--input", path, "--format", "json"]
+    for option in sorted(READS[command]):
+        value = OPTION_VALUES[option]
+        argv += ["--" + option.replace("_", "-")] + ([] if value is True else [str(value)])
+    assert set(vars(cli.build_parser().parse_args(argv))) == {"command", "input", "format"} \
+        | READS[command]
+    assert main(argv) in (0, 1, 3)
+    report = json.loads(capsys.readouterr().out)
+    assert report["options"] == {"input": [path] if command == "hunt" else path,
+                                 **{option: OPTION_VALUES[option] for option in READS[command]}}
+
+
+# a value one below each bounded option's least value
+BELOW = {"n": 1, "k": 0, "budget": 0, "seed": -1}
+
+
+@pytest.mark.parametrize("command, option", [(c, o) for c in cli._COMMANDS
+                                             for o in sorted(READS[c]) if o in BELOW],
+                         ids=lambda v: v)
+def test_cli_option_below_its_least_value_is_usage_error(command, option, pinned_docs,
+                                                         capsys):
+    # at --budget 1000 the verify commands sample, so a bad seed would reach the sampler
+    argv = [command, "--input", str(pinned_docs / "m222-bad.json"),
+            "--" + option, str(BELOW[option])]
+    if option != "budget" and "budget" in READS[command]:
+        argv += ["--budget", "1000"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --{option} must be >= {BELOW[option] + 1}\n"
+
+
 def test_cli_peirce_and_conditions(matrix_doc_path, capsys):
     assert main(["peirce", "--input", matrix_doc_path]) == 0
     assert main(["conditions", "--input", matrix_doc_path]) == 0
